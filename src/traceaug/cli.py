@@ -10,7 +10,6 @@ byte. Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error,
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,9 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_CHECK = 3
+
+#: Views augmented per batch call: bounds the engine's working memory.
+AUGMENT_CHUNK = 64
 
 
 class UsageError(ValueError):
@@ -59,8 +61,6 @@ def _float_list(text):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="run seed (bit-reproducible)")
-    p.add_argument("--threads", type=_positive_int("threads"), default=1,
-                   help="worker cap for per-trace parallel commands")
     p.add_argument("--config", default=None,
                    help="key=value config file; explicit flags override it")
     p.add_argument("--out", required=True, help="output directory")
@@ -324,29 +324,41 @@ def cmd_augment(args) -> int:
     corpus = traces.load_dtrace(args.input)
     cfg = _augment_config(args)
     dist = _load_dist(args, corpus) if args.method == "net" else None
+    if args.method == "net":
+        aug_mod.check_net_inputs([t.nonzero_count for t in corpus], cfg, dist)
     root = RandomSource(args.seed)
 
-    def one(job):
-        index, trace = job
-        rng = root.spawn(index)
+    # view v of trace i draws from its own stream, spawn(i * views + v), so
+    # the output does not depend on how the views are grouped into batches
+    augmented = []
+    for chunk in _augment_chunks(corpus, args.views, AUGMENT_CHUNK):
+        cells = np.stack([corpus[i].cells for i, _ in chunk])
+        rngs = [root.spawn(stream) for _, stream in chunk]
         if args.method == "net":
-            return aug_mod.net_augment(trace, cfg, dist, rng)
-        return aug_mod.flip_augment(trace, cfg.p_flip, rng)
-
-    jobs = [
-        (i * args.views + v, corpus[i])
-        for i in range(len(corpus))
-        for v in range(args.views)
-    ]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            augmented = list(pool.map(one, jobs))
-    else:
-        augmented = [one(job) for job in jobs]
+            views = aug_mod.net_augment_batch(cells, cfg, dist, rngs)
+        else:
+            views = aug_mod.flip_augment_batch(cells, cfg.p_flip, rngs)
+        augmented += [
+            traces.DirectionTrace(row, label=corpus[i].label) for row, (i, _) in zip(views, chunk)
+        ]
     path = out / "augmented.dtrace"
     traces.save_dtrace(path, augmented)
     print(f"augmented {len(corpus)} traces x{args.views} with method={args.method}")
     return _finish(args, started, [args.input], [path])
+
+
+def _augment_chunks(corpus, views: int, size: int):
+    """(trace index, stream index) lists of at most ``size`` views in output
+    order; a chunk never mixes trace lengths, so it stacks into a matrix."""
+    chunk = []
+    for i, t in enumerate(corpus):
+        for v in range(views):
+            if chunk and (len(chunk) == size or len(t) != len(corpus[chunk[0][0]])):
+                yield chunk
+                chunk = []
+            chunk.append((i, i * views + v))
+    if chunk:
+        yield chunk
 
 
 def cmd_stats(args) -> int:

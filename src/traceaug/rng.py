@@ -30,6 +30,11 @@ def _mix64_vec(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def raw_to_uniforms(raw: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit draws to float64 uniforms in [0, 1), as uniform() does."""
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
 class RandomSource:
     """Seeded stream of uniform bits with scalar and vectorized draws.
 
@@ -78,16 +83,25 @@ class RandomSource:
 
     # -- vectorized draws -------------------------------------------------
 
-    def _raw_block(self, n: int) -> np.ndarray:
+    def peek_raw_block(self, n: int) -> np.ndarray:
+        """The next n raw 64-bit draws, without consuming them."""
         counters = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
         return _mix64_vec(np.uint64(self._seed) + np.uint64(_GOLDEN) * counters)
+
+    def advance(self, n: int) -> None:
+        """Consume n draws, e.g. the ones a peek_raw_block caller used."""
+        self._count += n
+
+    def _raw_block(self, n: int) -> np.ndarray:
+        block = self.peek_raw_block(n)
+        self.advance(n)
+        return block
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 uniforms in [0, 1); same stream as n uniform() calls."""
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return raw_to_uniforms(self._raw_block(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2n uniforms."""

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentConfig, flip_augment, net_augment
+from .augment import AugmentConfig, check_net_inputs, flip_augment_batch, net_augment_batch
+from .augment import flip_augment, net_augment  # noqa: F401  perfbench/tracing.py wraps these
 from .losses import SslConfig, softmax
 from .models import (
     ModelDims,
@@ -88,6 +89,10 @@ class _Optimizer:
         if cfg.optimizer == "adam":
             self.m = [np.zeros_like(a) for a in arrays]
             self.v = [np.zeros_like(a) for a in arrays]
+            # two scratch buffers shared by all arrays keep the step free of
+            # per-operation temporaries
+            largest = max(a.size for a in arrays)
+            self._scratch = (np.empty(largest), np.empty(largest))
         elif cfg.momentum > 0:
             self.vel = [np.zeros_like(a) for a in arrays]
 
@@ -104,12 +109,24 @@ class _Optimizer:
         if cfg.optimizer == "adam":
             bc1 = 1.0 - cfg.beta1 ** self.t
             bc2 = 1.0 - cfg.beta2 ** self.t
+            # in place, but the same operations in the same order as
+            # a -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match
             for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
+                s1, s2 = (buf[: a.size].reshape(a.shape) for buf in self._scratch)
                 m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * g
+                np.multiply(g, 1.0 - cfg.beta1, out=s1)
+                m += s1
                 v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * g * g
-                a -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+                np.multiply(g, 1.0 - cfg.beta2, out=s1)
+                s1 *= g
+                v += s1
+                np.divide(m, bc1, out=s1)
+                s1 *= lr
+                np.divide(v, bc2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += cfg.eps
+                s1 /= s2
+                a -= s1
         elif cfg.momentum > 0:
             for a, g, vel in zip(self.arrays, grads, self.vel):
                 vel *= cfg.momentum
@@ -166,12 +183,13 @@ def _class_count(labels: np.ndarray) -> int:
 
 
 def _labeled_arrays(traces: list[DirectionTrace]):
+    """(int8 cell matrix, int64 labels) of a fully labeled corpus."""
     for t in traces:
         if t.label is None or t.label < 0:
             raise MissingLabel("training requires non-negative labels on every trace")
-    x = np.stack([t.cells for t in traces]).astype(np.float64)
+    cells = np.stack([t.cells for t in traces])
     y = np.array([t.label for t in traces], dtype=np.int64)
-    return x, y
+    return cells, y
 
 
 def pretrain(
@@ -200,6 +218,9 @@ def pretrain(
         )
     if augmenter not in ("net", "flip"):
         raise ValueError(f"unknown augmenter {augmenter!r}")
+    corpus = np.stack([t.cells for t in unlabeled])
+    if augmenter == "net":
+        check_net_inputs(np.count_nonzero(corpus, axis=1), aug, dist)
 
     dims = dims or ModelDims(trace_len=len(unlabeled[0]))
     root = RandomSource(cfg.seed)
@@ -212,20 +233,17 @@ def pretrain(
         trainable_arrays(params, "projection"), cfg, cfg.epochs * steps_per_epoch
     )
 
-    def make_view(trace):
-        if augmenter == "net":
-            return net_augment(trace, aug, dist, rng_aug)
-        return flip_augment(trace, aug.p_flip, rng_aug)
-
     result = TrainResult(params=params)
     for _ in range(cfg.epochs):
         epoch_losses = []
         for batch in _epoch_batches(len(unlabeled), cfg.batch_size, rng_shuffle, True):
-            rows = []
-            for idx in batch:
-                rows.append(make_view(unlabeled[idx]).cells)
-                rows.append(make_view(unlabeled[idx]).cells)
-            x = np.array(rows, dtype=np.float64)
+            # two consecutive views of each trace, as rows 2i and 2i+1
+            rows = corpus[np.repeat(batch, 2)]
+            if augmenter == "net":
+                views = net_augment_batch(rows, aug, dist, rng_aug)
+            else:
+                views = flip_augment_batch(rows, aug.p_flip, rng_aug)
+            x = views.astype(np.float64)
             loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(
                 x, params, ssl.tau_s
             )
@@ -244,7 +262,8 @@ def finetune(
     classifier is attached when none of the right width is present;
     partial batches are kept.
     """
-    x, y = _labeled_arrays(labeled)
+    cells, y = _labeled_arrays(labeled)
+    x = cells.astype(np.float64)
     n_classes = _class_count(y)
     root = RandomSource(cfg.seed)
     if params.n_classes != n_classes:
@@ -310,6 +329,7 @@ def train_netfm(
             f"need at least {cfg.mu * min(cfg.batch_size, len(labeled))} "
             f"unlabeled traces, got {len(unlabeled)}"
         )
+    check_net_inputs([t.nonzero_count for t in unlabeled], aug_strong, dist)
     return _semi_supervised_loop(
         labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist,
         dims=dims, use_unlabeled=True,
@@ -319,7 +339,7 @@ def train_netfm(
 def _semi_supervised_loop(
     labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims, use_unlabeled
 ) -> TrainResult:
-    x, y = _labeled_arrays(labeled)
+    labeled_cells, y = _labeled_arrays(labeled)
     n_classes = _class_count(y)
     dims = dims or ModelDims(trace_len=len(labeled[0]))
     root = RandomSource(cfg.seed)
@@ -328,7 +348,7 @@ def _semi_supervised_loop(
     rng_shuffle = root.spawn(_S_SHUFFLE)
     rng_weak = root.spawn(_S_AUG)
     if use_unlabeled:
-        unlabeled = strip_labels(unlabeled)
+        unlabeled_cells = np.stack([t.cells for t in unlabeled])
         pool = _CyclingPool(len(unlabeled), root.spawn(_S_UNLAB_SHUFFLE))
         rng_uaug = root.spawn(_S_UNLAB_AUG)
 
@@ -338,15 +358,11 @@ def _semi_supervised_loop(
     )
     result = TrainResult(params=params)
 
-    def weak_rows(traces, rng):
-        return np.array(
-            [flip_augment(t, p_flip_weak, rng).cells for t in traces], dtype=np.float64
-        )
-
     for _ in range(cfg.epochs):
         epoch_losses = []
         for batch in _epoch_batches(len(labeled), cfg.batch_size, rng_shuffle, False):
-            xw = weak_rows([labeled[i] for i in batch], rng_weak)
+            xw = flip_augment_batch(labeled_cells[batch], p_flip_weak, rng_weak)
+            xw = xw.astype(np.float64)
             loss_s, _, enc_grads, d_w, d_b = supervised_forward_backward(
                 xw, y[batch], params
             )
@@ -354,20 +370,17 @@ def _semi_supervised_loop(
             total = loss_s
 
             if use_unlabeled:
-                ubatch = [unlabeled[i] for i in pool.take(cfg.mu * len(batch))]
-                u_weak = weak_rows(ubatch, rng_uaug)
-                u_strong = np.array(
-                    [net_augment(t, aug_strong, dist, rng_uaug).cells for t in ubatch],
-                    dtype=np.float64,
-                )
-                q_weak = _predict_rows(u_weak, params)
+                ubatch = unlabeled_cells[pool.take(cfg.mu * len(batch))]
+                u_weak = flip_augment_batch(ubatch, p_flip_weak, rng_uaug)
+                u_strong = net_augment_batch(ubatch, aug_strong, dist, rng_uaug)
+                q_weak = _predict_rows(u_weak.astype(np.float64), params)
                 pseudo = np.argmax(q_weak, axis=1)
                 keep = q_weak.max(axis=1) >= ssl.tau_f
                 result.retained_history.append(int(keep.sum()))
                 loss_u = 0.0
                 if keep.any():
                     loss_u, u_grads = _masked_xent_backward(
-                        u_strong, pseudo, keep, len(ubatch), params
+                        u_strong.astype(np.float64), pseudo, keep, len(ubatch), params
                     )
                     if ssl.lambda_u != 0.0:
                         for g, gu in zip(grads, u_grads):

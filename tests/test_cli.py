@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from traceaug import cli
 from traceaug.cli import main
 from traceaug.manifest import content_hash
-from traceaug.traces import load_dtrace, load_ttrace
+from traceaug.traces import DirectionTrace, fit_length, load_dtrace, load_ttrace, save_dtrace
 
 
 def run(*argv):
@@ -94,14 +95,24 @@ class TestAugmentCommand:
             tmp_path / "b" / "augmented.dtrace"
         )
 
-    def test_threads_do_not_change_output(self, corpus, tmp_path):
-        src = corpus / "split" / "superior.dtrace"
-        assert run("augment", "--in", src, "--seed", 3, "--out", tmp_path / "one") == 0
-        assert run("augment", "--in", src, "--seed", 3, "--threads", 4,
-                   "--out", tmp_path / "four") == 0
-        assert content_hash(tmp_path / "one" / "augmented.dtrace") == content_hash(
-            tmp_path / "four" / "augmented.dtrace"
-        )
+    @pytest.mark.parametrize("method", ["net", "flip"])
+    def test_chunk_size_does_not_change_output(self, corpus, tmp_path, monkeypatch, method):
+        # every fifth trace shortened, so chunks also break at length changes
+        mixed = [
+            DirectionTrace(fit_length(t.cells, 90), t.label) if i % 5 == 0 else t
+            for i, t in enumerate(load_dtrace(corpus / "split" / "superior.dtrace"))
+        ]
+        src = tmp_path / "mixed.dtrace"
+        save_dtrace(src, mixed)
+        digests = set()
+        for chunk in (1, 7, 3 * len(mixed)):
+            monkeypatch.setattr(cli, "AUGMENT_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            assert run("augment", "--in", src, "--method", method, "--views", 3,
+                       "--seed", 3, "--out", out) == 0
+            digests.add(content_hash(out / "augmented.dtrace"))
+        assert len(digests) == 1
+        assert [len(t) for t in load_dtrace(out / "augmented.dtrace")][:6] == [90] * 3 + [120] * 3
 
     def test_flip_method_and_views(self, corpus, tmp_path):
         src = corpus / "split" / "superior.dtrace"

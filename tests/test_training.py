@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from traceaug.augment import AugmentConfig
+from traceaug import training
+from traceaug.augment import AugmentConfig, EmptyDistribution, TraceTooShort
 from traceaug.distributions import build_distribution
 from traceaug.losses import SslConfig
 from traceaug.models import ModelDims, init_params, predict_batch
@@ -248,3 +249,78 @@ class TestOptimizers:
         cosine = finetune(init_params(DIMS, RandomSource(1)), labeled,
                           fast_cfg(epochs=4, cosine_decay=True))
         assert not plain.params.equal(cosine.params)
+
+    def test_adam_step_matches_reference_formula_bitwise(self):
+        rng = np.random.default_rng(16)
+        shapes = [(7, 5), (5,), (3, 7), (2,)]  # scratch is shared across sizes
+        arrays = [rng.standard_normal(s) for s in shapes]
+        ref = [a.copy() for a in arrays]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        cfg = fast_cfg(learning_rate=1e-2, cosine_decay=True)
+        opt = training._Optimizer(arrays, cfg, total_steps=200)
+        for t in range(1, 201):
+            grads = [rng.standard_normal(s) for s in shapes]
+            lr = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * ((t - 1) / 200)))
+            opt.step(grads)
+            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            for a, g, mm, vv in zip(ref, grads, m, v):
+                mm *= cfg.beta1
+                mm += (1.0 - cfg.beta1) * g
+                vv *= cfg.beta2
+                vv += (1.0 - cfg.beta2) * g * g
+                a -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + cfg.eps)
+        for a, r in zip(arrays, ref):
+            assert a.tobytes() == r.tobytes()
+
+
+class TestBadInputsFailBeforeTraining:
+    """Short traces and a missing distribution fail before the first step."""
+
+    @pytest.fixture(autouse=True)
+    def count_steps(self, monkeypatch):
+        self.steps = 0
+        step = training._Optimizer.step
+
+        def counted(opt, grads):
+            self.steps += 1
+            step(opt, grads)
+
+        monkeypatch.setattr(training._Optimizer, "step", counted)
+
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.unlabeled = make_corpus(24, rng)
+        self.unlabeled[13] = DirectionTrace(fit_length(np.array([-1] * 5), 64))
+        self.unlabeled[19] = DirectionTrace(fit_length(np.array([1] * 3), 64))
+        self.labeled = separable_corpus(4, 3, rng)
+        self.dist = build_distribution(self.unlabeled)
+
+    def test_pretrain_names_first_short_trace(self):
+        with pytest.raises(TraceTooShort, match="trace 13"):
+            pretrain(self.unlabeled, fast_cfg(), AugmentConfig(), self.dist,
+                     SslConfig(), dims=DIMS)
+        assert self.steps == 0
+
+    def test_pretrain_rejects_missing_distribution(self):
+        with pytest.raises(EmptyDistribution):
+            pretrain(self.unlabeled[:12], fast_cfg(), AugmentConfig(), None,
+                     SslConfig(), dims=DIMS)
+        assert self.steps == 0
+
+    def test_flip_pretrain_needs_neither(self):
+        pretrain(self.unlabeled, fast_cfg(epochs=1), AugmentConfig(), None,
+                 SslConfig(), dims=DIMS, augmenter="flip")
+        assert self.steps == len(self.unlabeled) // 8
+
+    def test_netfm_names_first_short_trace(self):
+        with pytest.raises(TraceTooShort, match="trace 13"):
+            train_netfm(self.labeled, self.unlabeled, fast_cfg(batch_size=4, mu=2),
+                        SslConfig(), AugmentConfig(), 0.1, self.dist, dims=DIMS)
+        assert self.steps == 0
+
+    def test_netfm_rejects_missing_distribution(self):
+        with pytest.raises(EmptyDistribution):
+            train_netfm(self.labeled, self.unlabeled[:12], fast_cfg(batch_size=4, mu=2),
+                        SslConfig(), AugmentConfig(), 0.1, None, dims=DIMS)
+        assert self.steps == 0
