@@ -296,23 +296,16 @@ def cmd_ncm_split(args) -> int:
     started = time.time()
     out = _outdir(args)
     corpus = traces.load_ttrace(args.input)
-    superior, inferior = [], []
-    skipped = 0
-    for i, t in enumerate(corpus):
-        try:
-            value = traces.compute_ncm(t)
-        except traces.DegenerateTrace as exc:
-            print(f"warning: skipping trace {i}: {exc}", file=sys.stderr)
-            skipped += 1
-            continue
-        target = superior if value >= args.threshold else inferior
-        target.append(traces.to_direction_trace(t, args.trace_len))
+    skipped: list[traces.DegenerateTrace] = []
+    superior, inferior = traces.partition_by_ncm(corpus, args.threshold, skipped)
+    for exc in skipped:
+        print(f"warning: skipping {exc}", file=sys.stderr)
     sup_path = out / "superior.dtrace"
     inf_path = out / "inferior.dtrace"
-    traces.save_dtrace(sup_path, superior)
-    traces.save_dtrace(inf_path, inferior)
+    traces.save_dtrace(sup_path, [traces.to_direction_trace(t, args.trace_len) for t in superior])
+    traces.save_dtrace(inf_path, [traces.to_direction_trace(t, args.trace_len) for t in inferior])
     print(
-        f"superior: {len(superior)}  inferior: {len(inferior)}  skipped: {skipped}"
+        f"superior: {len(superior)}  inferior: {len(inferior)}  skipped: {len(skipped)}"
         f"  (threshold {args.threshold:g} B/s)"
     )
     return _finish(args, started, [args.input], [sup_path, inf_path])
@@ -573,35 +566,65 @@ def cmd_gradcheck(args) -> int:
 # -- entry -------------------------------------------------------------------
 
 
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _config_value(action, text, where):
+    """Convert one config-file value the way the command line would."""
+    if action.nargs == 0:  # a store_true flag
+        try:
+            return _BOOLEANS[text.lower()]
+        except KeyError:
+            raise UsageError(f"{where}: {action.dest} takes true/false/1/0, got {text!r}")
+    try:
+        value = (action.type or str)(text)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"{where}: {action.dest}: {exc}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"{where}: {action.dest} must be one of {', '.join(action.choices)}")
+    return value
+
+
 def _apply_config_file(commands, argv):
     """Load key=value defaults from --config before the real parse.
 
-    Only value-typed flags can come from the file; explicit command-line
-    flags override file entries because they are parsed on top of these
-    defaults.
+    A key is a flag's destination name (``-`` may stand for ``_``) and must be
+    defined by some subcommand; boolean flags take true/false/1/0. Explicit
+    command-line flags override file entries because they are parsed on top
+    of these defaults.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
         return
-    defaults = {}
-    with open(known.config, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{known.config}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            defaults[key.strip().replace("-", "_")] = value.strip()
+    actions: dict[str, list] = {}
     for command in commands.values():
-        usable = {
-            a.dest: a.type(defaults[a.dest])
-            for a in command._actions
-            if a.dest in defaults and a.type is not None
-        }
-        command.set_defaults(**usable)
+        for a in command._actions:
+            if a.option_strings and a.dest != "help":
+                actions.setdefault(a.dest, []).append((command, a))
+    defaults = {}
+    try:
+        with open(known.config, "r", encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {known.config}: {exc}")
+    for line_no, line in enumerate(lines, start=1):
+        where = f"{known.config}:{line_no}"
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{where}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in actions:
+            raise UsageError(f"{where}: unknown key {key!r}")
+        for command, a in actions[key]:
+            defaults.setdefault(command, {})[key] = _config_value(a, value.strip(), where)
+            a.required = False  # the file supplies it
+    for command, values in defaults.items():
+        command.set_defaults(**values)
 
 
 def main(argv=None) -> int:

@@ -170,19 +170,27 @@ def compute_ncm(t: TimedTrace) -> float:
 
 
 def partition_by_ncm(
-    traces: list[TimedTrace], threshold: float
+    traces: list[TimedTrace],
+    threshold: float,
+    skipped: list[DegenerateTrace] | None = None,
 ) -> tuple[list[TimedTrace], list[TimedTrace]]:
     """Split traces into (superior, inferior) at an NCM threshold.
 
     A trace whose NCM equals the threshold exactly goes to superior.
-    DegenerateTrace is re-raised with the offending trace index attached.
+    DegenerateTrace is raised with the offending trace index attached; when
+    a ``skipped`` list is given, the trace is left out instead and that
+    exception is appended to the list.
     """
     superior, inferior = [], []
     for i, t in enumerate(traces):
         try:
             value = compute_ncm(t)
         except DegenerateTrace as exc:
-            raise DegenerateTrace(f"trace {i}: {exc}", index=i) from exc
+            indexed = DegenerateTrace(f"trace {i}: {exc}", index=i)
+            if skipped is None:
+                raise indexed from exc
+            skipped.append(indexed)
+            continue
         (superior if value >= threshold else inferior).append(t)
     return superior, inferior
 
@@ -225,41 +233,95 @@ def filter_traces(traces: list[DirectionTrace], policy: FilterPolicy) -> list[Di
 #
 # .dtrace: one trace per line, "label<TAB>d d d ..." with directions in
 # {-1,0,+1}; label -1 marks an unmonitored site, an empty label field an
-# unlabeled trace.
+# unlabeled trace. The writer emits the canonical form, single spaces between
+# the tokens "-1", "0" and "1"; the reader accepts any whitespace-separated
+# integers in {-1,0,+1} and \n or \r\n line ends.
 #
 # .ttrace: one trace per line as a JSON record
 # {"label": L, "cells": [[time, direction, size], ...]}; float timestamps
 # round-trip exactly (shortest-repr float64 serialization).
 
+#: Canonical .dtrace token of direction d in row d + 1, as the slots
+#: [sign or hole, digit, space]; holes are dropped when a row is encoded.
+_HOLE = 0
+_DTRACE_TOKENS = np.frombuffer(b"-1 \x000 \x001 ", dtype=np.uint8).reshape(3, 3)
+_MINUS, _ONE = ord("-"), ord("1")
+
+
+def _encode_cells(cells: np.ndarray) -> np.ndarray:
+    """Canonical bytes of a direction row, each token followed by one space.
+
+    A direction outside {-1,0,+1} indexes past the token table and raises
+    IndexError.
+    """
+    slots = _DTRACE_TOKENS.take((cells + 1).astype(np.uint8), axis=0).ravel()
+    return slots.compress(slots != _HOLE)
+
+
+def _decode_canonical(field: bytes) -> np.ndarray | None:
+    """Directions of a canonical cell field, or None if the field is not in
+    the form ``_encode_cells`` writes."""
+    buf = np.frombuffer(field, dtype=np.uint8)
+    digits = np.flatnonzero(buf > _MINUS)  # '0' and '1' sort above '-' and ' '
+    cells = (buf[digits] == _ONE).astype(np.int8)
+    cells[buf[digits - 1] == _MINUS] = -1
+    # the parse above trusts the layout (a leading digit even reads byte -1);
+    # re-encoding proves it
+    if _encode_cells(cells)[:-1].tobytes() != field:
+        return None
+    return cells
+
+
+def _parse_dtrace_tokens(line: bytes, line_no: int) -> tuple[int | None, np.ndarray]:
+    """Per-token parse of a .dtrace line in any whitespace layout."""
+    try:
+        text = line.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(str(exc), line_no) from exc
+    if "\t" not in text:
+        raise TraceFormatError("expected 'label<TAB>cells'", line_no)
+    label_field, cell_field = text.split("\t", 1)
+    try:
+        label = None if label_field == "" else int(label_field)
+        values = [int(tok) for tok in cell_field.split()]
+    except ValueError as exc:
+        raise TraceFormatError(str(exc), line_no) from exc
+    if any(v not in (-1, 0, 1) for v in values):
+        raise TraceFormatError("directions must be in {-1,0,+1}", line_no)
+    return label, np.array(values, dtype=np.int8)
+
 
 def save_dtrace(path, traces: list[DirectionTrace]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    """Write traces in the canonical .dtrace form, one line at a time."""
+    with open(path, "wb") as fh:
         for t in traces:
-            label = "" if t.label is None else str(int(t.label))
-            fh.write(label + "\t" + " ".join(str(int(c)) for c in t.cells) + "\n")
+            fh.write(b"\t" if t.label is None else b"%d\t" % int(t.label))
+            fh.write(_encode_cells(t.cells)[:-1])
+            fh.write(b"\n")
 
 
 def load_dtrace(path, trace_len: int | None = None) -> list[DirectionTrace]:
     """Load a .dtrace file, normalizing every line to ``trace_len`` cells
-    (or to its own length when trace_len is None)."""
+    (or to its own length when trace_len is None).
+
+    Canonical lines are decoded in numpy; any other line goes through the
+    per-token parser, which accepts the same values or names the line that
+    it rejects.
+    """
     traces = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+            line = line.rstrip(b"\r\n")
             if not line:
                 continue
-            if "\t" not in line:
-                raise TraceFormatError("expected 'label<TAB>cells'", line_no)
-            label_field, cell_field = line.split("\t", 1)
+            label_field, tab, cell_field = line.partition(b"\t")
+            cells = _decode_canonical(cell_field) if tab else None
             try:
-                label = None if label_field == "" else int(label_field)
-                cells = np.array(
-                    [int(tok) for tok in cell_field.split()], dtype=np.int64
-                )
-            except ValueError as exc:
-                raise TraceFormatError(str(exc), line_no) from exc
-            if np.any(np.abs(cells) > 1):
-                raise TraceFormatError("directions must be in {-1,0,+1}", line_no)
+                label = None if label_field == b"" else int(label_field)
+            except ValueError:
+                cells = None
+            if cells is None:
+                label, cells = _parse_dtrace_tokens(line, line_no)
             try:
                 trace = DirectionTrace(
                     fit_length(cells, trace_len) if trace_len else cells, label=label
@@ -275,10 +337,9 @@ def save_ttrace(path, traces: list[TimedTrace]) -> None:
         for t in traces:
             record = {
                 "label": None if t.label is None else int(t.label),
-                "cells": [
-                    [float(ts), int(d), int(s)]
-                    for ts, d, s in zip(t.times, t.directions, t.sizes)
-                ],
+                "cells": list(
+                    zip(t.times.tolist(), t.directions.tolist(), t.sizes.tolist())
+                ),
             }
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 

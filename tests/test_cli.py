@@ -81,8 +81,12 @@ class TestNcmSplit:
             '{"label":1,"cells":[[5.0,-1,512]]}\n'
         )
         assert run("ncm-split", "--in", path, "--out", tmp_path / "out") == 0
-        err = capsys.readouterr().err
-        assert "trace 1" in err or "skipping" in err
+        captured = capsys.readouterr()
+        assert "warning: skipping trace 1: " in captured.err
+        assert "skipped: 1" in captured.out
+        kept = load_dtrace(tmp_path / "out" / "superior.dtrace")
+        kept += load_dtrace(tmp_path / "out" / "inferior.dtrace")
+        assert [t.label for t in kept] == [0]
 
 
 class TestAugmentCommand:
@@ -267,10 +271,63 @@ class TestConfigFile:
         assert run("gen", "--config", cfg, "--classes", 3, "--out", tmp_path / "b") == 0
         assert len(load_ttrace(tmp_path / "b" / "dataset.ttrace")) == 3 * 2 * 3
 
+    def test_required_flag_from_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"classes=2\nvisits=1\nout={tmp_path / 'c'}\n")
+        assert run("gen", "--config", cfg) == 0
+        assert len(load_ttrace(tmp_path / "c" / "dataset.ttrace")) == 2 * 2 * 1
+
     def test_bad_config_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("classes\n")
         assert run("gen", "--config", cfg, "--out", tmp_path / "x") == 2
+
+    def test_unknown_key_is_usage_error_naming_file_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("classes=2\n# a comment\nfrobnicate=1\n")
+        assert run("gen", "--config", cfg, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3" in err and "frobnicate" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("entry", ["cosine=yes", "classes=abc", "optimizer=rmsprop"])
+    def test_bad_value_is_usage_error_naming_file_line(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=1\n{entry}\n")
+        assert run("gen", "--config", cfg, "--out", tmp_path / "x") == 2
+        assert f"{cfg}:2" in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path):
+        assert run("gen", "--config", tmp_path / "absent.cfg", "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize("text,expected", [
+        ("true", True), ("1", True), ("FALSE", False), ("0", False),
+    ])
+    def test_boolean_keys_are_parsed(self, corpus, trained, tmp_path, text, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cosine={text}\nclass-correct={text}\n")
+
+        def config(out):
+            return json.loads((out / "manifest.json").read_text())["config"]
+
+        assert run(
+            "eval-ow", "--config", cfg, "--model", trained / "ft" / "model.ckpt",
+            "--in", corpus / "split" / "inferior.dtrace", "--out", tmp_path / "ow",
+        ) == 0
+        assert config(tmp_path / "ow")["class_correct"] is expected
+        assert run(
+            "pretrain", "--config", cfg, "--in", corpus / "split" / "superior.dtrace",
+            "--epochs", 1, "--batch", 8, "--trace-len", 120, "--embed", 16,
+            "--hidden", "32", "--out", tmp_path / "pt",
+        ) == 0
+        assert config(tmp_path / "pt")["cosine"] is expected
+        # an explicit flag still beats the file
+        assert run(
+            "eval-ow", "--config", cfg, "--class-correct",
+            "--model", trained / "ft" / "model.ckpt",
+            "--in", corpus / "split" / "inferior.dtrace", "--out", tmp_path / "ow2",
+        ) == 0
+        assert config(tmp_path / "ow2")["class_correct"] is True
 
 
 class TestManifests:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from traceaug.traces import (
     DegenerateTrace,
@@ -136,6 +138,17 @@ class TestPartition:
             partition_by_ncm(traces, 40000)
         assert info.value.index == 1
 
+    def test_skipped_list_collects_degenerate_traces(self):
+        degenerate = [timed([3.0, 3.0], [-1, -1]), timed([1.0], [-1])]
+        traces = [self.make(50000), degenerate[0], self.make(30000), degenerate[1]]
+        skipped = []
+        superior, inferior = partition_by_ncm(traces, 40000, skipped)
+        assert [compute_ncm(t) for t in superior] == [50000.0]
+        assert [compute_ncm(t) for t in inferior] == [30000.0]
+        assert [exc.index for exc in skipped] == [1, 3]
+        assert all(isinstance(exc, DegenerateTrace) for exc in skipped)
+        assert str(skipped[0]).startswith("trace 1: ")
+
 
 def direction(n_nonzero, label, total=200):
     cells = np.zeros(total, dtype=np.int8)
@@ -232,6 +245,129 @@ class TestDtraceFormat:
         path.write_text("0\t1 2 -1\n")
         with pytest.raises(TraceFormatError):
             load_dtrace(path)
+
+    def test_non_ascii_byte_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.dtrace"
+        path.write_bytes(b"0\t1 -1\n0\t1 \xc3\xa9 -1\n")
+        with pytest.raises(TraceFormatError) as info:
+            load_dtrace(path)
+        assert info.value.line_no == 2
+
+
+def oracle_dtrace_line(t: DirectionTrace) -> str:
+    """The per-cell formatter the numpy writer replaced."""
+    label = "" if t.label is None else str(int(t.label))
+    return label + "\t" + " ".join(str(int(c)) for c in t.cells) + "\n"
+
+
+def oracle_load_dtrace(path, trace_len=None):
+    """The per-token text-mode reader the numpy reader replaced, as
+    (label, cells) pairs."""
+    loaded = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            label_field, cell_field = line.split("\t", 1)
+            label = None if label_field == "" else int(label_field)
+            cells = np.array([int(tok) for tok in cell_field.split()], dtype=np.int64)
+            loaded.append((label, fit_length(cells, trace_len) if trace_len else cells))
+    return loaded
+
+
+@st.composite
+def direction_traces(draw):
+    lead = draw(st.integers(0, 3))
+    core = draw(st.lists(st.sampled_from([-1, 1]), max_size=40))
+    trail = draw(st.integers(0, 3))
+    label = draw(st.one_of(st.none(), st.just(UNMONITORED), st.integers(0, 10**6)))
+    return DirectionTrace(np.array([0] * lead + core + [0] * trail), label=label)
+
+
+class TestDtraceCodec:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(traces=st.lists(direction_traces(), max_size=6),
+           trace_len=st.sampled_from([None, 1, 7, 50]))
+    def test_writer_matches_oracle_and_reader_round_trips(self, tmp_path, traces, trace_len):
+        path = tmp_path / "corpus.dtrace"
+        save_dtrace(path, traces)
+        assert path.read_bytes() == "".join(map(oracle_dtrace_line, traces)).encode("ascii")
+        loaded = load_dtrace(path, trace_len=trace_len)
+        expected = oracle_load_dtrace(path, trace_len=trace_len)
+        assert [t.label for t in loaded] == [label for label, _ in expected]
+        for t, (_, cells) in zip(loaded, expected):
+            assert t.cells.dtype == np.int8 and np.array_equal(t.cells, cells)
+
+    def test_canonical_lines_skip_the_per_token_parser(self, tmp_path, monkeypatch):
+        traces = [
+            DirectionTrace(np.array([0, 1, -1, -1, 1, 0]), label=12),
+            DirectionTrace(np.array([-1, 1]), label=None),
+            DirectionTrace(np.array([], dtype=np.int8), label=UNMONITORED),
+        ]
+        path = tmp_path / "corpus.dtrace"
+        save_dtrace(path, traces)
+
+        def refuse(line, line_no):
+            raise AssertionError(f"line {line_no} took the per-token path")
+
+        monkeypatch.setattr("traceaug.traces._parse_dtrace_tokens", refuse)
+        assert load_dtrace(path) == traces
+
+    @pytest.mark.parametrize("line", [
+        b"3\t1\t-1\t0\n",          # tabs between cells
+        b"3\t1  -1   0\n",           # repeated spaces
+        b"3\t +1 -1 0 \n",           # explicit plus, leading and trailing space
+        b"3\t01 -01 00\n",           # leading zeros in a token
+        b"3\t1 -1 0\r\n",           # CRLF line end
+        b" 3 \t1 -1 0\n",            # padded label
+        b"\t1 -1 0\x0b\n",           # unlabeled, vertical tab
+        b"-1\t\n",                  # no cells
+    ])
+    @pytest.mark.parametrize("trace_len", [None, 2, 6])
+    def test_non_canonical_lines_parse_like_the_oracle(self, tmp_path, line, trace_len):
+        path = tmp_path / "corpus.dtrace"
+        path.write_bytes(b"5\t-1 1\n\n" + line + b"5\t0 1 -1\n")
+        loaded = load_dtrace(path, trace_len=trace_len)
+        expected = oracle_load_dtrace(path, trace_len=trace_len)
+        assert [t.label for t in loaded] == [label for label, _ in expected]
+        for t, (_, cells) in zip(loaded, expected):
+            assert np.array_equal(t.cells, cells)
+
+    @pytest.mark.parametrize("field", [
+        b"1 x -1", b"1 2 -1", b"1 --1", b"1- -1", b"1 - -1", b"-", b"1 \xff",
+        b"1 -1 99999999999999999999", b"1  -2",
+    ])
+    def test_bad_token_names_its_line(self, tmp_path, field):
+        path = tmp_path / "bad.dtrace"
+        path.write_bytes(b"0\t1 -1\n\n0\t" + field + b"\n0\t1\n")
+        with pytest.raises(TraceFormatError) as info:
+            load_dtrace(path)
+        assert info.value.line_no == 3
+
+    @pytest.mark.parametrize("line", [b"x\t1 -1", b"\xff\t1 -1", b"1 -1", b"0\t1 0 -1"])
+    def test_bad_label_layout_or_order_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.dtrace"
+        path.write_bytes(b"0\t1 -1\n" + line + b"\n")
+        with pytest.raises(TraceFormatError) as info:
+            load_dtrace(path)
+        assert info.value.line_no == 2
+
+    def test_trace_len_truncates_and_pads(self, tmp_path):
+        path = tmp_path / "corpus.dtrace"
+        save_dtrace(path, [
+            DirectionTrace(np.array([0, 1, -1, -1, 1, 0]), label=12),
+            DirectionTrace(np.array([], dtype=np.int8), label=None),
+        ])
+        short, empty = load_dtrace(path, trace_len=4)
+        assert np.array_equal(short.cells, [0, 1, -1, -1]) and short.label == 12
+        assert np.array_equal(empty.cells, [0, 0, 0, 0]) and empty.label is None
+        long, empty = load_dtrace(path, trace_len=9)
+        assert np.array_equal(long.cells, [0, 1, -1, -1, 1, 0, 0, 0, 0])
+        assert np.array_equal(empty.cells, np.zeros(9))
+        full, empty = load_dtrace(path)
+        assert len(full) == 6 and len(empty) == 0
 
 
 class TestTtraceFormat:
