@@ -45,6 +45,21 @@ def _positive_int(kind, minimum=1):
     return convert
 
 
+def _finite_float(kind):
+    """A finite float >= 0; NaN and inf are usage errors."""
+
+    def convert(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{kind} must be a number")
+        if not 0 <= value < np.inf:
+            raise argparse.ArgumentTypeError(f"{kind} must be finite and >= 0")
+        return value
+
+    return convert
+
+
 def _int_list(text):
     try:
         return [int(tok) for tok in text.split(",") if tok]
@@ -93,11 +108,11 @@ def _augment_config(args) -> aug_mod.AugmentConfig:
 
 
 def _add_train_flags(p, lr, epochs, batch, optimizer="adam", momentum=0.0):
-    p.add_argument("--lr", type=float, default=lr)
+    p.add_argument("--lr", type=_finite_float("lr"), default=lr)
     p.add_argument("--epochs", type=_positive_int("epochs"), default=epochs)
     p.add_argument("--batch", type=_positive_int("batch"), default=batch)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default=optimizer)
-    p.add_argument("--momentum", type=float, default=momentum)
+    p.add_argument("--momentum", type=_finite_float("momentum"), default=momentum)
     p.add_argument("--cosine", action="store_true", help="cosine-decay the learning rate")
 
 

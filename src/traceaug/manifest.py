@@ -2,13 +2,22 @@
 
 The manifest captures the resolved configuration, the seed, and content
 hashes of every input and output file, so re-running a command with the
-same inputs can be verified byte for byte by comparing output hashes.
+same inputs can be verified byte for byte by comparing output hashes. It
+also records the environment that shapes those bytes: the Python and numpy
+versions and the BLAS thread-count variables, since trained weights differ
+between BLAS thread counts.
 """
 
 import hashlib
 import json
 import os
+import sys
 import time
+
+import numpy as np
+
+#: Environment variables that set the BLAS thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def content_hash(path) -> str:
@@ -18,6 +27,13 @@ def content_hash(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def environment() -> dict:
+    """Python and numpy versions and the BLAS thread variables (None if unset)."""
+    env = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
+    env.update({var: os.environ.get(var) for var in BLAS_THREAD_VARS})
+    return env
 
 
 def write_manifest(
@@ -38,6 +54,7 @@ def write_manifest(
         "outputs": {str(p): content_hash(p) for p in outputs},
         "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         "elapsed_s": round(time.time() - started, 3),
+        "environment": environment(),
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="ascii") as fh:

@@ -152,21 +152,12 @@ def encode_backward(d_embed: np.ndarray, caches, params: ModelParams):
     return grads
 
 
-def encode(t: DirectionTrace, params: ModelParams) -> np.ndarray:
-    """Embedding of a single trace."""
-    embed, _ = encode_batch(t.cells[None, :], params)
-    return embed[0]
-
-
 def classify_batch(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Class probability rows for a batch of cell arrays."""
     if params.clf_w is None:
         raise ValueError("no classifier attached; fine-tune or attach one first")
     embed, _ = encode_batch(x, params)
     return softmax(embed @ params.clf_w.T + params.clf_b)
-
-def classify(t: DirectionTrace, params: ModelParams) -> np.ndarray:
-    return classify_batch(t.cells[None, :], params)[0]
 
 
 def predict_batch(params: ModelParams, traces: list[DirectionTrace]) -> np.ndarray:

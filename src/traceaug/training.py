@@ -21,6 +21,7 @@ from .models import (
     ModelDims,
     ModelParams,
     attach_classifier,
+    classify_batch,
     contrastive_forward_backward,
     encode_backward,
     encode_batch,
@@ -60,8 +61,17 @@ class TrainConfig:
     mu: int = 19
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        # the range checks also reject NaN; Adam's skipped columns are exact
+        # only when lr is finite, eps > 0 and beta1 < 1
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not 0 <= self.momentum < np.inf:
+            raise ValueError(f"momentum must be finite and >= 0, got {self.momentum!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
@@ -79,7 +89,13 @@ class TrainResult:
 
 class _Optimizer:
     """SGD (optionally with momentum) or Adam over a fixed array list,
-    with optional cosine decay of the learning rate to zero."""
+    with optional cosine decay of the learning rate to zero.
+
+    Adam updates only the live column prefix of each 2-D array: the columns
+    up to the last one that has ever had a nonzero gradient. Columns that
+    face zero padding in every batch so far would move by exactly +0, so
+    skipping them leaves the same bytes.
+    """
 
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig, total_steps: int):
         self.arrays = arrays
@@ -87,8 +103,12 @@ class _Optimizer:
         self.total_steps = max(1, total_steps)
         self.t = 0
         if cfg.optimizer == "adam":
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
+            # np.zeros, unlike zeros_like, leaves the pages of the never-live
+            # tail of m and v uncommitted
+            self.m = [np.zeros(a.shape) for a in arrays]
+            self.v = [np.zeros(a.shape) for a in arrays]
+            # live column count per array; 1-D arrays start full width
+            self._live = [0 if a.ndim == 2 else a.shape[-1] for a in arrays]
             # two scratch buffers shared by all arrays keep the step free of
             # per-operation temporaries
             largest = max(a.size for a in arrays)
@@ -111,7 +131,17 @@ class _Optimizer:
             bc2 = 1.0 - cfg.beta2 ** self.t
             # in place, but the same operations in the same order as
             # a -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match
-            for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
+            for i, (a, g, m, v) in enumerate(zip(self.arrays, grads, self.m, self.v)):
+                k = self._live[i]
+                if k < a.shape[-1]:
+                    # only the columns not yet live are scanned; any() counts
+                    # NaN and inf as nonzero and -0.0 as zero
+                    hit = np.flatnonzero(g[:, k:].any(axis=0))
+                    if hit.size:
+                        k += int(hit[-1]) + 1
+                        self._live[i] = k
+                    if k < a.shape[-1]:
+                        a, g, m, v = a[:, :k], g[:, :k], m[:, :k], v[:, :k]
                 s1, s2 = (buf[: a.size].reshape(a.shape) for buf in self._scratch)
                 m *= cfg.beta1
                 np.multiply(g, 1.0 - cfg.beta1, out=s1)
@@ -373,7 +403,7 @@ def _semi_supervised_loop(
                 ubatch = unlabeled_cells[pool.take(cfg.mu * len(batch))]
                 u_weak = flip_augment_batch(ubatch, p_flip_weak, rng_uaug)
                 u_strong = net_augment_batch(ubatch, aug_strong, dist, rng_uaug)
-                q_weak = _predict_rows(u_weak.astype(np.float64), params)
+                q_weak = classify_batch(u_weak.astype(np.float64), params)
                 pseudo = np.argmax(q_weak, axis=1)
                 keep = q_weak.max(axis=1) >= ssl.tau_f
                 result.retained_history.append(int(keep.sum()))
@@ -391,11 +421,6 @@ def _semi_supervised_loop(
             epoch_losses.append(total)
         result.loss_history.append(float(np.mean(epoch_losses)))
     return result
-
-
-def _predict_rows(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    embed, _ = encode_batch(x, params)
-    return softmax(embed @ params.clf_w.T + params.clf_b)
 
 
 def _masked_xent_backward(x, pseudo, keep, denom, params):

@@ -1,5 +1,7 @@
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from traceaug import cli
@@ -219,6 +221,32 @@ class TestTrainingCommands:
         assert all(int(r) >= 0 for r in retained)
 
 
+class TestTrainFlags:
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1e-3"), ("--lr", "fast"),
+        ("--momentum", "nan"), ("--momentum", "-0.5"),
+    ])
+    def test_bad_value_is_usage_error_before_any_input_is_read(
+        self, tmp_path, capsys, flag, value
+    ):
+        # the input files do not exist: a usage error must come first
+        assert run(
+            "finetune", "--model", tmp_path / "absent.ckpt", "--in", tmp_path / "absent.dtrace",
+            flag, value, "--out", tmp_path / "out",
+        ) == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_value_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr=nan\n")
+        assert run(
+            "pretrain", "--config", cfg, "--in", tmp_path / "absent.dtrace",
+            "--out", tmp_path / "out",
+        ) == 2
+        assert f"{cfg}:1" in capsys.readouterr().err
+
+
 class TestOpenWorldFlow:
     def test_unmonitored_labels_train_and_evaluate(self, corpus, tmp_path):
         # relabel one class as unmonitored (-1) to build an open-world corpus
@@ -337,6 +365,20 @@ class TestManifests:
         assert manifest["inputs"][data_file] == content_hash(data_file)
         for path, digest in manifest["outputs"].items():
             assert content_hash(path) == digest
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        assert run("gen", "--classes", 2, "--visits", 1, "--out", tmp_path) == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": "3",
+            "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": "1",
+        }
 
     def test_unknown_command_usage_error(self):
         assert run("frobnicate") == 2

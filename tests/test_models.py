@@ -6,8 +6,7 @@ from traceaug.models import (
     ModelDims,
     ModelParams,
     attach_classifier,
-    classify,
-    encode,
+    classify_batch,
     encode_batch,
     init_params,
     load_params,
@@ -31,14 +30,18 @@ def trace32(rng):
     return DirectionTrace(cells)
 
 
+def rows32(rng):
+    return np.stack([trace32(rng).cells for _ in range(3)]).astype(np.float64)
+
+
 class TestEncode:
     def test_zero_weights_zero_embedding(self):
         params = tiny_params()
         for w, b in params.encoder:
             w[...] = 0.0
             b[...] = 0.0
-        t = trace32(np.random.default_rng(0))
-        assert np.all(encode(t, params) == 0.0)
+        embed, _ = encode_batch(rows32(np.random.default_rng(0)), params)
+        assert embed.shape == (3, 8) and np.all(embed == 0.0)
 
     def test_single_identity_layer_passthrough(self):
         params = ModelParams(
@@ -46,8 +49,9 @@ class TestEncode:
             proj_w1=np.eye(4),
             proj_w2=np.eye(4)[:1],
         )
-        t = DirectionTrace(np.array([1, 1, 0, 0]))
-        assert np.array_equal(encode(t, params), [1.0, 1.0, 0.0, 0.0])
+        x = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 1.0, 0.0]])
+        embed, _ = encode_batch(x, params)
+        assert np.array_equal(embed, x)
 
     def test_shape_mismatch_rejected(self):
         params = tiny_params()
@@ -55,9 +59,9 @@ class TestEncode:
             encode_batch(np.ones((2, 31)), params)
 
     def test_deterministic(self):
-        t = trace32(np.random.default_rng(1))
-        a = encode(t, tiny_params(5))
-        b = encode(t, tiny_params(5))
+        x = rows32(np.random.default_rng(1))
+        a, _ = encode_batch(x, tiny_params(5))
+        b, _ = encode_batch(x, tiny_params(5))
         assert np.array_equal(a, b)
 
 
@@ -66,15 +70,15 @@ class TestClassify:
         params = tiny_params(n_classes=4)
         params.clf_w[...] = 0.0
         params.clf_b[...] = 0.0
-        probs = classify(trace32(np.random.default_rng(2)), params)
-        assert np.allclose(probs, 0.25)
+        probs = classify_batch(rows32(np.random.default_rng(2)), params)
+        assert probs.shape == (3, 4) and np.allclose(probs, 0.25)
 
     def test_saturating_bias(self):
         params = tiny_params(n_classes=3)
         params.clf_w[...] = 0.0
         params.clf_b[...] = [0.0, 500.0, 0.0]
-        probs = classify(trace32(np.random.default_rng(3)), params)
-        assert probs[1] > 0.999999
+        probs = classify_batch(rows32(np.random.default_rng(3)), params)
+        assert np.all(probs[:, 1] > 0.999999)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -91,7 +95,8 @@ class TestClassify:
         batch = predict_batch(params, traces)
         for i, t in enumerate(traces):
             # batched and single-row matmuls may differ in the last bits
-            assert np.allclose(batch[i], classify(t, params), rtol=1e-12, atol=1e-14)
+            alone = classify_batch(t.cells[None, :], params)[0]
+            assert np.allclose(batch[i], alone, rtol=1e-12, atol=1e-14)
 
     def test_duplicate_traces_identical_rows(self):
         rng = np.random.default_rng(6)
@@ -103,7 +108,7 @@ class TestClassify:
     def test_classifier_required(self):
         params = init_params(TINY, RandomSource(0))
         with pytest.raises(ValueError):
-            classify(trace32(np.random.default_rng(7)), params)
+            classify_batch(rows32(np.random.default_rng(7)), params)
 
 
 class TestInit:

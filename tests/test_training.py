@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceaug import training
 from traceaug.augment import AugmentConfig, EmptyDistribution, TraceTooShort
@@ -50,6 +52,20 @@ def fast_cfg(**kw):
     defaults = dict(batch_size=8, epochs=2, learning_rate=3e-4, seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+@st.composite
+def adam_runs(draw):
+    """(rows, width, per-step live gradient widths, special-value rate)."""
+    width = draw(st.integers(1, 9))
+    widths = draw(st.lists(st.integers(0, width), min_size=1, max_size=30))
+    special = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    return draw(st.integers(1, 4)), width, widths, special
+
+
+def nan_blind_bytes(x):
+    """Bytes of x with every NaN replaced by one canonical NaN."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
 class TestPretrain:
@@ -250,28 +266,81 @@ class TestOptimizers:
                           fast_cfg(epochs=4, cosine_decay=True))
         assert not plain.params.equal(cosine.params)
 
-    def test_adam_step_matches_reference_formula_bitwise(self):
-        rng = np.random.default_rng(16)
-        shapes = [(7, 5), (5,), (3, 7), (2,)]  # scratch is shared across sizes
+    @settings(max_examples=150, deadline=None)
+    @given(
+        run=adam_runs(), seed=st.integers(0, 2**32 - 1), cosine=st.booleans(),
+        lr=st.sampled_from([0.0, 1e-3, 0.5]), beta1=st.sampled_from([0.0, 0.9]),
+        beta2=st.sampled_from([0.0, 0.999]), eps=st.sampled_from([1e-8, 5e-324]),
+    )
+    def test_adam_step_matches_reference_formula_bitwise(
+        self, run, seed, cosine, lr, beta1, beta2, eps
+    ):
+        """The live-prefix step equals the unsliced formula byte for byte.
+
+        Array 0 gets gradients that are +-0 right of a per-step width (a
+        larger width than before is a wider batch arriving mid-run); array 1
+        is 1-D and array 2 is full width from the first step. All three
+        share the scratch buffers. NaNs are compared by position, not by
+        sign: when both operands are NaN, numpy's vector lanes and scalar
+        tail loop keep different operands' NaN, so a NaN's sign depends on
+        where its element falls in a loop, on any path.
+        """
+        rows, width, widths, special = run
+        rng = np.random.default_rng(seed)
+        shapes = [(rows, width), (rows,), (3, width + 2)]
         arrays = [rng.standard_normal(s) for s in shapes]
+        for a in arrays:  # -0.0 weights, in the tail of array 0 too
+            a[rng.random(a.shape) < 0.2] = -0.0
         ref = [a.copy() for a in arrays]
         m = [np.zeros_like(a) for a in ref]
         v = [np.zeros_like(a) for a in ref]
-        cfg = fast_cfg(learning_rate=1e-2, cosine_decay=True)
-        opt = training._Optimizer(arrays, cfg, total_steps=200)
-        for t in range(1, 201):
+        total = max(1, len(widths) - 1)  # with cosine, the last step has lr 0
+        cfg = fast_cfg(learning_rate=lr, cosine_decay=cosine, beta1=beta1,
+                       beta2=beta2, eps=eps)
+        opt = training._Optimizer(arrays, cfg, total_steps=total)
+        live = 0
+        for t, cols in enumerate(widths, start=1):
             grads = [rng.standard_normal(s) for s in shapes]
-            lr = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * ((t - 1) / 200)))
+            for g in grads:  # NaN, inf and signed zeros in the live region
+                hit = rng.random(g.shape) < special
+                g[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], hit.sum())
+            tail = grads[0][:, cols:]
+            tail[...] = np.where(rng.random(tail.shape) < 0.5, -0.0, 0.0)
+            touched = np.flatnonzero(((grads[0] != 0) | np.isnan(grads[0])).any(axis=0))
+            live = max(live, int(touched[-1]) + 1 if touched.size else 0)
+
             opt.step(grads)
-            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            step_lr = lr * 0.5 * (1.0 + np.cos(np.pi * ((t - 1) / total))) if cosine else lr
+            bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
             for a, g, mm, vv in zip(ref, grads, m, v):
-                mm *= cfg.beta1
-                mm += (1.0 - cfg.beta1) * g
-                vv *= cfg.beta2
-                vv += (1.0 - cfg.beta2) * g * g
-                a -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + cfg.eps)
-        for a, r in zip(arrays, ref):
-            assert a.tobytes() == r.tobytes()
+                mm *= beta1
+                mm += (1.0 - beta1) * g
+                vv *= beta2
+                vv += (1.0 - beta2) * g * g
+                a -= step_lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
+            for got, want in zip(arrays + opt.m + opt.v, ref + m + v):
+                assert nan_blind_bytes(got) == nan_blind_bytes(want)
+            assert opt._live[0] == live
+            # the never-live tail of m and v was never written: still +0.0
+            for state in (opt.m[0], opt.v[0]):
+                assert state[:, live:].tobytes() == bytes(8 * rows * (width - live))
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", -1e-3), ("eps", 0.0), ("eps", -1e-8),
+        ("eps", float("nan")), ("eps", float("inf")), ("beta1", 1.0),
+        ("beta1", -0.1), ("beta1", float("nan")), ("beta2", 1.0),
+        ("beta2", 1.5), ("momentum", -0.5), ("momentum", float("nan")),
+        ("momentum", float("inf")),
+    ])
+    def test_bad_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        TrainConfig(learning_rate=0.0, eps=5e-324, beta1=0.0, beta2=0.0, momentum=0.0)
 
 
 class TestBadInputsFailBeforeTraining:
