@@ -116,7 +116,12 @@ def _add_train_flags(p, lr, epochs, batch, optimizer="adam", momentum=0.0):
     p.add_argument("--cosine", action="store_true", help="cosine-decay the learning rate")
 
 
-def _train_config(args, mu=19) -> training.TrainConfig:
+def _defined(args, *names) -> dict:
+    """The named flags this subcommand defines; the dataclass supplies the rest."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(
         batch_size=args.batch,
         epochs=args.epochs,
@@ -125,7 +130,7 @@ def _train_config(args, mu=19) -> training.TrainConfig:
         momentum=args.momentum,
         cosine_decay=args.cosine,
         seed=args.seed,
-        mu=mu,
+        **_defined(args, "mu"),
     )
 
 
@@ -429,15 +434,8 @@ def cmd_pretrain(args) -> int:
     return _finish(args, started, [args.input], [ckpt, hist])
 
 
-def _ssl_config(args):
-    from .losses import SslConfig
-
-    return SslConfig(
-        tau_s=getattr(args, "tau_s", 0.5),
-        tau_f=getattr(args, "tau_f", 0.95),
-        lambda_u=getattr(args, "lambda_u", 1.0),
-        mu=getattr(args, "mu", 19),
-    )
+def _ssl_config(args) -> training.SslConfig:
+    return training.SslConfig(**_defined(args, "tau_s", "tau_f", "lambda_u", "mu"))
 
 
 def _map_unmonitored(corpus) -> tuple[list, int]:
@@ -489,7 +487,7 @@ def cmd_netfm(args) -> int:
     result = training.train_netfm(
         labeled,
         unlabeled,
-        _train_config(args, mu=args.mu),
+        _train_config(args),
         _ssl_config(args),
         _augment_config(args),
         p_flip_weak=args.p_flip,

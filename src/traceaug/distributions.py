@@ -68,10 +68,6 @@ def build_distribution(traces) -> BurstSizeDistribution:
     return BurstSizeDistribution(support, counts)
 
 
-def sample(dist: BurstSizeDistribution, rng: RandomSource) -> int:
-    return dist.sample(rng)
-
-
 def save_bdist(path, dist: BurstSizeDistribution) -> None:
     """Write `size count` lines in ascending size order under a version header."""
     with open(path, "w", encoding="ascii") as fh:

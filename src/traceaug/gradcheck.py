@@ -111,8 +111,13 @@ def check_projection(rng: RandomSource, dims: ModelDims | None = None, rows: int
 
 
 def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None,
-                     rows: int = 8, tau: float = 0.5, step: float = 1e-5) -> float:
-    """End-to-end gradient through the encoder plus one head and its loss."""
+                     rows: int = 8, tau: float = 0.5, step: float = 1e-5,
+                     masked: bool = False) -> float:
+    """End-to-end gradient through the encoder plus one head and its loss.
+
+    ``masked`` scores the classifier as pseudo-labeled rows do: a random row
+    mask keeping at least one row, over a denominator above the row count.
+    """
     dims = dims or ModelDims(trace_len=32, hidden=(16,), embed_dim=8)
     params, x, labels = _random_instance(rng, dims, rows, n_classes=3)
     arrays = trainable_arrays(params, head)
@@ -128,14 +133,20 @@ def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None
             return nt_xent_loss(z, tau)[0]
 
     else:
-        _, _, enc_grads, d_w, d_b = supervised_forward_backward(x, labels, params)
+        keep, denom, mask = np.ones(rows, dtype=bool), rows, ()
+        if masked:
+            keep = rng.uniforms(rows) < 0.5
+            keep[rng.randbelow(rows)] = True
+            denom = rows + 1 + rng.randbelow(4 * rows)
+            mask = (keep, denom)
+        _, enc_grads, d_w, d_b = supervised_forward_backward(x, labels, params, *mask)
         analytic = pack_params([g for pair in enc_grads for g in pair] + [d_w, d_b])
 
         def f(flat):
             unpack_params(flat, arrays)
             embed, _ = encode_batch(x, params)
             probs = softmax(embed @ params.clf_w.T + params.clf_b)
-            return float(-np.log(probs[np.arange(rows), labels]).mean())
+            return float(-np.log(probs[np.arange(rows), labels])[keep].sum() / denom)
 
     flat0 = pack_params(arrays)
     numeric = finite_difference(f, flat0, step)
@@ -161,6 +172,10 @@ def run_gradient_checks(seed: int = 0, instances: int = 20, step: float = 1e-5,
         ),
         "encoder_supervised": max(
             check_full_model(root.spawn(4000 + i), "classifier", step=step)
+            for i in range(instances)
+        ),
+        "encoder_pseudo_label": max(
+            check_full_model(root.spawn(5000 + i), "classifier", step=step, masked=True)
             for i in range(instances)
         ),
     }

@@ -1,5 +1,4 @@
-"""Loss functions with analytic gradients for contrastive and
-semi-supervised training.
+"""Contrastive loss, projection head and softmax, with analytic gradients.
 
 The contrastive loss is the normalized temperature-scaled cross entropy
 over a batch of 2N projected embeddings where rows 2k and 2k+1 are the
@@ -8,10 +7,10 @@ two augmented views of source trace k:
     l(i,j) = -log( exp(sim(z_i, z_j)/tau) / sum_{k != i} exp(sim(z_i, z_k)/tau) )
 
 averaged over all 2N ordered positive pairs. sim is cosine similarity.
-The semi-supervised losses follow the pseudo-labeling scheme: a weakly
-augmented view produces a pseudo-label that is retained when its
-confidence clears a threshold and then scored against the prediction for
-the strongly augmented view.
+The projection head maps embeddings to the rows z it scores. The softmax
+cross-entropy for labeled and pseudo-labeled rows is
+``models.supervised_forward_backward``; ``SslConfig`` holds the
+temperature, the pseudo-label threshold and the unlabeled weight.
 
 Everything here is pure float64 math; softmax-style denominators are
 log-sum-exp stabilized.
@@ -26,10 +25,6 @@ class ZeroVector(ValueError):
     """Cosine similarity is undefined for zero-norm vectors."""
 
 
-class ZeroProbability(ValueError):
-    """Cross-entropy hit a zero probability on the true class."""
-
-
 @dataclass(frozen=True)
 class SslConfig:
     """Temperatures and weights for the contrastive/semi-supervised losses.
@@ -37,7 +32,8 @@ class SslConfig:
     tau_s: contrastive softmax temperature.
     tau_f: pseudo-label confidence threshold.
     lambda_u: weight of the unlabeled loss term.
-    mu: unlabeled-to-labeled batch size ratio.
+    mu: unlabeled-to-labeled batch size ratio; unread, the loop takes
+        ``TrainConfig.mu``.
     """
 
     tau_s: float = 0.5
@@ -54,15 +50,6 @@ class SslConfig:
             raise ValueError("lambda_u must be >= 0")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")
-
-
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity u.v / (|u||v|), in [-1, 1]."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -113,65 +100,6 @@ def nt_xent_loss(z: np.ndarray, tau_s: float) -> tuple[float, np.ndarray]:
     # back through the row normalization z -> z / |z|
     grad = (d_zn - (d_zn * zn).sum(axis=1, keepdims=True) * zn) / norms[:, None]
     return loss, grad
-
-
-def cross_entropy(p_true: np.ndarray, q: np.ndarray) -> float:
-    """Cross-entropy H(p, q) = -log q[true class] for a one-hot p."""
-    p_true = np.asarray(p_true, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p_true.shape != q.shape:
-        raise ValueError("probability rows must have matching shapes")
-    cls = int(np.argmax(p_true))
-    if q[cls] <= 0.0:
-        raise ZeroProbability("true class has zero predicted probability")
-    return float(-np.log(q[cls]))
-
-
-def fixmatch_supervised_loss(labels_onehot: np.ndarray, probs_weak: np.ndarray) -> float:
-    """Mean cross-entropy of weakly augmented labeled predictions."""
-    labels_onehot = np.atleast_2d(labels_onehot)
-    probs_weak = np.atleast_2d(probs_weak)
-    if labels_onehot.shape != probs_weak.shape:
-        raise ValueError("batch shapes must match")
-    return float(
-        np.mean([cross_entropy(p, q) for p, q in zip(labels_onehot, probs_weak)])
-    )
-
-
-def fixmatch_unsupervised_loss(
-    probs_weak: np.ndarray, probs_strong: np.ndarray, tau_f: float
-) -> tuple[float, int]:
-    """Thresholded pseudo-label consistency loss.
-
-    Pseudo-label = argmax of the weak row (ties break to the lowest class
-    index). Rows whose weak confidence reaches tau_f contribute the
-    cross-entropy of the strong row against the pseudo-label; the sum is
-    divided by the total row count, retained or not. Returns
-    (loss, number of retained rows).
-    """
-    probs_weak = np.atleast_2d(probs_weak)
-    probs_strong = np.atleast_2d(probs_strong)
-    if probs_weak.shape != probs_strong.shape:
-        raise ValueError("weak and strong batches must align")
-    pseudo = np.argmax(probs_weak, axis=1)
-    retained = probs_weak.max(axis=1) >= tau_f
-    total = 0.0
-    for b in np.flatnonzero(retained):
-        q = probs_strong[b, pseudo[b]]
-        if q <= 0.0:
-            raise ZeroProbability("pseudo-class has zero predicted probability")
-        total -= np.log(q)
-    return float(total / len(probs_weak)), int(retained.sum())
-
-
-def fixmatch_total_loss(loss_s: float, loss_u: float, lambda_u: float) -> float:
-    """Combined objective: supervised plus weighted unsupervised term."""
-    return loss_s + lambda_u * loss_u
-
-
-def project(e: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Projection head z = W2 @ relu(W1 @ e) for a single embedding."""
-    return w2 @ np.maximum(w1 @ e, 0.0)
 
 
 def project_batch(embeddings: np.ndarray, w1: np.ndarray, w2: np.ndarray):

@@ -1,4 +1,4 @@
-"""Reference encoder, heads, and checkpoint format.
+"""Reference encoder, heads, their training losses, and checkpoint format.
 
 The encoder is a configurable fully connected stack with relu between
 layers and a linear output (the trace embedding). Two heads attach to it:
@@ -6,6 +6,11 @@ a bias-free two-matrix projection head used only during contrastive
 pre-training, and a softmax classifier used for fine-tuning and
 deployment. The projection output width is a quarter of the embedding
 width. All weights are float64.
+
+``supervised_forward_backward`` is the only softmax cross-entropy: it
+scores labeled rows and, with a row mask and a larger denominator,
+pseudo-labeled rows. ``gradcheck`` checks it and the contrastive loss
+against finite differences.
 """
 
 import struct
@@ -184,29 +189,32 @@ def contrastive_forward_backward(x: np.ndarray, params: ModelParams, tau_s: floa
     return loss, enc_grads, d_w1, d_w2
 
 
-def supervised_forward_backward(
-    x: np.ndarray, labels: np.ndarray, params: ModelParams, weight: float = 1.0
-):
-    """Mean cross-entropy through softmax classifier and encoder.
+def supervised_forward_backward(x: np.ndarray, labels: np.ndarray, params: ModelParams,
+                                keep: np.ndarray | None = None, denom: float | None = None):
+    """Softmax cross-entropy through classifier and encoder, the one used
+    for both labeled and pseudo-labeled rows.
 
-    ``weight`` rescales the mean loss (used when a batch term enters a
-    larger objective with its own normalization). Returns
-    (loss, mean probs rows, encoder grads, d_clf_w, d_clf_b).
+    The loss is -sum over the rows in ``keep`` of log p[label], divided by
+    ``denom``; a true-class probability below 1e-300 counts as 1e-300. By
+    default every row is kept and ``denom`` is the row count, which gives
+    the mean. Returns (loss, encoder grads, d_clf_w, d_clf_b).
     """
-    embed, caches = encode_batch(x, params)
-    logits = embed @ params.clf_w.T + params.clf_b
-    probs = softmax(logits)
     n = len(labels)
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean() * weight)
-    d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
-    d_logits *= weight / n
+    keep = np.ones(n, dtype=bool) if keep is None else keep
+    denom = n if denom is None else denom
+    embed, caches = encode_batch(x, params)
+    probs = softmax(embed @ params.clf_w.T + params.clf_b)
+    rows = np.arange(n)
+    picked = probs[rows, labels]
+    loss = float(-(np.log(np.maximum(picked, 1e-300)) * keep).sum() / denom)
+    d_logits = probs
+    d_logits[rows, labels] -= 1.0
+    d_logits *= keep[:, None] / denom
     d_clf_w = d_logits.T @ embed
     d_clf_b = d_logits.sum(axis=0)
     d_embed = d_logits @ params.clf_w
     enc_grads = encode_backward(d_embed, caches, params)
-    return loss, probs, enc_grads, d_clf_w, d_clf_b
+    return loss, enc_grads, d_clf_w, d_clf_b
 
 
 # -- flat parameter views (finite-difference checks) -------------------------

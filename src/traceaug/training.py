@@ -10,25 +10,25 @@ plain supervised loop, which makes the two trajectories identical when
 the unlabeled weight is zero.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import AugmentConfig, check_net_inputs, flip_augment_batch, net_augment_batch
 from .augment import flip_augment, net_augment  # noqa: F401  perfbench/tracing.py wraps these
-from .losses import SslConfig, softmax
+from .losses import SslConfig
 from .models import (
     ModelDims,
     ModelParams,
     attach_classifier,
     classify_batch,
     contrastive_forward_backward,
-    encode_backward,
-    encode_batch,
     init_params,
     supervised_forward_backward,
     trainable_arrays,
 )
+from .models import encode_backward, encode_batch, softmax  # noqa: F401  perfbench wraps these
 from .rng import RandomSource
 from .traces import DirectionTrace, MissingLabel
 
@@ -42,6 +42,10 @@ class InsufficientData(ValueError):
 
 class MissingClass(ValueError):
     """A class in 0..L-1 has no labeled sample."""
+
+
+class NonFiniteLoss(ValueError):
+    """A training step's loss is NaN or infinite, so the run is stopped."""
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,14 @@ def _flat_grads(enc_grads, *heads) -> list[np.ndarray]:
     return [g for pair in enc_grads for g in pair] + list(heads)
 
 
+def _check_finite(loss: float, phase: str, epoch: int, step: int) -> None:
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(
+            f"{phase}: loss is {loss} at epoch {epoch + 1}, step {step + 1}; "
+            "training stopped (is the learning rate too high?)"
+        )
+
+
 def _epoch_batches(n: int, batch_size: int, rng: RandomSource, drop_last: bool):
     order = list(range(n))
     rng.shuffle(order)
@@ -264,9 +276,10 @@ def pretrain(
     )
 
     result = TrainResult(params=params)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         epoch_losses = []
-        for batch in _epoch_batches(len(unlabeled), cfg.batch_size, rng_shuffle, True):
+        batches = _epoch_batches(len(unlabeled), cfg.batch_size, rng_shuffle, True)
+        for step, batch in enumerate(batches):
             # two consecutive views of each trace, as rows 2i and 2i+1
             rows = corpus[np.repeat(batch, 2)]
             if augmenter == "net":
@@ -277,6 +290,7 @@ def pretrain(
             loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(
                 x, params, ssl.tau_s
             )
+            _check_finite(loss, "pretrain", epoch, step)
             opt.step(_flat_grads(enc_grads, d_w1, d_w2))
             epoch_losses.append(loss)
         result.loss_history.append(float(np.mean(epoch_losses)))
@@ -305,12 +319,14 @@ def finetune(
         trainable_arrays(params, "classifier"), cfg, cfg.epochs * steps_per_epoch
     )
     result = TrainResult(params=params)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         epoch_losses = []
-        for batch in _epoch_batches(len(labeled), cfg.batch_size, rng_shuffle, False):
-            loss, _, enc_grads, d_w, d_b = supervised_forward_backward(
+        batches = _epoch_batches(len(labeled), cfg.batch_size, rng_shuffle, False)
+        for step, batch in enumerate(batches):
+            loss, enc_grads, d_w, d_b = supervised_forward_backward(
                 x[batch], y[batch], params
             )
+            _check_finite(loss, "finetune", epoch, step)
             opt.step(_flat_grads(enc_grads, d_w, d_b))
             epoch_losses.append(loss)
         result.loss_history.append(float(np.mean(epoch_losses)))
@@ -387,13 +403,15 @@ def _semi_supervised_loop(
         trainable_arrays(params, "classifier"), cfg, cfg.epochs * steps_per_epoch
     )
     result = TrainResult(params=params)
+    phase = "netfm" if use_unlabeled else "supervised"
 
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         epoch_losses = []
-        for batch in _epoch_batches(len(labeled), cfg.batch_size, rng_shuffle, False):
+        batches = _epoch_batches(len(labeled), cfg.batch_size, rng_shuffle, False)
+        for step, batch in enumerate(batches):
             xw = flip_augment_batch(labeled_cells[batch], p_flip_weak, rng_weak)
             xw = xw.astype(np.float64)
-            loss_s, _, enc_grads, d_w, d_b = supervised_forward_backward(
+            loss_s, enc_grads, d_w, d_b = supervised_forward_backward(
                 xw, y[batch], params
             )
             grads = _flat_grads(enc_grads, d_w, d_b)
@@ -409,34 +427,18 @@ def _semi_supervised_loop(
                 result.retained_history.append(int(keep.sum()))
                 loss_u = 0.0
                 if keep.any():
-                    loss_u, u_grads = _masked_xent_backward(
-                        u_strong.astype(np.float64), pseudo, keep, len(ubatch), params
+                    # retained rows summed, divided by the whole unlabeled batch
+                    loss_u, u_enc, u_w, u_b = supervised_forward_backward(
+                        u_strong.astype(np.float64), pseudo, params, keep, len(ubatch)
                     )
                     if ssl.lambda_u != 0.0:
-                        for g, gu in zip(grads, u_grads):
+                        for g, gu in zip(grads, _flat_grads(u_enc, u_w, u_b)):
                             g += ssl.lambda_u * gu
                 total = loss_s + ssl.lambda_u * loss_u
 
+            _check_finite(total, phase, epoch, step)
             opt.step(grads)
             epoch_losses.append(total)
         result.loss_history.append(float(np.mean(epoch_losses)))
     return result
 
-
-def _masked_xent_backward(x, pseudo, keep, denom, params):
-    """Cross-entropy summed over retained rows, divided by the full batch
-    size; gradients flow only through the strong-view predictions."""
-    embed, caches = encode_batch(x, params)
-    logits = embed @ params.clf_w.T + params.clf_b
-    probs = softmax(logits)
-    n = len(pseudo)
-    picked = probs[np.arange(n), pseudo]
-    loss = float(-(np.log(np.maximum(picked, 1e-300)) * keep).sum() / denom)
-    d_logits = probs.copy()
-    d_logits[np.arange(n), pseudo] -= 1.0
-    d_logits *= keep[:, None] / denom
-    d_w = d_logits.T @ embed
-    d_b = d_logits.sum(axis=0)
-    d_embed = d_logits @ params.clf_w
-    enc_grads = encode_backward(d_embed, caches, params)
-    return loss, _flat_grads(enc_grads, d_w, d_b)

@@ -6,8 +6,10 @@ import pytest
 
 from traceaug import cli
 from traceaug.cli import main
+from traceaug.losses import SslConfig
 from traceaug.manifest import content_hash
 from traceaug.traces import DirectionTrace, fit_length, load_dtrace, load_ttrace, save_dtrace
+from traceaug.training import TrainConfig
 
 
 def run(*argv):
@@ -247,6 +249,35 @@ class TestTrainFlags:
         assert f"{cfg}:1" in capsys.readouterr().err
 
 
+class TestConfigDefaults:
+    def test_ssl_and_train_configs_take_only_the_flags_a_command_defines(self):
+        parser, _ = cli.build_parser()
+        pre = parser.parse_args(["pretrain", "--in", "x", "--out", "y", "--tau-s", "0.2"])
+        assert cli._ssl_config(pre) == SslConfig(tau_s=0.2)
+        assert cli._train_config(pre).mu == TrainConfig.mu
+        fm = parser.parse_args([
+            "netfm", "--labeled", "a", "--unlabeled", "b", "--out", "y",
+            "--mu", "3", "--lambda-u", "0.5", "--tau-f", "0.8",
+        ])
+        assert cli._ssl_config(fm) == SslConfig(tau_f=0.8, lambda_u=0.5, mu=3)
+        assert cli._train_config(fm).mu == 3
+
+
+class TestNonFiniteLoss:
+    def test_pretrain_stops_with_exit_1_and_writes_no_checkpoint(self, corpus, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(
+                "pretrain", "--in", corpus / "split" / "superior.dtrace",
+                "--out", tmp_path, "--epochs", 2, "--batch", 8, "--trace-len", 120,
+                "--embed", 16, "--hidden", "32", "--lr", "1e300", "--optimizer", "sgd",
+            )
+        assert code == 1
+        assert "pretrain: loss is nan at epoch 1, step" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "loss_history.txt").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+
 class TestOpenWorldFlow:
     def test_unmonitored_labels_train_and_evaluate(self, corpus, tmp_path):
         # relabel one class as unmonitored (-1) to build an open-world corpus
@@ -283,6 +314,10 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--out", tmp_path, "--instances", 2, "--seed", 0) == 0
         out = capsys.readouterr().out
         assert "max relative error" in out
+        families = dict(
+            line.split() for line in (tmp_path / "gradcheck.txt").read_text().splitlines()
+        )
+        assert float(families["encoder_pseudo_label"]) < 1e-4
 
     def test_fails_with_exit_3_on_impossible_tolerance(self, tmp_path):
         assert run("gradcheck", "--out", tmp_path, "--instances", 2, "--seed", 0,

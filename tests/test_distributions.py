@@ -6,7 +6,6 @@ from traceaug.distributions import (
     NoOutgoingBursts,
     build_distribution,
     load_bdist,
-    sample,
     save_bdist,
 )
 from traceaug.rng import RandomSource
@@ -82,7 +81,7 @@ def test_sampling_frequencies_concentrate():
 def test_samples_stay_in_support():
     dist = BurstSizeDistribution(np.array([2, 7, 9]), np.array([5, 1, 2]))
     rng = RandomSource(4)
-    values = {sample(dist, rng) for _ in range(1000)}
+    values = {dist.sample(rng) for _ in range(1000)}
     assert values <= {2, 7, 9}
 
 

@@ -3,39 +3,45 @@ import math
 import numpy as np
 import pytest
 
+from traceaug.augment import AugmentConfig
+from traceaug.distributions import build_distribution
 from traceaug.gradcheck import finite_difference, max_rel_error
 from traceaug.losses import (
     SslConfig,
-    ZeroProbability,
     ZeroVector,
-    cosine_sim,
-    cross_entropy,
-    fixmatch_supervised_loss,
-    fixmatch_total_loss,
-    fixmatch_unsupervised_loss,
     nt_xent_loss,
-    project,
     project_backward,
     project_batch,
     softmax,
 )
+from traceaug.models import (
+    ModelDims,
+    ModelParams,
+    attach_classifier,
+    init_params,
+    supervised_forward_backward,
+)
+from traceaug.rng import RandomSource
+from traceaug.traces import DirectionTrace, fit_length
+from traceaug.training import TrainConfig, train_netfm
 
 
-class TestCosine:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, -3.0])
-        assert cosine_sim(v, v) == pytest.approx(1.0)
+def xent(logits, labels, keep=None, denom=None):
+    """supervised_forward_backward on a one-layer model whose logits are
+    exactly its inputs, so each test sets the probabilities it scores."""
+    logits = np.asarray(logits, dtype=np.float64)
+    k = logits.shape[1]
+    eye = np.eye(k)
+    params = ModelParams(
+        encoder=[(eye.copy(), np.zeros(k))], proj_w1=eye.copy(), proj_w2=eye.copy(),
+        clf_w=eye.copy(), clf_b=np.zeros(k),
+    )
+    return supervised_forward_backward(logits, np.asarray(labels), params, keep, denom)
 
-    def test_orthogonal(self):
-        assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
-    def test_opposite(self):
-        v = np.array([0.5, -2.0])
-        assert cosine_sim(v, -v) == pytest.approx(-1.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            cosine_sim(np.zeros(3), np.ones(3))
+def flat_grads(result):
+    _, enc_grads, d_w, d_b = result
+    return np.concatenate([g.ravel() for pair in enc_grads for g in pair] + [d_w.ravel(), d_b])
 
 
 class TestNtXent:
@@ -106,102 +112,124 @@ class TestNtXent:
 
 
 class TestCrossEntropy:
+    """The one softmax cross-entropy, models.supervised_forward_backward."""
+
     def test_perfect_prediction(self):
-        assert cross_entropy(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
+        # exp(-800) underflows, so the true class gets probability exactly 1
+        assert xent([[0.0, 800.0]], [1])[0] == 0.0
 
     def test_uniform_prediction(self):
-        q = np.full(4, 0.25)
-        p = np.array([1.0, 0.0, 0.0, 0.0])
-        assert cross_entropy(p, q) == pytest.approx(math.log(4))
+        # a zero classifier gives uniform rows, whatever the encoder does
+        params = init_params(ModelDims(trace_len=32, hidden=(16,), embed_dim=8), RandomSource(0))
+        attach_classifier(params, 4, RandomSource(1))
+        params.clf_w[:] = 0.0
+        x = np.random.default_rng(0).choice([-1.0, 1.0], size=(5, 32))
+        loss = supervised_forward_backward(x, np.array([0, 1, 2, 3, 3]), params)[0]
+        assert loss == pytest.approx(math.log(4), rel=1e-14)
 
     def test_quarter_probability(self):
-        p = np.array([0.0, 1.0, 0.0])
-        q = np.array([0.5, 0.25, 0.25])
-        assert cross_entropy(p, q) == pytest.approx(math.log(4))
+        assert xent([np.log([0.5, 0.25, 0.25])], [1])[0] == pytest.approx(math.log(4))
 
-    def test_zero_probability_rejected(self):
-        with pytest.raises(ZeroProbability):
-            cross_entropy(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    def test_zero_probability_clamped(self):
+        # the true class underflows to 0; it scores as 1e-300, not inf
+        result = xent([[0.0, -1e4]], [1])
+        assert result[0] == pytest.approx(300 * math.log(10))
+        assert np.all(np.isfinite(flat_grads(result)))
+
+
+def tiny_netfm_corpus():
+    """Three labeled classes, four rows each, and 40 unlabeled traces."""
+    rng = np.random.default_rng(1004)
+    patterns = [np.where(rng.random(64) < 0.5, -1, 1) for _ in range(3)]
+    labeled = [DirectionTrace(p.copy(), label=c) for c, p in enumerate(patterns) for _ in range(4)]
+    unlabeled = [
+        DirectionTrace(fit_length(np.where(rng.random(40) < 0.5, -1, 1), 64))
+        for _ in range(40)
+    ]
+    return labeled, unlabeled
 
 
 class TestFixmatch:
+    """The pseudo-label term: the masked cross-entropy over retained rows,
+    divided by the whole unlabeled batch, and train_netfm's threshold."""
+
     def test_supervised_perfect(self):
-        labels = np.eye(3)
-        assert fixmatch_supervised_loss(labels, labels) == 0.0
+        assert xent(800.0 * np.eye(3), [0, 1, 2])[0] == 0.0
 
     def test_supervised_mean(self):
-        labels = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
-        assert fixmatch_supervised_loss(labels, probs) == pytest.approx(math.log(4) / 2)
+        logits = [[800.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+        assert xent(logits, [0, 1])[0] == pytest.approx(math.log(4) / 2)
 
     def test_supervised_single_row_reduces_to_cross_entropy(self):
-        label = np.array([[0.0, 1.0]])
-        probs = np.array([[0.3, 0.7]])
-        assert fixmatch_supervised_loss(label, probs) == pytest.approx(
-            cross_entropy(label[0], probs[0])
-        )
+        rng = np.random.default_rng(8)
+        logits = rng.normal(size=(5, 3))
+        labels = np.array([0, 2, 1, 1, 0])
+        rows = [xent(logits[i : i + 1], labels[i : i + 1])[0] for i in range(5)]
+        for i, loss in enumerate(rows):
+            assert loss == pytest.approx(-math.log(softmax(logits[i])[0][labels[i]]), rel=1e-14)
+        assert xent(logits, labels)[0] == pytest.approx(np.mean(rows), rel=1e-14)
 
     def test_unsupervised_all_below_threshold(self):
-        weak = np.array([[0.6, 0.4], [0.5, 0.5]])
-        strong = np.array([[0.9, 0.1], [0.2, 0.8]])
-        loss, retained = fixmatch_unsupervised_loss(weak, strong, tau_f=0.95)
-        assert loss == 0.0 and retained == 0
+        result = xent([[0.4, 0.1], [0.0, 0.0]], [0, 1], keep=np.zeros(2, dtype=bool), denom=2)
+        assert result[0] == 0.0
+        assert np.all(flat_grads(result) == 0.0)
 
     def test_unsupervised_zero_threshold_keeps_all(self):
-        weak = np.array([[0.6, 0.4], [0.5, 0.5]])
-        strong = np.array([[0.9, 0.1], [0.2, 0.8]])
-        _, retained = fixmatch_unsupervised_loss(weak, strong, tau_f=0.0)
-        assert retained == 2
+        # keeping every row over the row count is the labeled loss, bit for bit
+        logits = np.random.default_rng(9).normal(size=(6, 4))
+        labels = np.array([3, 0, 1, 1, 2, 0])
+        kept = xent(logits, labels, keep=np.ones(6, dtype=bool), denom=6)
+        plain = xent(logits, labels)
+        assert kept[0] == plain[0]
+        assert flat_grads(kept).tobytes() == flat_grads(plain).tobytes()
 
     def test_unsupervised_hand_evaluation(self):
-        # one of two rows retained; strong row puts 0.5 on the pseudo-class
-        weak = np.array([[0.97, 0.03], [0.6, 0.4]])
-        strong = np.array([[0.5, 0.5], [0.1, 0.9]])
-        loss, retained = fixmatch_unsupervised_loss(weak, strong, tau_f=0.9)
-        assert retained == 1
-        assert loss == pytest.approx(-math.log(0.5) / 2)
-
-    def test_unsupervised_tie_breaks_to_lowest_class(self):
-        weak = np.array([[0.5, 0.5]])
-        strong = np.array([[0.25, 0.75]])
-        loss, retained = fixmatch_unsupervised_loss(weak, strong, tau_f=0.5)
-        assert retained == 1
-        assert loss == pytest.approx(-math.log(0.25))
+        # one of two rows retained; its strong row puts 0.5 on the pseudo-class
+        strong = np.log([[0.5, 0.5], [0.1, 0.9]])
+        keep = np.array([True, False])
+        assert xent(strong, [0, 0], keep=keep, denom=2)[0] == pytest.approx(math.log(2) / 2)
+        assert xent(strong, [0, 0], keep=keep, denom=5)[0] == pytest.approx(math.log(2) / 5)
 
     def test_retained_monotone_in_threshold(self):
-        rng = np.random.default_rng(5)
-        weak = softmax(rng.normal(size=(40, 5)))
-        strong = softmax(rng.normal(size=(40, 5)))
-        previous = 41
-        for tau in np.linspace(0.0, 1.0, 21):
-            _, retained = fixmatch_unsupervised_loss(weak, strong, tau)
-            assert retained <= previous
-            previous = retained
+        # one step per run: every tau_f sees the same first weak predictions
+        labeled, unlabeled = tiny_netfm_corpus()
+        dist = build_distribution(unlabeled)
+        dims = ModelDims(trace_len=64, hidden=(32,), embed_dim=16)
+        cfg = TrainConfig(batch_size=12, epochs=1, learning_rate=1e-3, seed=5, mu=2)
+        retained = [
+            train_netfm(
+                labeled, unlabeled, cfg, SslConfig(tau_f=tau_f), AugmentConfig(),
+                p_flip_weak=0.1, dist=dist, dims=dims,
+            ).retained_history[0]
+            for tau_f in np.linspace(0.05, 1.0, 20)
+        ]
+        # any softmax max clears 1/3, and an unsaturated model never reaches 1
+        assert retained[0] == 24 and retained[-1] == 0
+        assert all(a >= b for a, b in zip(retained, retained[1:]))
 
     def test_joint_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        weak = softmax(rng.normal(size=(12, 4)))
-        strong = softmax(rng.normal(size=(12, 4)))
+        logits = rng.normal(size=(12, 4))
+        labels = rng.integers(0, 4, size=12)
+        keep = rng.random(12) < 0.5
         perm = rng.permutation(12)
-        a = fixmatch_unsupervised_loss(weak, strong, 0.4)
-        b = fixmatch_unsupervised_loss(weak[perm], strong[perm], 0.4)
-        assert a[0] == pytest.approx(b[0]) and a[1] == b[1]
-
-    def test_total_loss(self):
-        assert fixmatch_total_loss(1.0, 2.0, 0.0) == 1.0
-        assert fixmatch_total_loss(1.0, 0.0, 5.0) == 1.0
-        assert fixmatch_total_loss(1.0, 2.0, 1.0) == 3.0
+        a = xent(logits, labels, keep, 12)
+        b = xent(logits[perm], labels[perm], keep[perm], 12)
+        assert a[0] == pytest.approx(b[0], rel=1e-14)
+        assert np.allclose(flat_grads(a), flat_grads(b), rtol=1e-13, atol=1e-16)
 
 
 class TestProject:
     def test_identity_weights_passthrough(self):
-        e = np.array([0.5, 2.0, 0.0])
+        e = np.array([[0.5, 2.0, 0.0], [1.0, 0.0, 3.0]])
         eye = np.eye(3)
-        assert np.allclose(project(e, eye, eye), e)
+        z, pre = project_batch(e, eye, eye)
+        assert np.allclose(z, e) and np.allclose(pre, e)
 
     def test_relu_clamps_negative(self):
-        e = np.array([-1.0, -2.0])
-        assert np.allclose(project(e, np.eye(2), np.eye(2)), 0.0)
+        e = np.array([[-1.0, -2.0], [-0.5, 3.0]])
+        z, _ = project_batch(e, np.eye(2), np.eye(2))
+        assert np.allclose(z, [[0.0, 0.0], [0.0, 3.0]])
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(7)

@@ -13,6 +13,7 @@ from traceaug.traces import DirectionTrace, MissingLabel, fit_length
 from traceaug.training import (
     InsufficientData,
     MissingClass,
+    NonFiniteLoss,
     TrainConfig,
     finetune,
     pretrain,
@@ -236,6 +237,42 @@ class TestNetFm:
                         p_flip_weak=0.1, dist=self.dist, dims=DIMS)
         assert a.params.equal(b.params)
         assert a.retained_history == b.retained_history
+
+
+class TestNonFiniteLoss:
+    """Each loop stops at the first NaN or infinite loss and names where."""
+
+    HUGE = dict(learning_rate=1e300, optimizer="sgd", epochs=3)
+
+    def test_pretrain(self):
+        unlabeled = strip_labels(make_corpus(16, np.random.default_rng(0)))
+        dist = build_distribution(unlabeled)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteLoss, match=r"^pretrain: loss is nan at epoch 1, step 2;"
+        ):
+            pretrain(unlabeled, fast_cfg(**self.HUGE), AugmentConfig(), dist, SslConfig(),
+                     dims=DIMS)
+
+    def test_finetune(self):
+        params = init_params(DIMS, RandomSource(9))
+        labeled = separable_corpus(6, 3, np.random.default_rng(3))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteLoss, match=r"^finetune: loss is nan at epoch 1, step 2;"
+        ):
+            finetune(params, labeled, fast_cfg(**self.HUGE))
+
+    def test_semi_supervised_loop(self):
+        rng = np.random.default_rng(5)
+        labeled = separable_corpus(4, 3, rng)
+        unlabeled = make_corpus(60, rng)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteLoss, match=r"^netfm: loss is nan at epoch 1, step 2;"
+        ):
+            train_netfm(
+                labeled, unlabeled, fast_cfg(batch_size=4, mu=2, **self.HUGE),
+                SslConfig(tau_f=0.2), AugmentConfig(), p_flip_weak=0.1,
+                dist=build_distribution(unlabeled), dims=DIMS,
+            )
 
 
 class TestOptimizers:
