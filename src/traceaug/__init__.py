@@ -9,6 +9,8 @@ open-world evaluation, a deterministic synthetic-trace generator, and a
 CLI tying the pipeline together.
 """
 
+__version__ = "0.1.0"
+
 from .augment import AugmentConfig, flip_augment, net_augment
 from .distributions import BurstSizeDistribution, build_distribution
 from .evaluation import OpenWorldOutcome, closed_world_accuracy, open_world_eval, pr_curve
@@ -27,7 +29,6 @@ from .traces import (
 )
 from .training import TrainConfig, finetune, pretrain, strip_labels, train_netfm, train_supervised
 
-__version__ = "0.1.0"
 
 __all__ = [
     "AugmentConfig",

@@ -53,12 +53,3 @@ def normalize_bursts(bursts) -> np.ndarray:
         else:
             out.append(b)
     return np.array(out, dtype=np.int64)
-
-
-def validate_bursts(bursts) -> None:
-    """Assert burst-sequence invariants: no zeros, strictly alternating signs."""
-    bursts = np.asarray(bursts, dtype=np.int64)
-    if np.any(bursts == 0):
-        raise ValueError("burst sizes must be nonzero")
-    if len(bursts) > 1 and np.any(np.sign(bursts[1:]) == np.sign(bursts[:-1])):
-        raise ValueError("adjacent bursts must have opposite signs")

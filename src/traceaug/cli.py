@@ -81,30 +81,32 @@ def _add_common(p):
     p.add_argument("--out", required=True, help="output directory")
 
 
+#: (flag, AugmentConfig field) of every augmentation flag; each flag's dest
+#: is its own name (so --burst-threshold sets burst_threshold), and its
+#: type and default are the field's.
+_AUGMENT_FLAGS = (
+    ("--shift-max", "shift_max"),
+    ("--r-upsample", "r_upsample"),
+    ("--r-downsample", "r_downsample"),
+    ("--r-insert", "r_insert"),
+    ("--burst-threshold", "burst_size_threshold"),
+    ("--n-merge", "n_merge"),
+    ("--r-merge", "r_merge"),
+    ("--preserve-prefix", "preserve_prefix"),
+    ("--p-flip", "p_flip"),
+)
+
+
 def _add_augment_flags(p):
-    p.add_argument("--shift-max", type=int, default=10)
-    p.add_argument("--r-upsample", type=float, default=1.0)
-    p.add_argument("--r-downsample", type=float, default=0.5)
-    p.add_argument("--r-insert", type=float, default=0.3)
-    p.add_argument("--burst-threshold", type=int, default=10)
-    p.add_argument("--n-merge", type=int, default=5)
-    p.add_argument("--r-merge", type=float, default=0.1)
-    p.add_argument("--preserve-prefix", type=int, default=20)
-    p.add_argument("--p-flip", type=float, default=0.1)
+    for flag, name in _AUGMENT_FLAGS:
+        default = getattr(aug_mod.AugmentConfig, name)
+        p.add_argument(flag, type=type(default), default=default)
 
 
 def _augment_config(args) -> aug_mod.AugmentConfig:
-    return aug_mod.AugmentConfig(
-        shift_max=args.shift_max,
-        r_upsample=args.r_upsample,
-        r_downsample=args.r_downsample,
-        r_insert=args.r_insert,
-        burst_size_threshold=args.burst_threshold,
-        n_merge=args.n_merge,
-        r_merge=args.r_merge,
-        preserve_prefix=args.preserve_prefix,
-        p_flip=args.p_flip,
-    )
+    return aug_mod.AugmentConfig(**{
+        name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _AUGMENT_FLAGS
+    })
 
 
 def _add_train_flags(p, lr, epochs, batch, optimizer="adam", momentum=0.0):
@@ -200,7 +202,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--trace-len", type=_positive_int("trace-len"), default=500)
     p.add_argument("--embed", type=_positive_int("embed", minimum=4), default=64)
     p.add_argument("--hidden", type=_int_list, default=[256, 128])
-    p.add_argument("--tau-s", type=float, default=0.5)
+    p.add_argument("--tau-s", type=float, default=training.SslConfig.tau_s)
     _add_train_flags(p, lr=3e-4, epochs=30, batch=64)
     _add_augment_flags(p)
     p.set_defaults(func=cmd_pretrain)
@@ -222,9 +224,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--trace-len", type=_positive_int("trace-len"), default=500)
     p.add_argument("--embed", type=_positive_int("embed", minimum=4), default=64)
     p.add_argument("--hidden", type=_int_list, default=[256, 128])
-    p.add_argument("--mu", type=_positive_int("mu"), default=19)
-    p.add_argument("--lambda-u", type=float, default=1.0)
-    p.add_argument("--tau-f", type=float, default=0.95)
+    p.add_argument("--mu", type=_positive_int("mu"), default=training.TrainConfig.mu)
+    p.add_argument("--lambda-u", type=float, default=training.SslConfig.lambda_u)
+    p.add_argument("--tau-f", type=float, default=training.SslConfig.tau_f)
     _add_train_flags(p, lr=1e-2, epochs=30, batch=32, optimizer="sgd", momentum=0.9)
     _add_augment_flags(p)
     p.set_defaults(func=cmd_netfm)

@@ -3,9 +3,10 @@
 The manifest captures the resolved configuration, the seed, and content
 hashes of every input and output file, so re-running a command with the
 same inputs can be verified byte for byte by comparing output hashes. It
-also records the environment that shapes those bytes: the Python and numpy
-versions and the BLAS thread-count variables, since trained weights differ
-between BLAS thread counts.
+also records the environment that shapes those bytes: the package, Python
+and numpy versions, the BLAS numpy was built against, and the BLAS
+thread-count variables, since trained weights differ between BLAS thread
+counts.
 """
 
 import hashlib
@@ -15,6 +16,8 @@ import sys
 import time
 
 import numpy as np
+
+from . import __version__
 
 #: Environment variables that set the BLAS thread count.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -30,8 +33,15 @@ def content_hash(path) -> str:
 
 
 def environment() -> dict:
-    """Python and numpy versions and the BLAS thread variables (None if unset)."""
-    env = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
+    """Package, Python and numpy versions, numpy's BLAS as "name version"
+    (None before numpy 1.26), and the BLAS thread variables (None if unset)."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
+    env = {
+        "traceaug": __version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}" if blas else None,
+    }
     env.update({var: os.environ.get(var) for var in BLAS_THREAD_VARS})
     return env
 

@@ -67,35 +67,6 @@ class ModelParams:
     def n_classes(self) -> int | None:
         return None if self.clf_w is None else self.clf_w.shape[0]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            encoder=[(w.copy(), b.copy()) for w, b in self.encoder],
-            proj_w1=self.proj_w1.copy(),
-            proj_w2=self.proj_w2.copy(),
-            clf_w=None if self.clf_w is None else self.clf_w.copy(),
-            clf_b=None if self.clf_b is None else self.clf_b.copy(),
-        )
-
-    def equal(self, other: "ModelParams") -> bool:
-        """Exact (bitwise value) equality of all present weight blocks."""
-        if len(self.encoder) != len(other.encoder):
-            return False
-        for (w1, b1), (w2, b2) in zip(self.encoder, other.encoder):
-            if not (np.array_equal(w1, w2) and np.array_equal(b1, b2)):
-                return False
-        if not np.array_equal(self.proj_w1, other.proj_w1):
-            return False
-        if not np.array_equal(self.proj_w2, other.proj_w2):
-            return False
-        if (self.clf_w is None) != (other.clf_w is None):
-            return False
-        if self.clf_w is not None and not (
-            np.array_equal(self.clf_w, other.clf_w)
-            and np.array_equal(self.clf_b, other.clf_b)
-        ):
-            return False
-        return True
-
 
 def _glorot_uniform(rng: RandomSource, fan_out: int, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -1,13 +1,17 @@
-"""Training loops: contrastive pre-training, fine-tuning, supervised
+"""Training phases: contrastive pre-training, fine-tuning, supervised
 baseline, and the pseudo-labeling semi-supervised loop.
 
-Every loop is single-threaded and draws all randomness from streams
+Every phase runs on one driver, ``_fit`` (optimizer, shuffling, epoch
+loop, non-finite loss guard, per-epoch mean loss), and supplies only its
+step: a closure from a batch of row indices to (loss, gradients).
+Everything is single-threaded and draws all randomness from streams
 spawned off the run seed, so a (seed, data, config) triple reproduces the
-parameter trajectory bit for bit. Stream assignments are fixed per
-concern (init, shuffling, augmentation, ...); in particular the
-semi-supervised loop consumes its labeled-side streams exactly like the
-plain supervised loop, which makes the two trajectories identical when
-the unlabeled weight is zero.
+parameter trajectory bit for bit. Stream assignments are fixed per concern
+(init, shuffling, augmentation, ...), and a stream depends only on the
+seed and its spawn index, not on where it is spawned. The semi-supervised
+loop consumes its labeled-side streams exactly like the plain supervised
+loop, which makes the two trajectories identical when the unlabeled
+weight is zero.
 """
 
 import math
@@ -216,22 +220,41 @@ def _epoch_batches(n: int, batch_size: int, rng: RandomSource, drop_last: bool):
         yield order[start : start + batch_size]
 
 
-def _class_count(labels: np.ndarray) -> int:
-    n_classes = int(labels.max()) + 1
-    missing = sorted(set(range(n_classes)) - set(np.unique(labels).tolist()))
-    if missing:
-        raise MissingClass(f"no labeled sample for class(es) {missing}")
-    return n_classes
-
-
 def _labeled_arrays(traces: list[DirectionTrace]):
-    """(int8 cell matrix, int64 labels) of a fully labeled corpus."""
+    """(int8 cell matrix, int64 labels, class count) of a fully labeled corpus."""
     for t in traces:
         if t.label is None or t.label < 0:
             raise MissingLabel("training requires non-negative labels on every trace")
     cells = np.stack([t.cells for t in traces])
     y = np.array([t.label for t in traces], dtype=np.int64)
-    return cells, y
+    n_classes = int(y.max()) + 1
+    missing = sorted(set(range(n_classes)) - set(np.unique(y).tolist()))
+    if missing:
+        raise MissingClass(f"no labeled sample for class(es) {missing}")
+    return cells, y, n_classes
+
+
+def _fit(phase: str, params, head: str, cfg: TrainConfig, n: int, drop_last: bool, step):
+    """Train ``head`` and the encoder for cfg.epochs shuffled passes over n rows.
+
+    ``step(batch)`` maps a list of row indices to (loss, gradients), the
+    gradients in trainable_arrays order. The cosine schedule spans exactly
+    the steps taken: n // B per epoch when partial batches are dropped,
+    ceil(n / B) when they are kept. Records the per-epoch mean loss.
+    """
+    steps_per_epoch = n // cfg.batch_size if drop_last else math.ceil(n / cfg.batch_size)
+    opt = _Optimizer(trainable_arrays(params, head), cfg, cfg.epochs * steps_per_epoch)
+    rng_shuffle = RandomSource(cfg.seed).spawn(_S_SHUFFLE)
+    result = TrainResult(params=params)
+    for epoch in range(cfg.epochs):
+        epoch_losses = []
+        for i, batch in enumerate(_epoch_batches(n, cfg.batch_size, rng_shuffle, drop_last)):
+            loss, grads = step(batch)
+            _check_finite(loss, phase, epoch, i)
+            opt.step(grads)
+            epoch_losses.append(loss)
+        result.loss_history.append(float(np.mean(epoch_losses)))
+    return result
 
 
 def pretrain(
@@ -267,34 +290,21 @@ def pretrain(
     dims = dims or ModelDims(trace_len=len(unlabeled[0]))
     root = RandomSource(cfg.seed)
     params = init_params(dims, root.spawn(_S_INIT))
-    rng_shuffle = root.spawn(_S_SHUFFLE)
     rng_aug = root.spawn(_S_AUG)
 
-    steps_per_epoch = len(unlabeled) // cfg.batch_size
-    opt = _Optimizer(
-        trainable_arrays(params, "projection"), cfg, cfg.epochs * steps_per_epoch
-    )
+    def step(batch):
+        # two consecutive views of each trace, as rows 2i and 2i+1
+        rows = corpus[np.repeat(batch, 2)]
+        if augmenter == "net":
+            views = net_augment_batch(rows, aug, dist, rng_aug)
+        else:
+            views = flip_augment_batch(rows, aug.p_flip, rng_aug)
+        loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(
+            views.astype(np.float64), params, ssl.tau_s
+        )
+        return loss, _flat_grads(enc_grads, d_w1, d_w2)
 
-    result = TrainResult(params=params)
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
-        batches = _epoch_batches(len(unlabeled), cfg.batch_size, rng_shuffle, True)
-        for step, batch in enumerate(batches):
-            # two consecutive views of each trace, as rows 2i and 2i+1
-            rows = corpus[np.repeat(batch, 2)]
-            if augmenter == "net":
-                views = net_augment_batch(rows, aug, dist, rng_aug)
-            else:
-                views = flip_augment_batch(rows, aug.p_flip, rng_aug)
-            x = views.astype(np.float64)
-            loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(
-                x, params, ssl.tau_s
-            )
-            _check_finite(loss, "pretrain", epoch, step)
-            opt.step(_flat_grads(enc_grads, d_w1, d_w2))
-            epoch_losses.append(loss)
-        result.loss_history.append(float(np.mean(epoch_losses)))
-    return result
+    return _fit("pretrain", params, "projection", cfg, len(unlabeled), True, step)
 
 
 def finetune(
@@ -306,31 +316,16 @@ def finetune(
     classifier is attached when none of the right width is present;
     partial batches are kept.
     """
-    cells, y = _labeled_arrays(labeled)
+    cells, y, n_classes = _labeled_arrays(labeled)
     x = cells.astype(np.float64)
-    n_classes = _class_count(y)
-    root = RandomSource(cfg.seed)
     if params.n_classes != n_classes:
-        attach_classifier(params, n_classes, root.spawn(_S_CLF))
-    rng_shuffle = root.spawn(_S_SHUFFLE)
+        attach_classifier(params, n_classes, RandomSource(cfg.seed).spawn(_S_CLF))
 
-    steps_per_epoch = int(np.ceil(len(labeled) / cfg.batch_size))
-    opt = _Optimizer(
-        trainable_arrays(params, "classifier"), cfg, cfg.epochs * steps_per_epoch
-    )
-    result = TrainResult(params=params)
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
-        batches = _epoch_batches(len(labeled), cfg.batch_size, rng_shuffle, False)
-        for step, batch in enumerate(batches):
-            loss, enc_grads, d_w, d_b = supervised_forward_backward(
-                x[batch], y[batch], params
-            )
-            _check_finite(loss, "finetune", epoch, step)
-            opt.step(_flat_grads(enc_grads, d_w, d_b))
-            epoch_losses.append(loss)
-        result.loss_history.append(float(np.mean(epoch_losses)))
-    return result
+    def step(batch):
+        loss, enc_grads, d_w, d_b = supervised_forward_backward(x[batch], y[batch], params)
+        return loss, _flat_grads(enc_grads, d_w, d_b)
+
+    return _fit("finetune", params, "classifier", cfg, len(labeled), False, step)
 
 
 def train_supervised(
@@ -345,10 +340,7 @@ def train_supervised(
     semi-supervised loop; the two share rng stream assignments, so the
     semi-supervised trajectory with lambda_u = 0 matches this one exactly.
     """
-    return _semi_supervised_loop(
-        labeled, None, cfg, SslConfig(lambda_u=0.0), None, p_flip_weak, None,
-        dims=dims, use_unlabeled=False,
-    )
+    return _semi_supervised(labeled, None, cfg, None, None, p_flip_weak, None, dims)
 
 
 def train_netfm(
@@ -370,75 +362,57 @@ def train_netfm(
     strong predictions; the objective is loss_s + lambda_u * loss_u.
     Records the per-step retained pseudo-label count.
     """
-    if len(unlabeled) < cfg.mu * min(cfg.batch_size, len(labeled)):
-        raise InsufficientData(
-            f"need at least {cfg.mu * min(cfg.batch_size, len(labeled))} "
-            f"unlabeled traces, got {len(unlabeled)}"
-        )
+    need = cfg.mu * min(cfg.batch_size, len(labeled))
+    if len(unlabeled) < need:
+        raise InsufficientData(f"need at least {need} unlabeled traces, got {len(unlabeled)}")
     check_net_inputs([t.nonzero_count for t in unlabeled], aug_strong, dist)
-    return _semi_supervised_loop(
-        labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist,
-        dims=dims, use_unlabeled=True,
-    )
+    return _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims)
 
 
-def _semi_supervised_loop(
-    labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims, use_unlabeled
-) -> TrainResult:
-    labeled_cells, y = _labeled_arrays(labeled)
-    n_classes = _class_count(y)
+def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims):
+    """Weakly flipped cross-entropy on labeled batches, plus the pseudo-label
+    term when ``unlabeled`` is given; ``unlabeled=None`` is the supervised
+    baseline."""
+    labeled_cells, y, n_classes = _labeled_arrays(labeled)
     dims = dims or ModelDims(trace_len=len(labeled[0]))
     root = RandomSource(cfg.seed)
     params = init_params(dims, root.spawn(_S_INIT))
     attach_classifier(params, n_classes, root.spawn(_S_CLF))
-    rng_shuffle = root.spawn(_S_SHUFFLE)
     rng_weak = root.spawn(_S_AUG)
-    if use_unlabeled:
+    retained: list[int] = []
+    if unlabeled is not None:
         unlabeled_cells = np.stack([t.cells for t in unlabeled])
         pool = _CyclingPool(len(unlabeled), root.spawn(_S_UNLAB_SHUFFLE))
         rng_uaug = root.spawn(_S_UNLAB_AUG)
 
-    steps_per_epoch = int(np.ceil(len(labeled) / cfg.batch_size))
-    opt = _Optimizer(
-        trainable_arrays(params, "classifier"), cfg, cfg.epochs * steps_per_epoch
-    )
-    result = TrainResult(params=params)
-    phase = "netfm" if use_unlabeled else "supervised"
+    def step(batch):
+        xw = flip_augment_batch(labeled_cells[batch], p_flip_weak, rng_weak)
+        loss_s, enc_grads, d_w, d_b = supervised_forward_backward(
+            xw.astype(np.float64), y[batch], params
+        )
+        grads = _flat_grads(enc_grads, d_w, d_b)
+        if unlabeled is None:
+            return loss_s, grads
 
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
-        batches = _epoch_batches(len(labeled), cfg.batch_size, rng_shuffle, False)
-        for step, batch in enumerate(batches):
-            xw = flip_augment_batch(labeled_cells[batch], p_flip_weak, rng_weak)
-            xw = xw.astype(np.float64)
-            loss_s, enc_grads, d_w, d_b = supervised_forward_backward(
-                xw, y[batch], params
+        ubatch = unlabeled_cells[pool.take(cfg.mu * len(batch))]
+        u_weak = flip_augment_batch(ubatch, p_flip_weak, rng_uaug)
+        u_strong = net_augment_batch(ubatch, aug_strong, dist, rng_uaug)
+        q_weak = classify_batch(u_weak.astype(np.float64), params)
+        pseudo = np.argmax(q_weak, axis=1)
+        keep = q_weak.max(axis=1) >= ssl.tau_f
+        retained.append(int(keep.sum()))
+        loss_u = 0.0
+        if keep.any():
+            # retained rows summed, divided by the whole unlabeled batch
+            loss_u, u_enc, u_w, u_b = supervised_forward_backward(
+                u_strong.astype(np.float64), pseudo, params, keep, len(ubatch)
             )
-            grads = _flat_grads(enc_grads, d_w, d_b)
-            total = loss_s
+            if ssl.lambda_u != 0.0:
+                for g, gu in zip(grads, _flat_grads(u_enc, u_w, u_b)):
+                    g += ssl.lambda_u * gu
+        return loss_s + ssl.lambda_u * loss_u, grads
 
-            if use_unlabeled:
-                ubatch = unlabeled_cells[pool.take(cfg.mu * len(batch))]
-                u_weak = flip_augment_batch(ubatch, p_flip_weak, rng_uaug)
-                u_strong = net_augment_batch(ubatch, aug_strong, dist, rng_uaug)
-                q_weak = classify_batch(u_weak.astype(np.float64), params)
-                pseudo = np.argmax(q_weak, axis=1)
-                keep = q_weak.max(axis=1) >= ssl.tau_f
-                result.retained_history.append(int(keep.sum()))
-                loss_u = 0.0
-                if keep.any():
-                    # retained rows summed, divided by the whole unlabeled batch
-                    loss_u, u_enc, u_w, u_b = supervised_forward_backward(
-                        u_strong.astype(np.float64), pseudo, params, keep, len(ubatch)
-                    )
-                    if ssl.lambda_u != 0.0:
-                        for g, gu in zip(grads, _flat_grads(u_enc, u_w, u_b)):
-                            g += ssl.lambda_u * gu
-                total = loss_s + ssl.lambda_u * loss_u
-
-            _check_finite(total, phase, epoch, step)
-            opt.step(grads)
-            epoch_losses.append(total)
-        result.loss_history.append(float(np.mean(epoch_losses)))
+    phase = "supervised" if unlabeled is None else "netfm"
+    result = _fit(phase, params, "classifier", cfg, len(labeled), False, step)
+    result.retained_history = retained
     return result
-

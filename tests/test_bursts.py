@@ -8,9 +8,14 @@ from traceaug.bursts import (
     extract_bursts,
     normalize_bursts,
     split_prefix,
-    validate_bursts,
 )
 from traceaug.traces import DirectionTrace, fit_length
+
+
+def assert_alternating(bursts):
+    """No zero bursts, and adjacent bursts have opposite signs."""
+    signs = np.sign(bursts)
+    assert np.all(signs != 0) and np.all(signs[1:] != signs[:-1]), bursts.tolist()
 
 
 def test_extract_basic_runs():
@@ -54,15 +59,7 @@ def test_split_prefix_reassembly():
 
 def test_normalize_merges_same_sign_and_drops_zeros():
     assert normalize_bursts([2, 3, -1, 0, -4, 5]).tolist() == [5, -5, 5]
-    validate_bursts(normalize_bursts([2, 3, -1, 0, -4, 5]))
-
-
-def test_validate_rejects_bad_sequences():
-    with pytest.raises(ValueError):
-        validate_bursts([1, 0, -1])
-    with pytest.raises(ValueError):
-        validate_bursts([1, 2])
-    validate_bursts([3, -1, 7])
+    assert_alternating(normalize_bursts([2, 3, -1, 0, -4, 5]))
 
 
 @st.composite
@@ -87,6 +84,6 @@ def test_round_trip_property(trace):
 def test_extraction_invariants(trace):
     bursts = extract_bursts(trace)
     if len(bursts):
-        validate_bursts(bursts)
+        assert_alternating(bursts)
     incoming = int(np.sum(trace.cells == -1))
     assert int(-bursts[bursts < 0].sum()) == incoming

@@ -4,10 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+import traceaug
 from traceaug import cli
+from traceaug.augment import AugmentConfig
 from traceaug.cli import main
 from traceaug.losses import SslConfig
-from traceaug.manifest import content_hash
+from traceaug.manifest import content_hash, environment
 from traceaug.traces import DirectionTrace, fit_length, load_dtrace, load_ttrace, save_dtrace
 from traceaug.training import TrainConfig
 
@@ -262,6 +264,23 @@ class TestConfigDefaults:
         assert cli._ssl_config(fm) == SslConfig(tau_f=0.8, lambda_u=0.5, mu=3)
         assert cli._train_config(fm).mu == 3
 
+    @pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+    def test_parsed_defaults_build_the_dataclass_defaults(self, command):
+        parser, commands = cli.build_parser()
+        required = [a.option_strings[0] for a in commands[command]._actions if a.required]
+        args = parser.parse_args([command] + [tok for flag in required for tok in (flag, "x")])
+        assert cli._ssl_config(args) == SslConfig()
+        if command in ("augment", "pretrain", "netfm"):
+            assert cli._augment_config(args) == AugmentConfig()
+        if command == "netfm":
+            assert cli._train_config(args).mu == TrainConfig.mu
+
+    def test_burst_threshold_flag_keeps_its_dest(self):
+        parser, _ = cli.build_parser()
+        args = parser.parse_args(["augment", "--in", "x", "--out", "y", "--burst-threshold", "7"])
+        assert args.burst_threshold == 7
+        assert cli._augment_config(args).burst_size_threshold == 7
+
 
 class TestNonFiniteLoss:
     def test_pretrain_stops_with_exit_1_and_writes_no_checkpoint(self, corpus, tmp_path, capsys):
@@ -407,13 +426,18 @@ class TestManifests:
         monkeypatch.setenv("MKL_NUM_THREADS", "1")
         assert run("gen", "--classes", 2, "--visits", 1, "--out", tmp_path) == 0
         env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert env == {
+            "traceaug": traceaug.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
             "OPENBLAS_NUM_THREADS": "3",
             "OMP_NUM_THREADS": None,
             "MKL_NUM_THREADS": "1",
         }
+        monkeypatch.delattr(np.__config__, "CONFIG")  # as in numpy < 1.26
+        assert environment()["blas"] is None
 
     def test_unknown_command_usage_error(self):
         assert run("frobnicate") == 2

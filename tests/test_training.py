@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from traceaug import training
 from traceaug.augment import AugmentConfig, EmptyDistribution, TraceTooShort
 from traceaug.distributions import build_distribution
 from traceaug.losses import SslConfig
-from traceaug.models import ModelDims, init_params, predict_batch
+from traceaug.models import ModelDims, init_params, pack_params, predict_batch
 from traceaug.rng import RandomSource
 from traceaug.traces import DirectionTrace, MissingLabel, fit_length
 from traceaug.training import (
@@ -23,6 +25,12 @@ from traceaug.training import (
 )
 
 DIMS = ModelDims(trace_len=64, hidden=(32,), embed_dim=16)
+
+
+def weights(p):
+    """Every weight block of p, flattened in checkpoint order."""
+    blocks = [a for layer in p.encoder for a in layer] + [p.proj_w1, p.proj_w2, p.clf_w, p.clf_b]
+    return pack_params([a for a in blocks if a is not None])
 
 
 def make_corpus(n, rng, label=None, trace_len=64):
@@ -94,22 +102,18 @@ class TestPretrain:
             self.dist, SslConfig(), dims=DIMS,
         )
         fresh = init_params(DIMS, RandomSource(0).spawn(0))
-        assert result.params.equal(
-            type(result.params)(
-                encoder=fresh.encoder, proj_w1=fresh.proj_w1, proj_w2=fresh.proj_w2
-            )
-        )
+        assert np.array_equal(weights(result.params), weights(fresh))
 
     def test_same_seed_identical_params(self):
         a = pretrain(self.corpus, fast_cfg(), AugmentConfig(), self.dist, SslConfig(), dims=DIMS)
         b = pretrain(self.corpus, fast_cfg(), AugmentConfig(), self.dist, SslConfig(), dims=DIMS)
-        assert a.params.equal(b.params)
+        assert np.array_equal(weights(a.params), weights(b.params))
         assert a.loss_history == b.loss_history
 
     def test_different_seed_differs(self):
         a = pretrain(self.corpus, fast_cfg(seed=1), AugmentConfig(), self.dist, SslConfig(), dims=DIMS)
         b = pretrain(self.corpus, fast_cfg(seed=2), AugmentConfig(), self.dist, SslConfig(), dims=DIMS)
-        assert not a.params.equal(b.params)
+        assert not np.array_equal(weights(a.params), weights(b.params))
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -148,24 +152,24 @@ class TestFinetune:
 
         attach_classifier(self.params, 3, RandomSource(5))
         before = predict_batch(self.params, self.labeled)
-        result = finetune(self.params.copy(), self.labeled, fast_cfg(learning_rate=0.0))
+        result = finetune(copy.deepcopy(self.params), self.labeled, fast_cfg(learning_rate=0.0))
         after = predict_batch(result.params, self.labeled)
         assert np.array_equal(before, after)
 
     def test_missing_class_rejected(self):
         bad = [t for t in self.labeled if t.label != 1]
         with pytest.raises(MissingClass):
-            finetune(self.params.copy(), bad, fast_cfg())
+            finetune(copy.deepcopy(self.params), bad, fast_cfg())
 
     def test_missing_label_rejected(self):
         bad = self.labeled[:4] + make_corpus(1, np.random.default_rng(0))
         with pytest.raises(MissingLabel):
-            finetune(self.params.copy(), bad, fast_cfg())
+            finetune(copy.deepcopy(self.params), bad, fast_cfg())
 
     def test_same_seed_identical(self):
-        a = finetune(self.params.copy(), self.labeled, fast_cfg(seed=4))
-        b = finetune(self.params.copy(), self.labeled, fast_cfg(seed=4))
-        assert a.params.equal(b.params)
+        a = finetune(copy.deepcopy(self.params), self.labeled, fast_cfg(seed=4))
+        b = finetune(copy.deepcopy(self.params), self.labeled, fast_cfg(seed=4))
+        assert np.array_equal(weights(a.params), weights(b.params))
 
     def test_separable_toy_reaches_full_training_accuracy(self):
         rng = np.random.default_rng(11)
@@ -194,7 +198,7 @@ class TestNetFm:
             p_flip_weak=0.1, dist=self.dist, dims=DIMS,
         )
         plain = train_supervised(self.labeled, cfg, p_flip_weak=0.1, dims=DIMS)
-        assert semi.params.equal(plain.params)
+        assert np.array_equal(weights(semi.params), weights(plain.params))
         assert semi.loss_history == plain.loss_history
 
     def test_tau_one_retains_nothing_for_unsaturated_model(self):
@@ -206,7 +210,7 @@ class TestNetFm:
         )
         assert all(r == 0 for r in result.retained_history)
         plain = train_supervised(self.labeled, cfg, p_flip_weak=0.1, dims=DIMS)
-        assert result.params.equal(plain.params)
+        assert np.array_equal(weights(result.params), weights(plain.params))
 
     def test_retained_history_recorded_each_step(self):
         cfg = fast_cfg(batch_size=4, epochs=3, mu=2)
@@ -235,7 +239,7 @@ class TestNetFm:
                         p_flip_weak=0.1, dist=self.dist, dims=DIMS)
         b = train_netfm(self.labeled, self.unlabeled, cfg, ssl, AugmentConfig(),
                         p_flip_weak=0.1, dist=self.dist, dims=DIMS)
-        assert a.params.equal(b.params)
+        assert np.array_equal(weights(a.params), weights(b.params))
         assert a.retained_history == b.retained_history
 
 
@@ -293,7 +297,7 @@ class TestOptimizers:
                         fast_cfg(optimizer="sgd", learning_rate=0.01))
         mom = finetune(init_params(DIMS, RandomSource(1)), labeled,
                        fast_cfg(optimizer="sgd", learning_rate=0.01, momentum=0.9))
-        assert not base.params.equal(mom.params)
+        assert not np.array_equal(weights(base.params), weights(mom.params))
 
     def test_cosine_decay_changes_trajectory_and_learns(self):
         rng = np.random.default_rng(15)
@@ -301,7 +305,7 @@ class TestOptimizers:
         plain = finetune(init_params(DIMS, RandomSource(1)), labeled, fast_cfg(epochs=4))
         cosine = finetune(init_params(DIMS, RandomSource(1)), labeled,
                           fast_cfg(epochs=4, cosine_decay=True))
-        assert not plain.params.equal(cosine.params)
+        assert not np.array_equal(weights(plain.params), weights(cosine.params))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -430,3 +434,56 @@ class TestBadInputsFailBeforeTraining:
             train_netfm(self.labeled, self.unlabeled[:12], fast_cfg(batch_size=4, mu=2),
                         SslConfig(), AugmentConfig(), 0.1, None, dims=DIMS)
         assert self.steps == 0
+
+
+class TestScheduleLength:
+    """The cosine schedule spans exactly the optimizer steps a phase takes,
+    also when the corpus size is not a multiple of the batch size."""
+
+    @pytest.fixture(autouse=True)
+    def record_optimizers(self, monkeypatch):
+        made = self.optimizers = []
+
+        class Recording(training._Optimizer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.calls = 0
+                made.append(self)
+
+            def step(self, grads):
+                self.calls += 1
+                super().step(grads)
+
+        monkeypatch.setattr(training, "_Optimizer", Recording)
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.labeled = separable_corpus(5, 3, rng)  # 15 rows, B = 4
+        self.unlabeled = make_corpus(21, rng)  # 21 rows, B = 8
+        self.dist = build_distribution(self.unlabeled)
+        self.cfg = fast_cfg(batch_size=4, epochs=3, cosine_decay=True, mu=2)
+
+    def assert_schedule_matches(self, steps_per_epoch):
+        [opt] = self.optimizers
+        assert opt.calls == 3 * steps_per_epoch
+        assert opt.total_steps == opt.calls
+
+    def test_pretrain_net_drops_the_partial_batch(self):
+        cfg = fast_cfg(batch_size=8, epochs=3, cosine_decay=True)
+        pretrain(self.unlabeled, cfg, AugmentConfig(), self.dist, SslConfig(), dims=DIMS)
+        self.assert_schedule_matches(21 // 8)
+
+    def test_finetune_keeps_the_partial_batch(self):
+        finetune(init_params(DIMS, RandomSource(3)), self.labeled, self.cfg)
+        self.assert_schedule_matches(4)
+
+    def test_supervised_keeps_the_partial_batch(self):
+        train_supervised(self.labeled, self.cfg, p_flip_weak=0.1, dims=DIMS)
+        self.assert_schedule_matches(4)
+
+    def test_netfm_keeps_the_partial_batch(self):
+        train_netfm(
+            self.labeled, self.unlabeled, self.cfg, SslConfig(tau_f=0.2), AugmentConfig(),
+            p_flip_weak=0.1, dist=self.dist, dims=DIMS,
+        )
+        self.assert_schedule_matches(4)
