@@ -14,8 +14,23 @@ conditions:
 * merging incoming bursts (dropping the outgoing bursts between them) —
   fewer control cells on fast circuits, with the incoming volume kept.
 
-All randomness comes from a caller-owned RandomSource; draws happen in
-strict left-to-right burst order so outputs are reproducible.
+All randomness comes from a caller-owned RandomSource, and every random
+decision has a fixed slot, so a trace's draw count depends only on its
+number of bursts after the protected prefix, nb. Each trace takes one
+block of 3 + 3*nb consecutive raw draws:
+
+* slot 0 picks the manipulation (mod 3), slot 1 the resize direction
+  (mod 2, read only when the nonzero count lies in (low_cells,
+  high_cells]), slot 2 the shift (mod shift_max + 1);
+* burst j owns slots 3+3j, 4+3j and 5+3j. Resizing scales by the uniform
+  of the first. Insertion fires when the uniform of the first is below
+  r_insert, samples the inserted size at the uniform of the second and
+  takes the split position from the third. Merging fires when the uniform
+  of the first is below r_merge and takes the group size from the second.
+
+Integers are the raw draw modulo the range; uniforms are
+``raw_to_uniforms`` of it. Slots that a trace does not read are still
+consumed.
 
 Single traces go through ``net_augment`` and ``flip_augment``. Training
 loops and the CLI use the batch forms, ``net_augment_batch(cells, cfg,
@@ -24,16 +39,10 @@ dist, rng)`` and ``flip_augment_batch(cells, p_flip, rng)``, which take an
 draw for draw: the result, and the counter of every stream afterwards,
 equal those of calling the per-trace function on the rows in order.
 ``rng`` is either one RandomSource that the rows share in row order, or a
-sequence of n RandomSources, one per row. Per trace, net augmentation
-draws, in this order: the manipulation; for resizing, the direction (only
-when the nonzero count lies in (low_cells, high_cells]) and then one
-uniform per eligible burst; for insertion, one uniform per burst of at
-least 7 incoming cells, followed by the inserted size and the split
-position when it fires; for merging, one uniform per visited incoming
-burst, followed by the group size when it fires; last, the shift. Flip
-augmentation draws one uniform per nonzero cell. The batch forms check
-their inputs before drawing anything (``check_net_inputs``), so a short
-trace or a missing distribution leaves the streams untouched.
+sequence of n RandomSources, one per row. Flip augmentation draws one
+uniform per nonzero cell. The batch forms check their inputs before
+drawing anything (``check_net_inputs``), so a short trace or a missing
+distribution leaves the streams untouched.
 """
 
 from dataclasses import dataclass
@@ -99,17 +108,17 @@ def _round_away(x: float) -> int:
 
 
 def modify_incoming_burst_sizes(
-    bursts: np.ndarray, nonzero_count: int, cfg: AugmentConfig, rng: RandomSource
+    bursts: np.ndarray, nonzero_count: int, cfg: AugmentConfig, direction: int, slots
 ) -> np.ndarray:
     """Scale large incoming bursts up or down.
 
     Short traces (nonzero_count <= low_cells) are always upsampled, long
-    ones (> high_cells) downsampled, anything between chooses uniformly.
-    Each incoming burst at least burst_size_threshold cells large is
-    scaled by (1 + u*delta) with a fresh uniform u per burst, rounded to
-    the nearest integer and floored at magnitude 1 so that no burst
-    vanishes or flips direction. Outgoing and small incoming bursts pass
-    through untouched.
+    ones (> high_cells) downsampled; anything between upsamples when the
+    raw ``direction`` draw is even. Each incoming burst at least
+    burst_size_threshold cells large is scaled by (1 + u*delta), u the
+    uniform of its first slot (``slots[j, 0]``), rounded to the nearest
+    integer and floored at magnitude 1 so that no burst vanishes or flips
+    direction. Outgoing and small incoming bursts pass through untouched.
     """
     bursts = np.asarray(bursts, dtype=np.int64)
     if nonzero_count <= cfg.low_cells:
@@ -117,12 +126,10 @@ def modify_incoming_burst_sizes(
     elif nonzero_count > cfg.high_cells:
         delta = -cfg.r_downsample
     else:
-        delta = cfg.r_upsample if rng.randbelow(2) == 0 else -cfg.r_downsample
+        delta = cfg.r_upsample if int(direction) % 2 == 0 else -cfg.r_downsample
 
     eligible = bursts <= -cfg.burst_size_threshold
-    if not eligible.any():
-        return bursts.copy()
-    u = rng.uniforms(int(eligible.sum()))
+    u = raw_to_uniforms(np.asarray(slots, dtype=np.uint64)[eligible, 0])
     scaled = bursts[eligible] * (1.0 + u * delta)
     out = bursts.copy()
     out[eligible] = [
@@ -132,61 +139,57 @@ def modify_incoming_burst_sizes(
     return out
 
 
-def insert_outgoing_bursts(
-    bursts: np.ndarray, cfg: AugmentConfig, dist, rng: RandomSource
-) -> np.ndarray:
+def insert_outgoing_bursts(bursts: np.ndarray, cfg: AugmentConfig, dist, slots) -> np.ndarray:
     """Split incoming bursts around sampled outgoing bursts.
 
-    Each incoming burst of at least 7 cells fires with probability
-    r_insert; a burst of -m cells becomes [-p, +s, -(m-p)] with the split
-    position p uniform in {3, ..., m-3} and the inserted size s sampled
-    from the empirical outgoing-burst-size distribution. The incoming
+    Incoming burst j of at least 7 cells fires when the uniform of
+    ``slots[j, 0]`` is below r_insert; a burst of -m cells becomes
+    [-p, +s, -(m-p)], with the inserted size s the distribution's value
+    at the uniform of ``slots[j, 1]`` and the split position
+    p = 3 + ``slots[j, 2]`` mod (m-5), in {3, ..., m-3}. The incoming
     cell count is preserved exactly.
     """
     if dist is None or dist.total == 0:
         raise EmptyDistribution("need a nonempty outgoing-burst-size distribution")
+    slots = np.asarray(slots, dtype=np.uint64)
+    uniforms, splits = raw_to_uniforms(slots[:, :2]).tolist(), slots[:, 2].tolist()
     out: list[int] = []
-    for b in np.asarray(bursts, dtype=np.int64):
-        b = int(b)
-        if b > -_MIN_SPLIT_CELLS:  # outgoing bursts and too-small incoming bursts
-            out.append(b)
+    for b, (fire, size), split in zip(
+        np.asarray(bursts, dtype=np.int64).tolist(), uniforms, splits, strict=True
+    ):
+        if b > -_MIN_SPLIT_CELLS or fire >= cfg.r_insert:
+            out.append(b)  # outgoing, too small to split, or not fired
             continue
-        if rng.uniform() >= cfg.r_insert:
-            out.append(b)
-            continue
-        size = dist.sample(rng)
-        position = rng.randint(3, -b - 3)
-        out += [-position, size, b + position]
+        position = 3 + split % (-b - 5)
+        out += [-position, int(dist.inverse_cdf(size)), b + position]
     return np.array(out, dtype=np.int64)
 
 
-def merge_incoming_bursts(
-    bursts: np.ndarray, cfg: AugmentConfig, rng: RandomSource
-) -> np.ndarray:
+def merge_incoming_bursts(bursts: np.ndarray, cfg: AugmentConfig, slots) -> np.ndarray:
     """Merge runs of incoming bursts, dropping outgoing bursts in between.
 
-    Scanning left to right, each incoming burst fires with probability
-    r_merge; k is then drawn uniformly from {2, ..., n_merge} and the next
-    k incoming bursts (including the current one) collapse into their
-    signed sum. Outgoing bursts strictly between merged incoming bursts
-    are removed; if fewer than k incoming bursts remain, whatever remains
-    is merged. The total incoming cell count is preserved exactly.
+    Scanning left to right, incoming burst j fires when the uniform of
+    ``slots[j, 0]`` is below r_merge; k = 2 + ``slots[j, 1]`` mod
+    (n_merge-1), in {2, ..., n_merge}, and the next k incoming bursts
+    (including the current one) collapse into their signed sum. Outgoing
+    bursts strictly between merged incoming bursts are removed; if fewer
+    than k incoming bursts remain, whatever remains is merged. Bursts a
+    group swallows never fire themselves. The total incoming cell count is
+    preserved exactly.
     """
     bursts = np.asarray(bursts, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.uint64)
+    fires, groups = raw_to_uniforms(slots[:, 0]).tolist(), slots[:, 1].tolist()
     out: list[int] = []
     i = 0
     n = len(bursts)
     while i < n:
         b = int(bursts[i])
-        if b > 0:
+        if b > 0 or fires[i] >= cfg.r_merge:
             out.append(b)
             i += 1
             continue
-        if rng.uniform() >= cfg.r_merge:
-            out.append(b)
-            i += 1
-            continue
-        k = rng.randint(2, cfg.n_merge)
+        k = 2 + groups[i] % (cfg.n_merge - 1)
         merged = 0
         taken = 0
         last_incoming = i
@@ -208,12 +211,13 @@ def net_augment(
     """Apply one burst manipulation plus a shift to a direction trace.
 
     The first ``preserve_prefix`` cells are kept verbatim; one of the
-    three manipulations (chosen uniformly, one draw, before any
-    manipulation-local draws) rewrites the burst sequence of the
-    remainder; the result is converted back to cells and the whole trace
-    shifted right by n cells (n uniform in {0, ..., shift_max}): the last
-    n cells are dropped and n zero cells inserted at the beginning.
-    The output is truncated or zero-padded back to the input length.
+    three manipulations rewrites the burst sequence of the remainder; the
+    result is converted back to cells and the whole trace shifted right by
+    n cells (n uniform in {0, ..., shift_max}): the last n cells are
+    dropped and n zero cells inserted at the beginning. The output is
+    truncated or zero-padded back to the input length. The trace takes
+    one block of 3 + 3 * (bursts after the prefix) draws from ``rng``,
+    laid out as the module docstring describes.
     """
     nonzero_count = t.nonzero_count
     if nonzero_count <= cfg.preserve_prefix:
@@ -222,14 +226,16 @@ def net_augment(
         )
     prefix, rest = split_prefix(t.cells, cfg.preserve_prefix)
     bursts = extract_bursts(rest)
+    raw = rng._raw_block(3 + 3 * len(bursts))
+    manipulation, direction, shift = raw[:3].tolist()
+    slots = raw[3:].reshape(-1, 3)
 
-    manipulation = rng.randbelow(3)
-    if manipulation == 0:
-        bursts = modify_incoming_burst_sizes(bursts, nonzero_count, cfg, rng)
-    elif manipulation == 1:
-        bursts = insert_outgoing_bursts(bursts, cfg, dist, rng)
+    if manipulation % 3 == 0:
+        bursts = modify_incoming_burst_sizes(bursts, nonzero_count, cfg, direction, slots)
+    elif manipulation % 3 == 1:
+        bursts = insert_outgoing_bursts(bursts, cfg, dist, slots)
     else:
-        bursts = merge_incoming_bursts(bursts, cfg, rng)
+        bursts = merge_incoming_bursts(bursts, cfg, slots)
     bursts = normalize_bursts(bursts)
 
     natural = int(np.abs(bursts).sum()) if len(bursts) else 0
@@ -238,7 +244,7 @@ def net_augment(
     # short traces instead of real cells
     cells = fit_length(np.concatenate((prefix, suffix_cells)), len(t))
 
-    n = rng.randbelow(cfg.shift_max + 1)
+    n = shift % (cfg.shift_max + 1)
     if n > 0:
         cells = np.concatenate((np.zeros(n, dtype=np.int8), cells[: len(cells) - n]))
     return DirectionTrace(cells, label=t.label)
@@ -301,11 +307,6 @@ def _row_bursts(cells: np.ndarray):
     return values[starts] * lengths, rows[starts]
 
 
-def _rank_in_group(groups: np.ndarray) -> np.ndarray:
-    """Position of each entry among the entries of its group (groups sorted)."""
-    return np.arange(len(groups)) - np.searchsorted(groups, groups, side="left")
-
-
 def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
@@ -329,104 +330,49 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
         return cells.copy()
 
     sizes, burst_row = _row_bursts(cells[:, prefix_len:])
-    incoming = sizes < 0
-    resizable = sizes <= -cfg.burst_size_threshold
-    splittable = sizes <= -_MIN_SPLIT_CELLS
-    n_resizable = np.bincount(burst_row[resizable], minlength=n)
-    # most draws a row can take: the manipulation, the shift, and the
-    # heaviest manipulation-local use (1 + 1 per burst, 3 per split, 2 per merge)
-    bound = 2 + np.maximum.reduce([
-        1 + n_resizable,
-        3 * np.bincount(burst_row[splittable], minlength=n),
-        2 * np.bincount(burst_row[incoming], minlength=n),
-    ])
+    burst_ptr = _row_pointers(burst_row, n)
+    # row r's block is one header triple, then one triple per burst; in a
+    # shared stream the blocks follow each other, so counted in triples row
+    # r starts at r + burst_ptr[r] and burst g sits at g + burst_row[g] + 1
     if rngs is None:
-        raw = rng.peek_raw_block(int(bound.sum()))
+        raw = rng._raw_block(3 * (n + len(sizes)))
     else:
-        raw = np.concatenate([s.peek_raw_block(int(b)) for s, b in zip(rngs, bound.tolist())])
-        row_base = np.concatenate(([0], np.cumsum(bound)[:-1])).tolist()
-
-    # The one sequential pass: insert and merge take a data-dependent number
-    # of draws, so each draw's position in ``raw`` is found by walking the
-    # rows in order. Everything else happens on whole arrays afterwards.
-    draws = raw.tolist()
-    pick_direction = ((counts > cfg.low_cells) & (counts <= cfg.high_cells)).tolist()
-    n_res = n_resizable.tolist()
-    split_idx = np.flatnonzero(splittable)
-    split_ptr = _row_pointers(burst_row[split_idx], n).tolist()
-    split_idx = split_idx.tolist()
-    inc_idx = np.flatnonzero(incoming)
-    inc_ptr = _row_pointers(burst_row[inc_idx], n).tolist()
-    inc_idx = inc_idx.tolist()
-    r_insert, r_merge, k_range = cfg.r_insert, cfg.r_merge, cfg.n_merge - 1
-    scale = 2.0 ** -53
-
-    manipulation = [0] * n
-    direction_at = [-1] * n
-    resize_at = [0] * n
-    shift_at = [0] * n
-    split, split_at, merge_first, merge_last = [], [], [], []
-    pos = 0
-    for r in range(n):
-        if rngs is not None:
-            pos = row_base[r]
-        m = draws[pos] % 3
-        pos += 1
-        manipulation[r] = m
-        if m == 0:
-            if pick_direction[r]:
-                direction_at[r] = pos
-                pos += 1
-            resize_at[r] = pos
-            pos += n_res[r]
-        elif m == 1:
-            for j in split_idx[split_ptr[r] : split_ptr[r + 1]]:
-                if (draws[pos] >> 11) * scale < r_insert:
-                    split.append(j)
-                    split_at.append(pos)
-                    pos += 3
-                else:
-                    pos += 1
-        else:
-            group = inc_idx[inc_ptr[r] : inc_ptr[r + 1]]
-            t, stop = 0, len(group)
-            while t < stop:
-                if (draws[pos] >> 11) * scale < r_merge:
-                    merge_first.append(group[t])
-                    t = min(t + 2 + draws[pos + 1] % k_range, stop)
-                    merge_last.append(group[t - 1])
-                    pos += 2
-                else:
-                    t += 1
-                    pos += 1
-        shift_at[r] = pos
-        pos += 1
-        if rngs is not None:
-            rngs[r].advance(pos - row_base[r])
-    if rngs is None:
-        rng.advance(pos)
-
-    manipulation = np.array(manipulation)
+        per_row = np.diff(burst_ptr).tolist()
+        raw = np.concatenate([s._raw_block(3 + 3 * k) for s, k in zip(rngs, per_row)])
+    triples = raw.reshape(-1, 3)
+    header = triples[np.arange(n) + burst_ptr[:-1]]
+    slots = triples[np.arange(len(sizes)) + burst_row + 1]
+    manipulation = (header[:, 0] % np.uint64(3))[burst_row]
+    fires = raw_to_uniforms(slots[:, 0])
+    incoming = sizes < 0
     values = sizes.copy()
 
-    # resize: one uniform per eligible burst, drawn consecutively per row
-    chosen = np.flatnonzero(resizable & (manipulation[burst_row] == 0))
-    if len(chosen):
-        rows = burst_row[chosen]
-        u = raw_to_uniforms(raw[np.array(resize_at)[rows] + _rank_in_group(rows)])
-        delta = np.where(counts <= cfg.low_cells, cfg.r_upsample, -cfg.r_downsample)
-        picked = np.array(direction_at)
-        mixed = picked >= 0
-        delta[mixed] = np.where(raw[picked[mixed]] % np.uint64(2) == 0,
-                                cfg.r_upsample, -cfg.r_downsample)
-        b = sizes[chosen]
-        scaled = b * (1.0 + u * delta[rows])
-        values[chosen] = np.maximum(1, np.floor(np.abs(scaled) + 0.5)).astype(np.int64) * np.sign(b)
+    # resize: every eligible burst by its own uniform, in the row's direction
+    delta = np.where(counts <= cfg.low_cells, cfg.r_upsample, -cfg.r_downsample)
+    mixed = (counts > cfg.low_cells) & (counts <= cfg.high_cells)
+    up = header[mixed, 1] % np.uint64(2) == 0
+    delta[mixed] = np.where(up, cfg.r_upsample, -cfg.r_downsample)
+    resized = (manipulation == 0) & (sizes <= -cfg.burst_size_threshold)
+    b = sizes[resized]
+    scaled = b * (1.0 + fires[resized] * delta[burst_row[resized]])
+    values[resized] = np.maximum(1, np.floor(np.abs(scaled) + 0.5)).astype(np.int64) * np.sign(b)
 
-    # merge: each group collapses into its first burst; the rest is dropped
+    # merge: a fired burst swallows the next k-1 incoming bursts of its row
+    # unless an earlier group of the row swallowed it first
+    fired = np.flatnonzero((manipulation == 2) & incoming & (fires < cfg.r_merge))
+    inc_idx = np.flatnonzero(incoming)
+    k = (slots[fired, 1] % np.uint64(cfg.n_merge - 1)).astype(np.int64) + 2
+    row_end = np.searchsorted(inc_idx, burst_ptr[burst_row[fired] + 1])
+    reach = inc_idx[np.minimum(np.searchsorted(inc_idx, fired) + k, row_end) - 1]
+    first, last, covered = [], [], -1
+    for f, r in zip(fired.tolist(), reach.tolist()):
+        if f > covered:
+            first.append(f)
+            last.append(r)
+            covered = r
     repeats = np.ones(len(sizes), dtype=np.int64)
-    if merge_first:
-        first, last = np.array(merge_first), np.array(merge_last)
+    if first:
+        first, last = np.array(first), np.array(last)
         incoming_sum = np.cumsum(np.where(incoming, sizes, 0))
         values[first] = incoming_sum[last] - incoming_sum[first] + sizes[first]
         cover = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -435,24 +381,21 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
         repeats[np.cumsum(cover[:-1]) > 0] = 0
 
     # insert: each fired burst -m becomes [-p, +s, -(m-p)]
-    split = np.array(split, dtype=np.int64)
+    split = np.flatnonzero(
+        (manipulation == 1) & (sizes <= -_MIN_SPLIT_CELLS) & (fires < cfg.r_insert)
+    )
     repeats[split] = 3
     out_values = np.repeat(values, repeats)
     out_row = np.repeat(burst_row, repeats)
-    if len(split):
-        at = np.array(split_at)
-        u = raw_to_uniforms(raw[at + 1])
-        idx = np.searchsorted(dist.cumulative, u * dist.total, side="right")
-        inserted = dist.support[np.minimum(idx, len(dist.support) - 1)]
-        b = sizes[split]
-        position = 3 + (raw[at + 2] % (-b - 5).astype(np.uint64)).astype(np.int64)
-        o = (np.cumsum(repeats) - 3)[split]
-        out_values[o] = -position
-        out_values[o + 1] = inserted
-        out_values[o + 2] = b + position
+    b = sizes[split]
+    position = 3 + (slots[split, 2] % (-b - 5).astype(np.uint64)).astype(np.int64)
+    o = (np.cumsum(repeats) - 3)[split]
+    out_values[o] = -position
+    out_values[o + 1] = dist.inverse_cdf(raw_to_uniforms(slots[split, 1]))
+    out_values[o + 2] = b + position
 
     # cells: prefix verbatim, then the expanded bursts, all shifted right
-    shift = (raw[np.array(shift_at)] % np.uint64(cfg.shift_max + 1)).astype(np.int64)
+    shift = (header[:, 2] % np.uint64(cfg.shift_max + 1)).astype(np.int64)
     magnitudes = np.abs(out_values)
     suffix = np.repeat(np.sign(out_values).astype(np.int8), magnitudes)
     suffix_row = np.repeat(out_row, magnitudes)

@@ -161,18 +161,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--classes", type=_positive_int("classes", minimum=2), default=20)
     p.add_argument("--visits", type=_int_list, default=[30, 30],
                    help="visits per class per profile (superior,inferior)")
-    p.add_argument("--superior-bandwidth", type=float, default=2.0)
-    p.add_argument("--superior-control", type=float, default=0.05)
-    p.add_argument("--inferior-bandwidth", type=float, default=0.4)
-    p.add_argument("--inferior-control", type=float, default=0.3)
-    p.add_argument("--jitter", type=float, default=0.05)
-    p.add_argument("--noise", type=float, default=0.25)
+    p.add_argument("--superior-bandwidth", type=_finite_float("superior-bandwidth"), default=2.0)
+    p.add_argument("--superior-control", type=_finite_float("superior-control"), default=0.05)
+    p.add_argument("--inferior-bandwidth", type=_finite_float("inferior-bandwidth"), default=0.4)
+    p.add_argument("--inferior-control", type=_finite_float("inferior-control"), default=0.3)
+    p.add_argument("--jitter", type=_finite_float("jitter"), default=0.05)
+    p.add_argument("--noise", type=_finite_float("noise"), default=0.25)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ncm-split", help="partition a .ttrace corpus at an NCM threshold")
     _add_common(p)
     p.add_argument("--in", dest="input", required=True, help="input .ttrace file")
-    p.add_argument("--threshold", type=float, default=40000.0,
+    p.add_argument("--threshold", type=_finite_float("threshold"), default=40000.0,
                    help="NCM threshold in bytes/second")
     p.add_argument("--trace-len", type=_positive_int("trace-len"), default=5000)
     p.set_defaults(func=cmd_ncm_split)
@@ -202,7 +202,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--trace-len", type=_positive_int("trace-len"), default=500)
     p.add_argument("--embed", type=_positive_int("embed", minimum=4), default=64)
     p.add_argument("--hidden", type=_int_list, default=[256, 128])
-    p.add_argument("--tau-s", type=float, default=training.SslConfig.tau_s)
+    p.add_argument("--tau-s", type=_finite_float("tau-s"), default=training.SslConfig.tau_s)
     _add_train_flags(p, lr=3e-4, epochs=30, batch=64)
     _add_augment_flags(p)
     p.set_defaults(func=cmd_pretrain)
@@ -225,8 +225,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--embed", type=_positive_int("embed", minimum=4), default=64)
     p.add_argument("--hidden", type=_int_list, default=[256, 128])
     p.add_argument("--mu", type=_positive_int("mu"), default=training.TrainConfig.mu)
-    p.add_argument("--lambda-u", type=float, default=training.SslConfig.lambda_u)
-    p.add_argument("--tau-f", type=float, default=training.SslConfig.tau_f)
+    p.add_argument("--lambda-u", type=_finite_float("lambda-u"),
+                   default=training.SslConfig.lambda_u)
+    p.add_argument("--tau-f", type=_finite_float("tau-f"), default=training.SslConfig.tau_f)
     _add_train_flags(p, lr=1e-2, epochs=30, batch=32, optimizer="sgd", momentum=0.9)
     _add_augment_flags(p)
     p.set_defaults(func=cmd_netfm)

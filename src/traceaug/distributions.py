@@ -47,12 +47,15 @@ class BurstSizeDistribution:
     def probabilities(self) -> np.ndarray:
         return self.counts / self.total
 
+    def inverse_cdf(self, u):
+        """Support values at uniforms u in [0, 1), scalar or array: each value
+        is taken with probability count/total when u is uniform."""
+        idx = np.searchsorted(self.cumulative, np.asarray(u) * self.total, side="right")
+        return self.support[np.minimum(idx, len(self.support) - 1)]
+
     def sample(self, rng: RandomSource) -> int:
-        """Draw one support value with probability count/total (inverse CDF
-        on a single uniform draw)."""
-        u = rng.uniform()
-        idx = int(np.searchsorted(self.cumulative, u * self.total, side="right"))
-        return int(self.support[min(idx, len(self.support) - 1)])
+        """Draw one support value from a single uniform draw."""
+        return int(self.inverse_cdf(rng.uniform()))
 
 
 def build_distribution(traces) -> BurstSizeDistribution:

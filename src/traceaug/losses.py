@@ -42,12 +42,12 @@ class SslConfig:
     mu: int = 19
 
     def __post_init__(self):
-        if self.tau_s <= 0:
-            raise ValueError("tau_s must be positive")
+        if not 0.0 < self.tau_s < np.inf:
+            raise ValueError("tau_s must be positive and finite")
         if not 0.0 < self.tau_f <= 1.0:
             raise ValueError("tau_f must be in (0, 1]")
-        if self.lambda_u < 0:
-            raise ValueError("lambda_u must be >= 0")
+        if not 0.0 <= self.lambda_u < np.inf:
+            raise ValueError("lambda_u must be finite and >= 0")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")
 

@@ -83,19 +83,11 @@ class RandomSource:
 
     # -- vectorized draws -------------------------------------------------
 
-    def peek_raw_block(self, n: int) -> np.ndarray:
-        """The next n raw 64-bit draws, without consuming them."""
-        counters = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        return _mix64_vec(np.uint64(self._seed) + np.uint64(_GOLDEN) * counters)
-
-    def advance(self, n: int) -> None:
-        """Consume n draws, e.g. the ones a peek_raw_block caller used."""
-        self._count += n
-
     def _raw_block(self, n: int) -> np.ndarray:
-        block = self.peek_raw_block(n)
-        self.advance(n)
-        return block
+        """The next n raw 64-bit draws, consumed; same stream as n _raw() calls."""
+        counters = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        return _mix64_vec(np.uint64(self._seed) + np.uint64(_GOLDEN) * counters)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 uniforms in [0, 1); same stream as n uniform() calls."""

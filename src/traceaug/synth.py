@@ -52,10 +52,10 @@ class ConditionProfile:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_factor <= 0:
-            raise ValueError("bandwidth factor must be positive")
-        if self.control_rate < 0 or self.jitter < 0:
-            raise ValueError("control rate and jitter must be >= 0")
+        if not 0 < self.bandwidth_factor < np.inf:
+            raise ValueError("bandwidth factor must be positive and finite")
+        if not (0 <= self.control_rate < np.inf and 0 <= self.jitter < np.inf):
+            raise ValueError("control rate and jitter must be finite and >= 0")
 
 
 #: Desk-scale experiment profiles: stable high-bandwidth collection vs a

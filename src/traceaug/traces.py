@@ -112,6 +112,8 @@ class TimedTrace:
             raise ValueError("a timed trace needs at least one cell")
         if len(self.directions) != n or len(self.sizes) != n:
             raise ValueError("times, directions and sizes must have equal length")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("timestamps must be finite")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("timestamps must be non-decreasing")
         if not np.all(np.abs(self.directions) == 1):

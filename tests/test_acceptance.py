@@ -91,8 +91,9 @@ def test_criterion_2_netaugment_structural_invariants():
 
         bursts = extract_bursts(trace)
         incoming = bursts[bursts < 0].sum()
-        inserted = insert_outgoing_bursts(bursts, cfg, dist, RandomSource(i))
-        merged = merge_incoming_bursts(bursts, cfg, RandomSource(i))
+        slots = np.random.default_rng(i).integers(0, 2**64, (len(bursts), 3), dtype=np.uint64)
+        inserted = insert_outgoing_bursts(bursts, cfg, dist, slots)
+        merged = merge_incoming_bursts(bursts, cfg, slots)
         assert inserted[inserted < 0].sum() == incoming
         assert merged[merged < 0].sum() == incoming
 

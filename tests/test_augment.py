@@ -28,6 +28,20 @@ def random_trace(rng, n_nonzero, total=500):
     return DirectionTrace(fit_length(cells, total))
 
 
+#: raw draws whose uniforms are 0.0 (every rate fires) and 1 - 2**-53 (no
+#: rate below 1 fires)
+FIRE, HOLD = 0, 2**64 - 1
+
+
+def slots(*rows):
+    """Explicit per-burst slot triples of raw draws."""
+    return np.array(rows, dtype=np.uint64).reshape(-1, 3)
+
+
+def random_slots(n, seed):
+    return np.random.default_rng(seed).integers(0, 2**64, size=(n, 3), dtype=np.uint64)
+
+
 IDENTITY_CFG = AugmentConfig(
     shift_max=0, r_insert=0.0, r_merge=0.0, burst_size_threshold=10**9
 )
@@ -35,52 +49,54 @@ IDENTITY_CFG = AugmentConfig(
 
 class TestModify:
     def test_short_trace_forces_upsample(self):
-        # below the low-cell bound every qualifying burst must grow
+        # below the low-cell bound every qualifying burst must grow, whatever
+        # the (odd, downsampling) direction draw says
         cfg = AugmentConfig()
         bursts = np.array([-20, 5, -30])
-        out = modify_incoming_burst_sizes(bursts, 900, cfg, RandomSource(0))
+        out = modify_incoming_burst_sizes(bursts, 900, cfg, 1, random_slots(3, 0))
         assert out[0] <= -20 and out[2] <= -30
         assert out[1] == 5
 
     def test_long_trace_forces_downsample(self):
         cfg = AugmentConfig()
         bursts = np.array([-20, 5, -30])
-        out = modify_incoming_burst_sizes(bursts, 4500, cfg, RandomSource(0))
+        out = modify_incoming_burst_sizes(bursts, 4500, cfg, 0, random_slots(3, 0))
         assert -20 <= out[0] <= -1 and -30 <= out[2] <= -1
+
+    def test_direction_draw_decides_between_the_bounds(self):
+        cfg = AugmentConfig(r_upsample=1.0, r_downsample=0.5)
+        bursts, draws = np.array([-20]), slots(HOLD, 0, 0)
+        assert modify_incoming_burst_sizes(bursts, 2000, cfg, 6, draws).tolist() == [-40]
+        assert modify_incoming_burst_sizes(bursts, 2000, cfg, 7, draws).tolist() == [-10]
 
     def test_small_burst_skipped(self):
         cfg = AugmentConfig()  # threshold 10
-        out = modify_incoming_burst_sizes(np.array([-8]), 900, cfg, RandomSource(0))
+        out = modify_incoming_burst_sizes(np.array([-8]), 900, cfg, 0, random_slots(1, 0))
         assert out.tolist() == [-8]
 
     def test_threshold_boundary_included(self):
         cfg = AugmentConfig(r_upsample=1.0)
-        rng = RandomSource(1)
-        out = modify_incoming_burst_sizes(np.array([-10]), 900, cfg, rng)
-        assert out[0] <= -10
+        out = modify_incoming_burst_sizes(np.array([-10]), 900, cfg, 0, slots(HOLD, 0, 0))
+        assert out.tolist() == [-20]
 
     def test_exact_scaling_arithmetic(self):
-        # u = 1, delta = +1 doubles the burst: -20 -> -40
-        class FullDraw(RandomSource):
-            def uniforms(self, n):
-                return np.ones(n)
-
+        # u -> 1, delta = +1 doubles the burst: -20 -> -40; u = 0 keeps it
         cfg = AugmentConfig(r_upsample=1.0)
-        out = modify_incoming_burst_sizes(np.array([-20]), 900, cfg, FullDraw(0))
-        assert out.tolist() == [-40]
+        out = modify_incoming_burst_sizes(
+            np.array([-20, -20]), 900, cfg, 0, slots((HOLD, 0, 0), (FIRE, 0, 0))
+        )
+        assert out.tolist() == [-40, -20]
 
     def test_magnitude_floor_no_vanish_or_flip(self):
-        class FullDraw(RandomSource):
-            def uniforms(self, n):
-                return np.ones(n)
-
         cfg = AugmentConfig(r_downsample=1.0, burst_size_threshold=1)
-        out = modify_incoming_burst_sizes(np.array([-1, -2]), 4500, cfg, FullDraw(0))
+        out = modify_incoming_burst_sizes(
+            np.array([-1, -2]), 4500, cfg, 0, slots((HOLD, 0, 0), (HOLD, 0, 0))
+        )
         assert out.tolist() == [-1, -1]
 
     def test_outgoing_untouched(self):
         cfg = AugmentConfig(burst_size_threshold=1)
-        out = modify_incoming_burst_sizes(np.array([50, -50, 50]), 900, cfg, RandomSource(2))
+        out = modify_incoming_burst_sizes(np.array([50, -50, 50]), 900, cfg, 0, random_slots(3, 2))
         assert out[0] == 50 and out[2] == 50
 
 
@@ -88,20 +104,30 @@ class TestInsert:
     def test_rate_zero_is_identity(self):
         cfg = AugmentConfig(r_insert=0.0)
         bursts = np.array([-10, 3, -20])
-        out = insert_outgoing_bursts(bursts, cfg, singleton_dist(), RandomSource(0))
+        out = insert_outgoing_bursts(bursts, cfg, singleton_dist(), slots(*[(FIRE, 0, 0)] * 3))
         assert out.tolist() == bursts.tolist()
 
     def test_split_structure_and_preservation(self):
         cfg = AugmentConfig(r_insert=1.0)
         dist = singleton_dist(4)
-        out = insert_outgoing_bursts(np.array([-10]), cfg, dist, RandomSource(3))
-        assert len(out) == 3
-        p, s, r = out
-        assert s == 4 and 3 <= -p <= 7 and p + r == -10
+        for seed in range(20):
+            out = insert_outgoing_bursts(np.array([-10]), cfg, dist, random_slots(1, seed))
+            assert len(out) == 3
+            p, s, r = out
+            assert s == 4 and 3 <= -p <= 7 and p + r == -10
+
+    def test_slots_pick_size_and_position(self):
+        # size at u = 0.5 of {1: 1, 5: 1}; position 3 + 9 mod (12 - 5) = 5
+        dist = BurstSizeDistribution(np.array([1, 5]), np.array([1, 1]))
+        half = 2**63
+        out = insert_outgoing_bursts(np.array([-12]), AugmentConfig(), dist, slots(FIRE, half, 9))
+        assert out.tolist() == [-5, 5, -7]
 
     def test_small_bursts_never_split(self):
         cfg = AugmentConfig(r_insert=1.0)
-        out = insert_outgoing_bursts(np.array([-6, 2, -5]), cfg, singleton_dist(), RandomSource(0))
+        out = insert_outgoing_bursts(
+            np.array([-6, 2, -5]), cfg, singleton_dist(), random_slots(3, 0)
+        )
         assert out.tolist() == [-6, 2, -5]
 
     def test_incoming_count_preserved_summation_oracle(self):
@@ -111,40 +137,42 @@ class TestInsert:
             sizes = -rng.integers(1, 60, size=20)
             sizes[::2] = rng.integers(1, 6, size=10)  # alternate outgoing
             bursts = normalize_bursts(sizes)
-            out = insert_outgoing_bursts(bursts, cfg, singleton_dist(), RandomSource(trial))
+            out = insert_outgoing_bursts(
+                bursts, cfg, singleton_dist(), random_slots(len(bursts), trial)
+            )
             assert out[out < 0].sum() == bursts[bursts < 0].sum()
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(EmptyDistribution):
-            insert_outgoing_bursts(np.array([-10]), AugmentConfig(), None, RandomSource(0))
+            insert_outgoing_bursts(np.array([-10]), AugmentConfig(), None, random_slots(1, 0))
 
 
 class TestMerge:
     def test_rate_zero_is_identity(self):
         cfg = AugmentConfig(r_merge=0.0)
         bursts = np.array([-3, 2, -4, 1, -5])
-        assert merge_incoming_bursts(bursts, cfg, RandomSource(0)).tolist() == bursts.tolist()
+        out = merge_incoming_bursts(bursts, cfg, slots(*[(FIRE, 0, 0)] * 5))
+        assert out.tolist() == bursts.tolist()
 
     def test_hand_enumerated_merge(self):
-        # force the first incoming burst to merge exactly 2 bursts
-        class Scripted(RandomSource):
-            def __init__(self):
-                super().__init__(0)
-                self.u = iter([0.0, 1.0, 1.0])  # fire, then never again
-
-            def uniform(self):
-                return next(self.u)
-
-            def randint(self, lo, hi):
-                return 2
-
-        out = merge_incoming_bursts(np.array([-3, 2, -4, 1, -5]), AugmentConfig(), Scripted())
+        # the first incoming burst merges k = 2 bursts; the second incoming
+        # burst would fire too, but the group has swallowed it
+        draws = slots((FIRE, 0, 0), (HOLD, 0, 0), (FIRE, 0, 0), (HOLD, 0, 0), (HOLD, 0, 0))
+        out = merge_incoming_bursts(np.array([-3, 2, -4, 1, -5]), AugmentConfig(), draws)
         assert out.tolist() == [-7, 1, -5]
         assert out[out < 0].sum() == -12
 
+    def test_group_size_slot(self):
+        # k = 2 + 5 mod (n_merge - 1) = 3 with n_merge = 5; the other bursts'
+        # second slots would fire if they were read as the fire decision
+        draws = slots((FIRE, 5, 0), *[(HOLD, 0, 0)] * 8)
+        bursts = np.array([-1, 2, -3, 4, -5, 6, -7, 8, -9])
+        out = merge_incoming_bursts(bursts, AugmentConfig(), draws)
+        assert out.tolist() == [-9, 6, -7, 8, -9]
+
     def test_single_burst_merge_is_noop(self):
         cfg = AugmentConfig(r_merge=1.0)
-        out = merge_incoming_bursts(np.array([-4]), cfg, RandomSource(0))
+        out = merge_incoming_bursts(np.array([-4]), cfg, random_slots(1, 0))
         assert out.tolist() == [-4]
 
     def test_incoming_preserved_outgoing_never_grows(self):
@@ -154,7 +182,7 @@ class TestMerge:
             sizes = list(rng.integers(1, 8, size=15))
             sizes[1::2] = (-rng.integers(1, 40, size=7)).tolist()
             bursts = normalize_bursts(sizes)
-            out = merge_incoming_bursts(bursts, cfg, RandomSource(trial))
+            out = merge_incoming_bursts(bursts, cfg, random_slots(len(bursts), trial))
             assert out[out < 0].sum() == bursts[bursts < 0].sum()
             assert out[out > 0].sum() <= bursts[bursts > 0].sum()
 
@@ -266,7 +294,8 @@ def test_incoming_conservation_property(seed, n_nonzero):
     bursts = extract_bursts(trace)
     incoming = bursts[bursts < 0].sum()
     cfg = AugmentConfig()
-    inserted = insert_outgoing_bursts(bursts, cfg, singleton_dist(), RandomSource(seed))
-    merged = merge_incoming_bursts(bursts, cfg, RandomSource(seed))
+    draws = random_slots(len(bursts), seed)
+    inserted = insert_outgoing_bursts(bursts, cfg, singleton_dist(), draws)
+    merged = merge_incoming_bursts(bursts, cfg, draws)
     assert inserted[inserted < 0].sum() == incoming
     assert merged[merged < 0].sum() == incoming

@@ -3,7 +3,9 @@
 net_augment_batch and flip_augment_batch must return, byte for byte, what
 net_augment and flip_augment return row by row, and leave every random
 stream at the same counter: for one stream shared by all rows and for one
-stream per row, whatever the batch (chunk) size.
+stream per row, whatever the batch (chunk) size. Every decision has a
+fixed draw slot, so a row takes 3 + 3 * (its bursts after the prefix)
+draws, and one row's content never moves another row's draws.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from traceaug.augment import (
     net_augment,
     net_augment_batch,
 )
+from traceaug.bursts import extract_bursts
 from traceaug.distributions import BurstSizeDistribution
 from traceaug.rng import RandomSource
 from traceaug.traces import DirectionTrace, fit_length
@@ -114,6 +117,33 @@ def test_net_batch_matches_per_trace_with_one_stream_per_row(case, seed, chunk):
     got = chunked(lambda c, r: net_augment_batch(c, cfg, dist, r), cells, batch_rngs, chunk)
     np.testing.assert_array_equal(got, expected)
     assert [r._count for r in batch_rngs] == [r._count for r in ref_rngs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=net_cases(), seed=st.integers(0, 2**32))
+def test_each_row_takes_a_fixed_block_of_draws(case, seed):
+    cells, cfg, dist = case
+    expected = np.array([3 + 3 * len(extract_bursts(r[cfg.preserve_prefix:])) for r in cells])
+    rngs = per_row_streams(seed, len(cells))
+    net_augment_batch(cells, cfg, dist, rngs)
+    assert [r._count for r in rngs] == expected.tolist()
+    shared = RandomSource(seed)
+    net_augment_batch(cells, cfg, dist, shared)
+    assert shared._count == expected.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=net_cases(), seed=st.integers(0, 2**32), row=st.integers(0, 11))
+def test_a_row_does_not_move_later_rows_draws(case, seed, row):
+    # negating a row keeps its burst and nonzero counts but changes every
+    # burst's direction, and so which manipulation draws it would read
+    cells, cfg, dist = case
+    row %= len(cells)
+    changed = cells.copy()
+    changed[row] = -changed[row]
+    a = net_augment_batch(cells, cfg, dist, RandomSource(seed))
+    b = net_augment_batch(changed, cfg, dist, RandomSource(seed))
+    np.testing.assert_array_equal(a[row + 1 :], b[row + 1 :])
 
 
 @settings(max_examples=100, deadline=None)

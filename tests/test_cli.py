@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +62,16 @@ class TestGen:
         assert run("gen", "--classes", 2) == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        "--superior-bandwidth", "--superior-control", "--inferior-bandwidth",
+        "--inferior-control", "--jitter", "--noise",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, flag, value):
+        assert run("gen", "--classes", 2, flag, value, "--out", tmp_path / "out") == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestNcmSplit:
     def test_split_counts_and_formats(self, corpus):
@@ -66,6 +79,13 @@ class TestNcmSplit:
         inferior = load_dtrace(corpus / "split" / "inferior.dtrace")
         assert len(superior) == len(inferior) == 3 * 8
         assert all(len(t) == 120 for t in superior + inferior)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_threshold_is_usage_error_before_input_is_read(self, tmp_path, capsys, value):
+        assert run("ncm-split", "--in", tmp_path / "absent.ttrace", "--threshold", value,
+                   "--out", tmp_path / "out") == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.ttrace"
@@ -136,6 +156,25 @@ class TestAugmentCommand:
         before = content_hash(src)
         assert run("augment", "--in", src, "--seed", 1, "--out", tmp_path / "x") == 0
         assert content_hash(src) == before
+
+
+class TestBlasThreads:
+    def test_augment_bytes_do_not_depend_on_blas_threads(self, corpus, tmp_path):
+        # two processes, so the thread count is read at BLAS start-up
+        src_dir = str(Path(traceaug.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "traceaug.cli", "augment", "--views", "2", "--seed", "4",
+                 "--in", str(corpus / "split" / "superior.dtrace"), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(content_hash(out / "augmented.dtrace"))
+        assert len(digests) == 1
 
 
 class TestStats:
@@ -225,19 +264,30 @@ class TestTrainingCommands:
         assert all(int(r) >= 0 for r in retained)
 
 
+#: A command that defines each flag, with inputs that do not exist.
+ABSENT_INPUTS = {
+    "--tau-s": ("pretrain", "--in", "absent.dtrace"),
+    "--tau-f": ("netfm", "--labeled", "absent.dtrace", "--unlabeled", "absent.dtrace"),
+    "--lambda-u": ("netfm", "--labeled", "absent.dtrace", "--unlabeled", "absent.dtrace"),
+}
+
+
 class TestTrainFlags:
     @pytest.mark.parametrize("flag,value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1e-3"), ("--lr", "fast"),
         ("--momentum", "nan"), ("--momentum", "-0.5"),
+        ("--tau-s", "nan"), ("--tau-s", "inf"), ("--lambda-u", "nan"), ("--lambda-u", "inf"),
+        ("--tau-f", "nan"),
     ])
     def test_bad_value_is_usage_error_before_any_input_is_read(
-        self, tmp_path, capsys, flag, value
+        self, tmp_path, capsys, flag, value, monkeypatch
     ):
         # the input files do not exist: a usage error must come first
-        assert run(
-            "finetune", "--model", tmp_path / "absent.ckpt", "--in", tmp_path / "absent.dtrace",
-            flag, value, "--out", tmp_path / "out",
-        ) == 2
+        monkeypatch.chdir(tmp_path)
+        command = ABSENT_INPUTS.get(
+            flag, ("finetune", "--model", "absent.ckpt", "--in", "absent.dtrace")
+        )
+        assert run(*command, flag, value, "--out", tmp_path / "out") == 2
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

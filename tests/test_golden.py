@@ -1,9 +1,13 @@
 """Golden sha256 digests of small training runs and CLI augment outputs.
 
-The digests were recorded before the augmentation engine was batched and
-the Adam step fused, so they pin the exact bytes the per-trace engine and
-the unfused optimizer produced. Any change to draw order, augmentation
-arithmetic or optimizer arithmetic shows up here as a digest mismatch.
+They pin the exact bytes of augmentation, training and optimizer
+arithmetic, so any change to draw order, augmentation arithmetic or
+optimizer arithmetic shows up here as a digest mismatch. The flip
+digests (``pretrain-flip``, ``cli-augment-flip``) date from the per-trace
+engine and the unfused optimizer. The four that burst augmentation feeds
+(``pretrain-net``, ``finetune-net``, ``netfm``, ``cli-augment-net``) were
+re-recorded when every burst-augmentation decision got a fixed draw slot
+(3 draws per trace plus 3 per burst), which changed the augmented bytes.
 """
 
 import numpy as np
@@ -29,11 +33,11 @@ NET_CFG = AugmentConfig(
 )
 
 GOLDEN = {
-    "pretrain-net": "f3c30d05f20aea0f3be8c0aabec788b12ae9e9a2f2f6750cee1b9017a0b7e49c",
+    "pretrain-net": "f20e7a692378606be52abbe57474c7163d37debb620d57a00f135920e5843c4e",
     "pretrain-flip": "7149526aaa036d943a18bd6f54e92a0658e83e38c38228541dc12ad248002af7",
-    "finetune-net": "3949774ee5171fefbe491fb7e88ba14e70c08b416dd0b957bbccbb1766b969c9",
-    "netfm": "69b26508d95849428a067e93211e6e8e4804745f973e9d2620659b0470632986",
-    "cli-augment-net": "00769d592798e4d91687c43ad25f0060e853eb8edcedefc1b36465c7fb1e68c7",
+    "finetune-net": "2a915cce0998acd2a57afbe280e8f6681df571eb61b01bb36114abfd7de2d318",
+    "netfm": "7e1169f2f306a39c34076e4fa8d4d157dd5d3b5de2c24444fe1fd09b0bb6909b",
+    "cli-augment-net": "052f004c55c08ece4824fde7f2d9814f3016baabba7bbbdccbba29579c2475a7",
     "cli-augment-flip": "307dbb2698f439c6776b44a809a5719ce8b890a080d75f23915d32e2b10f326b",
 }
 

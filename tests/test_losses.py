@@ -264,3 +264,9 @@ class TestSslConfig:
             SslConfig(lambda_u=-0.1)
         with pytest.raises(ValueError):
             SslConfig(mu=0)
+
+    @pytest.mark.parametrize("field", ["tau_s", "lambda_u"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SslConfig(**{field: value})

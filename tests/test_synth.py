@@ -17,6 +17,17 @@ from traceaug.traces import compute_ncm
 CLEAN = ConditionProfile(bandwidth_factor=1.0, control_rate=0.0, jitter=0.0)
 
 
+class TestConditionProfile:
+    @pytest.mark.parametrize("kwargs", [
+        {"bandwidth_factor": float("nan")}, {"bandwidth_factor": float("inf")},
+        {"control_rate": float("nan")}, {"control_rate": float("inf")},
+        {"jitter": float("nan")}, {"jitter": float("inf")},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ConditionProfile(**{"bandwidth_factor": 1.0, **kwargs})
+
+
 class TestTemplates:
     def test_two_classes_distinct(self):
         a, b = make_templates(2, RandomSource(3))

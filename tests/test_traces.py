@@ -388,6 +388,18 @@ class TestTtraceFormat:
         save_ttrace(path, [t])
         assert load_ttrace(path)[0].label is None
 
+    @pytest.mark.parametrize("stamp", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_timestamp_reports_line(self, tmp_path, stamp):
+        # json reads these tokens as floats; the trace itself must refuse them
+        path = tmp_path / "bad.ttrace"
+        path.write_text(
+            '{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}\n'
+            f'{{"label":1,"cells":[[0.0,-1,512],[{stamp},1,512]]}}\n'
+        )
+        with pytest.raises(TraceFormatError, match="finite") as info:
+            load_ttrace(path)
+        assert info.value.line_no == 2
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.ttrace"
         path.write_text('{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}\nnot json\n')
