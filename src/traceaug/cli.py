@@ -45,16 +45,22 @@ def _positive_int(kind, minimum=1):
     return convert
 
 
-def _finite_float(kind):
-    """A finite float >= 0; NaN and inf are usage errors."""
+def _finite_float(kind, positive=False, at_most=np.inf):
+    """A finite float >= 0, or > 0 when ``positive``, and <= ``at_most``;
+    NaN, inf and values out of range are usage errors."""
+    if at_most < np.inf:
+        wanted = f"in {'(' if positive else '['}0, {at_most:g}]"
+    else:
+        wanted = f"finite and {'>' if positive else '>='} 0"
 
     def convert(text):
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{kind} must be a number")
-        if not 0 <= value < np.inf:
-            raise argparse.ArgumentTypeError(f"{kind} must be finite and >= 0")
+        above_zero = value > 0 if positive else value >= 0
+        if not (above_zero and value <= at_most and value < np.inf):
+            raise argparse.ArgumentTypeError(f"{kind} must be {wanted}")
         return value
 
     return convert
@@ -161,9 +167,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--classes", type=_positive_int("classes", minimum=2), default=20)
     p.add_argument("--visits", type=_int_list, default=[30, 30],
                    help="visits per class per profile (superior,inferior)")
-    p.add_argument("--superior-bandwidth", type=_finite_float("superior-bandwidth"), default=2.0)
+    p.add_argument("--superior-bandwidth",
+                   type=_finite_float("superior-bandwidth", positive=True), default=2.0)
     p.add_argument("--superior-control", type=_finite_float("superior-control"), default=0.05)
-    p.add_argument("--inferior-bandwidth", type=_finite_float("inferior-bandwidth"), default=0.4)
+    p.add_argument("--inferior-bandwidth",
+                   type=_finite_float("inferior-bandwidth", positive=True), default=0.4)
     p.add_argument("--inferior-control", type=_finite_float("inferior-control"), default=0.3)
     p.add_argument("--jitter", type=_finite_float("jitter"), default=0.05)
     p.add_argument("--noise", type=_finite_float("noise"), default=0.25)
@@ -202,7 +210,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--trace-len", type=_positive_int("trace-len"), default=500)
     p.add_argument("--embed", type=_positive_int("embed", minimum=4), default=64)
     p.add_argument("--hidden", type=_int_list, default=[256, 128])
-    p.add_argument("--tau-s", type=_finite_float("tau-s"), default=training.SslConfig.tau_s)
+    p.add_argument("--tau-s", type=_finite_float("tau-s", positive=True),
+                   default=training.SslConfig.tau_s)
     _add_train_flags(p, lr=3e-4, epochs=30, batch=64)
     _add_augment_flags(p)
     p.set_defaults(func=cmd_pretrain)
@@ -227,7 +236,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--mu", type=_positive_int("mu"), default=training.TrainConfig.mu)
     p.add_argument("--lambda-u", type=_finite_float("lambda-u"),
                    default=training.SslConfig.lambda_u)
-    p.add_argument("--tau-f", type=_finite_float("tau-f"), default=training.SslConfig.tau_f)
+    p.add_argument("--tau-f", type=_finite_float("tau-f", positive=True, at_most=1.0),
+                   default=training.SslConfig.tau_f)
     _add_train_flags(p, lr=1e-2, epochs=30, batch=32, optimizer="sgd", momentum=0.9)
     _add_augment_flags(p)
     p.set_defaults(func=cmd_netfm)

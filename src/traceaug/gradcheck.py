@@ -47,12 +47,16 @@ def _near_kink(pre: np.ndarray) -> bool:
     return bool((np.abs(pre) < _KINK_GUARD).any())
 
 
-def _random_instance(rng: RandomSource, dims: ModelDims, rows: int, n_classes: int):
-    """Params and inputs with no relu preactivation near zero."""
+def _random_instance(rng: RandomSource, dims: ModelDims, rows: int, n_classes: int,
+                     live: int | None = None):
+    """Params and inputs with no relu preactivation near zero; with ``live``,
+    every input column from ``live`` on is zero padding."""
     for _ in range(100):
         params = init_params(dims, rng)
         attach_classifier(params, n_classes, rng)
         x = (rng.uniforms(rows * dims.trace_len).reshape(rows, dims.trace_len) * 2.0) - 1.0
+        if live is not None:
+            x[:, live:] = 0.0
         embed, caches = encode_batch(x, params)
         _, proj_pre = project_batch(embed, params.proj_w1, params.proj_w2)
         # relu applies to every encoder layer except the last
@@ -110,21 +114,35 @@ def check_projection(rng: RandomSource, dims: ModelDims | None = None, rows: int
     return max_rel_error(analytic, finite_difference(f, flat0, step))
 
 
+def _pack_padded(enc_grads, heads, trace_len: int) -> np.ndarray:
+    """pack_params of the gradients, the first-layer weight gradient
+    zero-padded to its weight's full width."""
+    (w0, b0), *rest = enc_grads
+    full = np.zeros((w0.shape[0], trace_len))
+    full[:, : w0.shape[1]] = w0
+    return pack_params([full, b0] + [g for pair in rest for g in pair] + heads)
+
+
 def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None,
                      rows: int = 8, tau: float = 0.5, step: float = 1e-5,
-                     masked: bool = False) -> float:
+                     masked: bool = False, zero_tail: bool = False) -> float:
     """End-to-end gradient through the encoder plus one head and its loss.
 
     ``masked`` scores the classifier as pseudo-labeled rows do: a random row
     mask keeping at least one row, over a denominator above the row count.
+    ``zero_tail`` zeroes a random number of trailing input columns in every
+    row, so the analytic first-layer weight gradient is narrower than the
+    weight; it is zero-padded for the comparison, and the finite differences
+    of the dead columns must be exactly 0.
     """
     dims = dims or ModelDims(trace_len=32, hidden=(16,), embed_dim=8)
-    params, x, labels = _random_instance(rng, dims, rows, n_classes=3)
+    live = 1 + rng.randbelow(dims.trace_len - 1) if zero_tail else None
+    params, x, labels = _random_instance(rng, dims, rows, n_classes=3, live=live)
     arrays = trainable_arrays(params, head)
 
     if head == "projection":
         _, enc_grads, d_w1, d_w2 = contrastive_forward_backward(x, params, tau)
-        analytic = pack_params([g for pair in enc_grads for g in pair] + [d_w1, d_w2])
+        analytic = _pack_padded(enc_grads, [d_w1, d_w2], dims.trace_len)
 
         def f(flat):
             unpack_params(flat, arrays)
@@ -140,7 +158,7 @@ def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None
             denom = rows + 1 + rng.randbelow(4 * rows)
             mask = (keep, denom)
         _, enc_grads, d_w, d_b = supervised_forward_backward(x, labels, params, *mask)
-        analytic = pack_params([g for pair in enc_grads for g in pair] + [d_w, d_b])
+        analytic = _pack_padded(enc_grads, [d_w, d_b], dims.trace_len)
 
         def f(flat):
             unpack_params(flat, arrays)
@@ -151,6 +169,9 @@ def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None
     flat0 = pack_params(arrays)
     numeric = finite_difference(f, flat0, step)
     unpack_params(flat0, arrays)
+    live_w = enc_grads[0][0].shape[1]
+    if numeric[: arrays[0].size].reshape(arrays[0].shape)[:, live_w:].any():
+        return float("inf")  # a weight the forward pass skips moved the loss
     return max_rel_error(analytic, numeric)
 
 
@@ -176,6 +197,10 @@ def run_gradient_checks(seed: int = 0, instances: int = 20, step: float = 1e-5,
         ),
         "encoder_pseudo_label": max(
             check_full_model(root.spawn(5000 + i), "classifier", step=step, masked=True)
+            for i in range(instances)
+        ),
+        "encoder_zero_tail": max(
+            check_full_model(root.spawn(6000 + i), "projection", step=step, zero_tail=True)
             for i in range(instances)
         ),
     }

@@ -98,24 +98,36 @@ def attach_classifier(params: ModelParams, n_classes: int, rng: RandomSource) ->
 def encode_batch(x: np.ndarray, params: ModelParams):
     """Forward pass of the encoder; returns (embeddings, layer caches).
 
-    Caches hold each layer's input activation and preactivation, which is
+    ``x`` holds int8 or float rows. The first layer works on the batch's
+    live column prefix only: columns right of the last one with a nonzero
+    cell in any row are zero padding, so only ``x[:, :k]`` is cast to
+    float64 and multiplied by ``W[:, :k]``; for k = 0 the first
+    preactivation is the bias. Caches hold each layer's input activation
+    (k columns wide for the first layer) and preactivation, which is
     exactly what the backward pass needs.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x))
     if x.shape[1] != params.trace_len:
         raise ValueError(f"expected trace length {params.trace_len}, got {x.shape[1]}")
+    live = np.flatnonzero(x.any(axis=0))
+    k = int(live[-1]) + 1 if live.size else 0
     caches = []
-    act = x
+    act = np.asarray(x[:, :k], dtype=np.float64)
     last = len(params.encoder) - 1
     for i, (w, b) in enumerate(params.encoder):
-        pre = act @ w.T + b
+        pre = act @ (w[:, :k] if i == 0 else w).T + b
         caches.append((act, pre))
         act = pre if i == last else np.maximum(pre, 0.0)
     return act, caches
 
 
 def encode_backward(d_embed: np.ndarray, caches, params: ModelParams):
-    """Gradients of all encoder weights given d(loss)/d(embeddings)."""
+    """Gradients of all encoder weights given d(loss)/d(embeddings).
+
+    The first-layer weight gradient covers only the live prefix that
+    encode_batch used, shape (hidden, k); the columns it leaves out are
+    exact zeros. Every other gradient has its array's full shape.
+    """
     grads = [None] * len(params.encoder)
     d_act = d_embed
     last = len(params.encoder) - 1
@@ -141,8 +153,7 @@ def predict_batch(params: ModelParams, traces: list[DirectionTrace]) -> np.ndarr
     if len(traces) == 0:
         n = params.n_classes or 0
         return np.empty((0, n), dtype=np.float64)
-    x = np.stack([t.cells for t in traces]).astype(np.float64)
-    return classify_batch(x, params)
+    return classify_batch(np.stack([t.cells for t in traces]), params)
 
 
 def contrastive_forward_backward(x: np.ndarray, params: ModelParams, tau_s: float):

@@ -99,10 +99,15 @@ class _Optimizer:
     """SGD (optionally with momentum) or Adam over a fixed array list,
     with optional cosine decay of the learning rate to zero.
 
-    Adam updates only the live column prefix of each 2-D array: the columns
-    up to the last one that has ever had a nonzero gradient. Columns that
-    face zero padding in every batch so far would move by exactly +0, so
-    skipping them leaves the same bytes.
+    A 2-D gradient may be narrower than its array (the first layer's covers
+    only the batch's live column prefix); its missing columns are exact
+    zeros, and every step gives the same bytes as the textbook update on
+    the gradient zero-padded to full width. Plain SGD updates the
+    gradient's columns only. Adam and momentum update the live prefix of
+    each array, as wide as the widest gradient so far: columns right of it
+    have only ever seen zero gradients, so their state is +0 and they would
+    move by exactly +0. Inside the prefix, columns right of this step's
+    gradient only decay their state.
     """
 
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig, total_steps: int):
@@ -110,25 +115,29 @@ class _Optimizer:
         self.cfg = cfg
         self.total_steps = max(1, total_steps)
         self.t = 0
+        # live column count per array: the widest gradient so far
+        self._live = [0] * len(arrays)
         if cfg.optimizer == "adam":
             # np.zeros, unlike zeros_like, leaves the pages of the never-live
             # tail of m and v uncommitted
             self.m = [np.zeros(a.shape) for a in arrays]
             self.v = [np.zeros(a.shape) for a in arrays]
-            # live column count per array; 1-D arrays start full width
-            self._live = [0 if a.ndim == 2 else a.shape[-1] for a in arrays]
             # two scratch buffers shared by all arrays keep the step free of
             # per-operation temporaries
             largest = max(a.size for a in arrays)
             self._scratch = (np.empty(largest), np.empty(largest))
         elif cfg.momentum > 0:
-            self.vel = [np.zeros_like(a) for a in arrays]
+            self.vel = [np.zeros(a.shape) for a in arrays]
 
     def _lr(self) -> float:
         if not self.cfg.cosine_decay:
             return self.cfg.learning_rate
         frac = (self.t - 1) / self.total_steps
         return self.cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * frac))
+
+    def _prefix(self, i: int, width: int) -> int:
+        self._live[i] = max(self._live[i], width)
+        return self._live[i]
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
@@ -140,24 +149,21 @@ class _Optimizer:
             # in place, but the same operations in the same order as
             # a -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match
             for i, (a, g, m, v) in enumerate(zip(self.arrays, grads, self.m, self.v)):
-                k = self._live[i]
-                if k < a.shape[-1]:
-                    # only the columns not yet live are scanned; any() counts
-                    # NaN and inf as nonzero and -0.0 as zero
-                    hit = np.flatnonzero(g[:, k:].any(axis=0))
-                    if hit.size:
-                        k += int(hit[-1]) + 1
-                        self._live[i] = k
-                    if k < a.shape[-1]:
-                        a, g, m, v = a[:, :k], g[:, :k], m[:, :k], v[:, :k]
-                s1, s2 = (buf[: a.size].reshape(a.shape) for buf in self._scratch)
+                w = g.shape[-1]
+                k = self._prefix(i, w)
+                a, m, v = a[..., :k], m[..., :k], v[..., :k]
+                sg = self._scratch[0][: g.size].reshape(g.shape)
                 m *= cfg.beta1
-                np.multiply(g, 1.0 - cfg.beta1, out=s1)
-                m += s1
+                # the padded update adds (1 - beta1) * +0.0 right of the
+                # gradient, which turns -0.0 into +0.0; v is never -0.0
+                m[..., w:] += 0.0
+                np.multiply(g, 1.0 - cfg.beta1, out=sg)
+                m[..., :w] += sg
                 v *= cfg.beta2
-                np.multiply(g, 1.0 - cfg.beta2, out=s1)
-                s1 *= g
-                v += s1
+                np.multiply(g, 1.0 - cfg.beta2, out=sg)
+                sg *= g
+                v[..., :w] += sg
+                s1, s2 = (buf[: a.size].reshape(a.shape) for buf in self._scratch)
                 np.divide(m, bc1, out=s1)
                 s1 *= lr
                 np.divide(v, bc2, out=s2)
@@ -166,13 +172,17 @@ class _Optimizer:
                 s1 /= s2
                 a -= s1
         elif cfg.momentum > 0:
-            for a, g, vel in zip(self.arrays, grads, self.vel):
+            for i, (a, g, vel) in enumerate(zip(self.arrays, grads, self.vel)):
+                w = g.shape[-1]
+                k = self._prefix(i, w)
+                a, vel = a[..., :k], vel[..., :k]
                 vel *= cfg.momentum
-                vel += g
+                vel[..., w:] += 0.0  # as for Adam's m
+                vel[..., :w] += g
                 a -= lr * vel
         else:
             for a, g in zip(self.arrays, grads):
-                a -= lr * g
+                a[..., : g.shape[-1]] -= lr * g
 
 
 class _CyclingPool:
@@ -202,6 +212,17 @@ def strip_labels(traces: list[DirectionTrace]) -> list[DirectionTrace]:
 
 def _flat_grads(enc_grads, *heads) -> list[np.ndarray]:
     return [g for pair in enc_grads for g in pair] + list(heads)
+
+
+def _add_scaled(g: np.ndarray, gu: np.ndarray, scale: float) -> np.ndarray:
+    """g + scale * gu over the wider of the two; a narrow first-layer
+    gradient's missing columns are zeros. Writes into g when it is the wider."""
+    if gu.shape[-1] > g.shape[-1]:
+        out = scale * gu
+        out[..., : g.shape[-1]] += g
+        return out
+    g[..., : gu.shape[-1]] += scale * gu
+    return g
 
 
 def _check_finite(loss: float, phase: str, epoch: int, step: int) -> None:
@@ -299,9 +320,7 @@ def pretrain(
             views = net_augment_batch(rows, aug, dist, rng_aug)
         else:
             views = flip_augment_batch(rows, aug.p_flip, rng_aug)
-        loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(
-            views.astype(np.float64), params, ssl.tau_s
-        )
+        loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(views, params, ssl.tau_s)
         return loss, _flat_grads(enc_grads, d_w1, d_w2)
 
     return _fit("pretrain", params, "projection", cfg, len(unlabeled), True, step)
@@ -317,12 +336,11 @@ def finetune(
     partial batches are kept.
     """
     cells, y, n_classes = _labeled_arrays(labeled)
-    x = cells.astype(np.float64)
     if params.n_classes != n_classes:
         attach_classifier(params, n_classes, RandomSource(cfg.seed).spawn(_S_CLF))
 
     def step(batch):
-        loss, enc_grads, d_w, d_b = supervised_forward_backward(x[batch], y[batch], params)
+        loss, enc_grads, d_w, d_b = supervised_forward_backward(cells[batch], y[batch], params)
         return loss, _flat_grads(enc_grads, d_w, d_b)
 
     return _fit("finetune", params, "classifier", cfg, len(labeled), False, step)
@@ -387,9 +405,7 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
 
     def step(batch):
         xw = flip_augment_batch(labeled_cells[batch], p_flip_weak, rng_weak)
-        loss_s, enc_grads, d_w, d_b = supervised_forward_backward(
-            xw.astype(np.float64), y[batch], params
-        )
+        loss_s, enc_grads, d_w, d_b = supervised_forward_backward(xw, y[batch], params)
         grads = _flat_grads(enc_grads, d_w, d_b)
         if unlabeled is None:
             return loss_s, grads
@@ -397,7 +413,7 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         ubatch = unlabeled_cells[pool.take(cfg.mu * len(batch))]
         u_weak = flip_augment_batch(ubatch, p_flip_weak, rng_uaug)
         u_strong = net_augment_batch(ubatch, aug_strong, dist, rng_uaug)
-        q_weak = classify_batch(u_weak.astype(np.float64), params)
+        q_weak = classify_batch(u_weak, params)
         pseudo = np.argmax(q_weak, axis=1)
         keep = q_weak.max(axis=1) >= ssl.tau_f
         retained.append(int(keep.sum()))
@@ -405,11 +421,11 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         if keep.any():
             # retained rows summed, divided by the whole unlabeled batch
             loss_u, u_enc, u_w, u_b = supervised_forward_backward(
-                u_strong.astype(np.float64), pseudo, params, keep, len(ubatch)
+                u_strong, pseudo, params, keep, len(ubatch)
             )
             if ssl.lambda_u != 0.0:
-                for g, gu in zip(grads, _flat_grads(u_enc, u_w, u_b)):
-                    g += ssl.lambda_u * gu
+                grads = [_add_scaled(g, gu, ssl.lambda_u)
+                         for g, gu in zip(grads, _flat_grads(u_enc, u_w, u_b))]
         return loss_s + ssl.lambda_u * loss_u, grads
 
     phase = "supervised" if unlabeled is None else "netfm"

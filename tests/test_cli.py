@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,12 @@ class TestGen:
     def test_non_finite_float_is_usage_error(self, tmp_path, capsys, flag, value):
         assert run("gen", "--classes", 2, flag, value, "--out", tmp_path / "out") == 2
         assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--superior-bandwidth", "--inferior-bandwidth"])
+    def test_zero_bandwidth_is_usage_error(self, tmp_path, capsys, flag):
+        assert run("gen", "--classes", 2, flag, "0", "--out", tmp_path / "out") == 2
+        assert f"{flag.lstrip('-')} must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -277,7 +284,7 @@ class TestTrainFlags:
         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1e-3"), ("--lr", "fast"),
         ("--momentum", "nan"), ("--momentum", "-0.5"),
         ("--tau-s", "nan"), ("--tau-s", "inf"), ("--lambda-u", "nan"), ("--lambda-u", "inf"),
-        ("--tau-f", "nan"),
+        ("--tau-f", "nan"), ("--tau-s", "0"), ("--tau-f", "0"), ("--tau-f", "1.5"),
     ])
     def test_bad_value_is_usage_error_before_any_input_is_read(
         self, tmp_path, capsys, flag, value, monkeypatch
@@ -387,6 +394,7 @@ class TestGradcheckCommand:
             line.split() for line in (tmp_path / "gradcheck.txt").read_text().splitlines()
         )
         assert float(families["encoder_pseudo_label"]) < 1e-4
+        assert float(families["encoder_zero_tail"]) < 1e-4
 
     def test_fails_with_exit_3_on_impossible_tolerance(self, tmp_path):
         assert run("gradcheck", "--out", tmp_path, "--instances", 2, "--seed", 0,
@@ -488,6 +496,11 @@ class TestManifests:
         }
         monkeypatch.delattr(np.__config__, "CONFIG")  # as in numpy < 1.26
         assert environment()["blas"] is None
+
+    def test_package_version_matches_pyproject(self):
+        # a regex, not tomllib: Python 3.10 has no TOML reader
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == traceaug.__version__
 
     def test_unknown_command_usage_error(self):
         assert run("frobnicate") == 2

@@ -7,6 +7,7 @@ from traceaug.models import (
     ModelParams,
     attach_classifier,
     classify_batch,
+    encode_backward,
     encode_batch,
     init_params,
     load_params,
@@ -63,6 +64,59 @@ class TestEncode:
         a, _ = encode_batch(x, tiny_params(5))
         b, _ = encode_batch(x, tiny_params(5))
         assert np.array_equal(a, b)
+
+
+class TestLivePrefix:
+    """The first layer works on the batch's live column prefix only."""
+
+    @staticmethod
+    def full_width(x, params, d_embed):
+        """Embeddings and encoder gradients computed over every column."""
+        acts, pres, act = [], [], np.asarray(x, dtype=np.float64)
+        for i, (w, b) in enumerate(params.encoder):
+            acts.append(act)
+            pres.append(act @ w.T + b)
+            act = pres[-1] if i == len(params.encoder) - 1 else np.maximum(pres[-1], 0.0)
+        grads, d_act = [], d_embed
+        for i in range(len(params.encoder) - 1, -1, -1):
+            d_pre = d_act if i == len(params.encoder) - 1 else d_act * (pres[i] > 0.0)
+            grads.insert(0, (d_pre.T @ acts[i], d_pre.sum(axis=0)))
+            d_act = d_pre @ params.encoder[i][0]
+        return act, grads
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_zero_tail_matches_full_width(self, dtype):
+        rng = np.random.default_rng(3)
+        params = tiny_params()
+        x = np.where(rng.random((5, 32)) < 0.5, -1, 1).astype(dtype)
+        x[:, 19:] = 0
+        x[1, 18] = 0  # the last live column need not be live in every row
+        d_embed = rng.standard_normal((5, 8))
+        embed, caches = encode_batch(x, params)
+        grads = encode_backward(d_embed, caches, params)
+        want_embed, want_grads = self.full_width(x, params, d_embed)
+        assert caches[0][0].shape == (5, 19) and grads[0][0].shape == (16, 19)
+        np.testing.assert_allclose(embed, want_embed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[0][0], want_grads[0][0][:, :19], rtol=0, atol=1e-12)
+        assert not want_grads[0][0][:, 19:].any()
+        for got, want in zip(pack_pairs(grads)[1:], pack_pairs(want_grads)[1:]):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_all_zero_batch_returns_the_bias(self):
+        params = tiny_params()
+        params.encoder[0][1][...] = np.linspace(-1.0, 1.0, 16)
+        embed, caches = encode_batch(np.zeros((2, 32), dtype=np.int8), params)
+        assert caches[0][0].shape == (2, 0)
+        assert np.array_equal(caches[0][1], np.tile(params.encoder[0][1], (2, 1)))
+        grads = encode_backward(np.ones((2, 8)), caches, params)
+        assert grads[0][0].shape == (16, 0)
+        assert np.array_equal(embed, self.full_width(np.zeros((2, 32)), params,
+                                                     np.ones((2, 8)))[0])
+
+
+def pack_pairs(grads):
+    return [g for pair in grads for g in pair]
 
 
 class TestClassify:

@@ -64,12 +64,33 @@ def fast_cfg(**kw):
 
 
 @st.composite
-def adam_runs(draw):
-    """(rows, width, per-step live gradient widths, special-value rate)."""
+def narrow_runs(draw):
+    """(rows, width, per-step gradient widths of array 0, special-value rate)."""
     width = draw(st.integers(1, 9))
     widths = draw(st.lists(st.integers(0, width), min_size=1, max_size=30))
     special = draw(st.sampled_from([0.0, 0.05, 0.3]))
     return draw(st.integers(1, 4)), width, widths, special
+
+
+def narrow_step_inputs(rng, shapes, cols, special):
+    """Random gradients for arrays of ``shapes``, array 0's only ``cols``
+    columns wide, with NaN, inf and signed zeros at rate ``special``; and
+    the same gradients zero-padded to full width."""
+    grads = [rng.standard_normal(s) for s in [(shapes[0][0], cols)] + shapes[1:]]
+    for g in grads:
+        hit = rng.random(g.shape) < special
+        g[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], hit.sum())
+    padded = [g.copy() for g in grads]
+    padded[0] = np.zeros(shapes[0])
+    padded[0][:, :cols] = grads[0]
+    return grads, padded
+
+
+def random_weights(rng, shapes):
+    arrays = [rng.standard_normal(s) for s in shapes]
+    for a in arrays:  # -0.0 weights, in the never-live tail of array 0 too
+        a[rng.random(a.shape) < 0.2] = -0.0
+    return arrays
 
 
 def nan_blind_bytes(x):
@@ -224,6 +245,40 @@ class TestNetFm:
         assert len(result.retained_history) == steps
         assert all(r >= 0 for r in result.retained_history)
 
+    def test_labeled_rows_narrower_than_unlabeled_match_padded_gradients(self, monkeypatch):
+        """Labeled traces end at cell 24 and unlabeled ones run longer, so the
+        labeled and pseudo-labeled first-layer gradients differ in width and
+        are summed over the wider. The run equals one whose gradients are
+        zero-padded to full width, byte for byte."""
+        labeled = [DirectionTrace(fit_length(t.cells[:24], 64), label=t.label)
+                   for t in self.labeled]
+        real = training.supervised_forward_backward
+
+        def run(pad):
+            widths = []
+
+            def step(x, *args):
+                loss, enc_grads, d_w, d_b = real(x, *args)
+                w0, b0 = enc_grads[0]
+                widths.append(w0.shape[1])
+                if pad:
+                    w0 = np.pad(w0, ((0, 0), (0, 64 - w0.shape[1])))
+                return loss, [(w0, b0), *enc_grads[1:]], d_w, d_b
+
+            monkeypatch.setattr(training, "supervised_forward_backward", step)
+            cfg = fast_cfg(optimizer="sgd", learning_rate=1e-2, momentum=0.9,
+                           batch_size=4, epochs=2, mu=2)
+            # any softmax max clears 1/L, so every step scores pseudo-labels
+            result = train_netfm(labeled, self.unlabeled, cfg, SslConfig(tau_f=0.2),
+                                 AugmentConfig(), 0.1, self.dist, dims=DIMS)
+            return result, widths
+
+        narrow, widths = run(pad=False)
+        padded, _ = run(pad=True)
+        assert len(widths) == 2 * len(narrow.retained_history)
+        assert all(w_l <= 24 < w_u for w_l, w_u in zip(widths[0::2], widths[1::2]))
+        assert weights(narrow.params).tobytes() == weights(padded.params).tobytes()
+
     def test_insufficient_unlabeled_rejected(self):
         cfg = fast_cfg(batch_size=4, mu=19)
         with pytest.raises(InsufficientData):
@@ -309,29 +364,28 @@ class TestOptimizers:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        run=adam_runs(), seed=st.integers(0, 2**32 - 1), cosine=st.booleans(),
+        run=narrow_runs(), seed=st.integers(0, 2**32 - 1), cosine=st.booleans(),
         lr=st.sampled_from([0.0, 1e-3, 0.5]), beta1=st.sampled_from([0.0, 0.9]),
         beta2=st.sampled_from([0.0, 0.999]), eps=st.sampled_from([1e-8, 5e-324]),
     )
     def test_adam_step_matches_reference_formula_bitwise(
         self, run, seed, cosine, lr, beta1, beta2, eps
     ):
-        """The live-prefix step equals the unsliced formula byte for byte.
+        """A step on narrow gradients equals the textbook formula on the
+        zero-padded gradients byte for byte.
 
-        Array 0 gets gradients that are +-0 right of a per-step width (a
-        larger width than before is a wider batch arriving mid-run); array 1
-        is 1-D and array 2 is full width from the first step. All three
-        share the scratch buffers. NaNs are compared by position, not by
-        sign: when both operands are NaN, numpy's vector lanes and scalar
+        Array 0 gets gradients of a per-step width (a wider one is a longer
+        batch arriving mid-run, a narrower one leaves live columns to decay);
+        array 1 is 1-D and array 2 is full width from the first step. All
+        three share the scratch buffers. NaNs are compared by position, not
+        by sign: when both operands are NaN, numpy's vector lanes and scalar
         tail loop keep different operands' NaN, so a NaN's sign depends on
         where its element falls in a loop, on any path.
         """
         rows, width, widths, special = run
         rng = np.random.default_rng(seed)
         shapes = [(rows, width), (rows,), (3, width + 2)]
-        arrays = [rng.standard_normal(s) for s in shapes]
-        for a in arrays:  # -0.0 weights, in the tail of array 0 too
-            a[rng.random(a.shape) < 0.2] = -0.0
+        arrays = random_weights(rng, shapes)
         ref = [a.copy() for a in arrays]
         m = [np.zeros_like(a) for a in ref]
         v = [np.zeros_like(a) for a in ref]
@@ -339,21 +393,12 @@ class TestOptimizers:
         cfg = fast_cfg(learning_rate=lr, cosine_decay=cosine, beta1=beta1,
                        beta2=beta2, eps=eps)
         opt = training._Optimizer(arrays, cfg, total_steps=total)
-        live = 0
         for t, cols in enumerate(widths, start=1):
-            grads = [rng.standard_normal(s) for s in shapes]
-            for g in grads:  # NaN, inf and signed zeros in the live region
-                hit = rng.random(g.shape) < special
-                g[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], hit.sum())
-            tail = grads[0][:, cols:]
-            tail[...] = np.where(rng.random(tail.shape) < 0.5, -0.0, 0.0)
-            touched = np.flatnonzero(((grads[0] != 0) | np.isnan(grads[0])).any(axis=0))
-            live = max(live, int(touched[-1]) + 1 if touched.size else 0)
-
+            grads, padded = narrow_step_inputs(rng, shapes, cols, special)
             opt.step(grads)
             step_lr = lr * 0.5 * (1.0 + np.cos(np.pi * ((t - 1) / total))) if cosine else lr
             bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-            for a, g, mm, vv in zip(ref, grads, m, v):
+            for a, g, mm, vv in zip(ref, padded, m, v):
                 mm *= beta1
                 mm += (1.0 - beta1) * g
                 vv *= beta2
@@ -361,10 +406,49 @@ class TestOptimizers:
                 a -= step_lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
             for got, want in zip(arrays + opt.m + opt.v, ref + m + v):
                 assert nan_blind_bytes(got) == nan_blind_bytes(want)
+            live = max(widths[:t])
             assert opt._live[0] == live
             # the never-live tail of m and v was never written: still +0.0
             for state in (opt.m[0], opt.v[0]):
                 assert state[:, live:].tobytes() == bytes(8 * rows * (width - live))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        run=narrow_runs(), seed=st.integers(0, 2**32 - 1), cosine=st.booleans(),
+        lr=st.sampled_from([0.0, 1e-3, 0.5]),
+    )
+    @pytest.mark.parametrize("momentum", [0.0, 0.9, 5e-324])
+    def test_sgd_step_matches_reference_formula_bitwise(self, run, seed, cosine, lr, momentum):
+        """Plain SGD and SGD with momentum on narrow gradients equal the
+        textbook steps on the zero-padded gradients byte for byte; shapes,
+        special values and NaN comparison as in the Adam test."""
+        rows, width, widths, special = run
+        rng = np.random.default_rng(seed)
+        shapes = [(rows, width), (rows,), (3, width + 2)]
+        arrays = random_weights(rng, shapes)
+        ref = [a.copy() for a in arrays]
+        vel = [np.zeros_like(a) for a in ref]
+        total = max(1, len(widths) - 1)
+        cfg = fast_cfg(optimizer="sgd", learning_rate=lr, cosine_decay=cosine,
+                       momentum=momentum)
+        opt = training._Optimizer(arrays, cfg, total_steps=total)
+        for t, cols in enumerate(widths, start=1):
+            grads, padded = narrow_step_inputs(rng, shapes, cols, special)
+            opt.step(grads)
+            step_lr = lr * 0.5 * (1.0 + np.cos(np.pi * ((t - 1) / total))) if cosine else lr
+            for a, g, vv in zip(ref, padded, vel):
+                if momentum > 0:
+                    vv *= momentum
+                    vv += g
+                    g = vv
+                a -= step_lr * g
+            for got, want in zip(arrays, ref):
+                assert nan_blind_bytes(got) == nan_blind_bytes(want)
+            if momentum > 0:
+                for got, want in zip(opt.vel, vel):
+                    assert nan_blind_bytes(got) == nan_blind_bytes(want)
+                live = max(widths[:t])
+                assert opt.vel[0][:, live:].tobytes() == bytes(8 * rows * (width - live))
 
 
 class TestTrainConfigValidation:
