@@ -9,7 +9,7 @@ open-world evaluation, a deterministic synthetic-trace generator, and a
 CLI tying the pipeline together.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .augment import AugmentConfig, flip_augment, net_augment
 from .distributions import BurstSizeDistribution, build_distribution

@@ -1,10 +1,13 @@
 """Central finite-difference verification of every analytic gradient.
 
 The checks are the independent oracle for the hand-written backward
-passes: they only ever call the forward/loss functions. Random instances
-whose relu preactivations sit within a guard band of zero are resampled,
-since a finite-difference step across the kink measures a subgradient
-mismatch rather than an implementation error.
+passes: they only ever call the forward/loss functions. Training runs in
+float32, but the checks run the same dtype-generic functions on float64
+copies of the weights: in float32, rounding alone moves a 1e-5 step's
+difference quotient by ~1e-2, far above the 1e-4 tolerance. Random
+instances whose relu preactivations sit within a guard band of zero are
+resampled, since a finite-difference step across the kink measures a
+subgradient mismatch rather than an implementation error.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from .losses import nt_xent_loss, project_batch, project_backward, softmax
 from .models import (
     ModelDims,
     attach_classifier,
+    cast_params,
     contrastive_forward_backward,
     encode_batch,
     init_params,
@@ -54,6 +58,7 @@ def _random_instance(rng: RandomSource, dims: ModelDims, rows: int, n_classes: i
     for _ in range(100):
         params = init_params(dims, rng)
         attach_classifier(params, n_classes, rng)
+        params = cast_params(params, np.float64)
         x = (rng.uniforms(rows * dims.trace_len).reshape(rows, dims.trace_len) * 2.0) - 1.0
         if live is not None:
             x[:, live:] = 0.0

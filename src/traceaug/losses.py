@@ -12,7 +12,8 @@ cross-entropy for labeled and pseudo-labeled rows is
 ``models.supervised_forward_backward``; ``SslConfig`` holds the
 temperature, the pseudo-label threshold and the unlabeled weight.
 
-Everything here is pure float64 math; softmax-style denominators are
+Every function computes in the dtype of its inputs: float32 in training,
+float64 in the gradient checks. Softmax-style denominators are
 log-sum-exp stabilized.
 """
 
@@ -52,12 +53,29 @@ class SslConfig:
             raise ValueError("mu must be >= 1")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stabilized softmax."""
+def _shifted_exp(logits: np.ndarray):
+    """(logits minus each row's max, their exp, the exp's row sums)."""
     logits = np.atleast_2d(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return shifted, e, e.sum(axis=1, keepdims=True)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stabilized softmax."""
+    _, e, total = _shifted_exp(logits)
+    return e / total
+
+
+def log_softmax_picked(logits: np.ndarray, labels: np.ndarray):
+    """Softmax rows and each row's log-probability at its label.
+
+    The log-probability is the shifted logit minus the log of the row sum,
+    so it stays finite where the probability itself underflows to 0.
+    """
+    shifted, e, total = _shifted_exp(logits)
+    picked = shifted[np.arange(len(shifted)), labels] - np.log(total[:, 0])
+    return e / total, picked
 
 
 def _pair_index(two_n: int) -> np.ndarray:
@@ -72,7 +90,7 @@ def nt_xent_loss(z: np.ndarray, tau_s: float) -> tuple[float, np.ndarray]:
     Returns (loss, grad) where grad has the shape of z. With a single
     pair (2N == 2) there are no negatives and the loss is exactly 0.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     two_n, _ = z.shape
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError("need an even number of rows, at least one pair")

@@ -5,7 +5,11 @@ layers and a linear output (the trace embedding). Two heads attach to it:
 a bias-free two-matrix projection head used only during contrastive
 pre-training, and a softmax classifier used for fine-tuning and
 deployment. The projection output width is a quarter of the embedding
-width. All weights are float64.
+width. Weights, activations, gradients and optimizer state are float32:
+weights are drawn in float64 and stored rounded. Every forward and
+backward function follows the dtype of the weights it is given, so
+``gradcheck`` runs the same code on float64 copies of the weights.
+Checkpoints store float64 blocks, which hold float32 values exactly.
 
 ``supervised_forward_backward`` is the only softmax cross-entropy: it
 scores labeled rows and, with a row mask and a larger denominator,
@@ -18,12 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import project_backward, project_batch, softmax
+from .losses import log_softmax_picked, project_backward, project_batch, softmax
 from .rng import RandomSource
 from .traces import DirectionTrace
 
 _CKPT_MAGIC = b"TAUG"
 _CKPT_VERSION = 1
+
+# the working dtype of weights and of training
+_DTYPE = np.float32
+
+# the smallest true-class log-probability the cross-entropy scores
+_LOG_FLOOR = float(np.log(1e-300))
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,10 @@ class ModelParams:
 
 
 def _glorot_uniform(rng: RandomSource, fan_out: int, fan_in: int) -> np.ndarray:
+    """Glorot-uniform weights, drawn and scaled in float64, stored rounded."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return (rng.uniforms(fan_out * fan_in) * 2.0 - 1.0).reshape(fan_out, fan_in) * bound
+    w = (rng.uniforms(fan_out * fan_in) * 2.0 - 1.0).reshape(fan_out, fan_in) * bound
+    return w.astype(_DTYPE)
 
 
 def init_params(dims: ModelDims, rng: RandomSource) -> ModelParams:
@@ -78,7 +90,7 @@ def init_params(dims: ModelDims, rng: RandomSource) -> ModelParams:
     sizes = (dims.trace_len, *dims.hidden, dims.embed_dim)
     encoder = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        encoder.append((_glorot_uniform(rng, fan_out, fan_in), np.zeros(fan_out)))
+        encoder.append((_glorot_uniform(rng, fan_out, fan_in), np.zeros(fan_out, _DTYPE)))
     proj_w1 = _glorot_uniform(rng, dims.embed_dim, dims.embed_dim)
     proj_w2 = _glorot_uniform(rng, dims.proj_dim, dims.embed_dim)
     return ModelParams(encoder=encoder, proj_w1=proj_w1, proj_w2=proj_w2)
@@ -89,7 +101,20 @@ def attach_classifier(params: ModelParams, n_classes: int, rng: RandomSource) ->
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
     params.clf_w = _glorot_uniform(rng, n_classes, params.embed_dim)
-    params.clf_b = np.zeros(n_classes)
+    params.clf_b = np.zeros(n_classes, _DTYPE)
+
+
+def cast_params(params: ModelParams, dtype) -> ModelParams:
+    """A copy of params with every array in ``dtype``; the gradient checks
+    run on float64 copies."""
+    def cast(a):
+        return None if a is None else a.astype(dtype)
+
+    return ModelParams(
+        encoder=[(cast(w), cast(b)) for w, b in params.encoder],
+        proj_w1=cast(params.proj_w1), proj_w2=cast(params.proj_w2),
+        clf_w=cast(params.clf_w), clf_b=cast(params.clf_b),
+    )
 
 
 # -- forward / backward -----------------------------------------------------
@@ -100,8 +125,8 @@ def encode_batch(x: np.ndarray, params: ModelParams):
 
     ``x`` holds int8 or float rows. The first layer works on the batch's
     live column prefix only: columns right of the last one with a nonzero
-    cell in any row are zero padding, so only ``x[:, :k]`` is cast to
-    float64 and multiplied by ``W[:, :k]``; for k = 0 the first
+    cell in any row are zero padding, so only ``x[:, :k]`` is cast to the
+    weights' dtype and multiplied by ``W[:, :k]``; for k = 0 the first
     preactivation is the bias. Caches hold each layer's input activation
     (k columns wide for the first layer) and preactivation, which is
     exactly what the backward pass needs.
@@ -112,7 +137,7 @@ def encode_batch(x: np.ndarray, params: ModelParams):
     live = np.flatnonzero(x.any(axis=0))
     k = int(live[-1]) + 1 if live.size else 0
     caches = []
-    act = np.asarray(x[:, :k], dtype=np.float64)
+    act = np.asarray(x[:, :k], dtype=params.encoder[0][0].dtype)
     last = len(params.encoder) - 1
     for i, (w, b) in enumerate(params.encoder):
         pre = act @ (w[:, :k] if i == 0 else w).T + b
@@ -152,7 +177,7 @@ def predict_batch(params: ModelParams, traces: list[DirectionTrace]) -> np.ndarr
     """Probability rows for a list of traces, input order preserved."""
     if len(traces) == 0:
         n = params.n_classes or 0
-        return np.empty((0, n), dtype=np.float64)
+        return np.empty((0, n), dtype=params.encoder[0][0].dtype)
     return classify_batch(np.stack([t.cells for t in traces]), params)
 
 
@@ -177,7 +202,8 @@ def supervised_forward_backward(x: np.ndarray, labels: np.ndarray, params: Model
     for both labeled and pseudo-labeled rows.
 
     The loss is -sum over the rows in ``keep`` of log p[label], divided by
-    ``denom``; a true-class probability below 1e-300 counts as 1e-300. By
+    ``denom``; a true-class probability below 1e-300 counts as 1e-300, in
+    float32 too, since the floor applies to the log-probability. By
     default every row is kept and ``denom`` is the row count, which gives
     the mean. Returns (loss, encoder grads, d_clf_w, d_clf_b).
     """
@@ -185,13 +211,11 @@ def supervised_forward_backward(x: np.ndarray, labels: np.ndarray, params: Model
     keep = np.ones(n, dtype=bool) if keep is None else keep
     denom = n if denom is None else denom
     embed, caches = encode_batch(x, params)
-    probs = softmax(embed @ params.clf_w.T + params.clf_b)
-    rows = np.arange(n)
-    picked = probs[rows, labels]
-    loss = float(-(np.log(np.maximum(picked, 1e-300)) * keep).sum() / denom)
+    probs, log_picked = log_softmax_picked(embed @ params.clf_w.T + params.clf_b, labels)
+    loss = float(-(np.maximum(log_picked, _LOG_FLOOR) * keep).sum() / denom)
     d_logits = probs
-    d_logits[rows, labels] -= 1.0
-    d_logits *= keep[:, None] / denom
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits *= (keep / denom).astype(d_logits.dtype)[:, None]
     d_clf_w = d_logits.T @ embed
     d_clf_b = d_logits.sum(axis=0)
     d_embed = d_logits @ params.clf_w
@@ -233,7 +257,9 @@ def trainable_arrays(params: ModelParams, head: str) -> list[np.ndarray]:
 # -- checkpoint format -------------------------------------------------------
 #
 # Binary container: magic, version, then dims header (layer shapes) and
-# row-major float64 blocks, little-endian throughout.
+# row-major float64 blocks, little-endian throughout. float32 weights are
+# written exactly and read back rounded to float32, so a float32 model
+# round-trips byte for byte.
 
 
 def _write_block(fh, arr: np.ndarray) -> None:
@@ -265,12 +291,13 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _read_matrix(fh) -> np.ndarray:
     rows, cols = struct.unpack("<II", _read_exact(fh, 8))
-    return np.frombuffer(_read_exact(fh, rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
+    block = np.frombuffer(_read_exact(fh, rows * cols * 8), dtype="<f8")
+    return block.reshape(rows, cols).astype(_DTYPE)
 
 
 def _read_vector(fh) -> np.ndarray:
     (n,) = struct.unpack("<I", _read_exact(fh, 4))
-    return np.frombuffer(_read_exact(fh, n * 8), dtype="<f8").copy()
+    return np.frombuffer(_read_exact(fh, n * 8), dtype="<f8").astype(_DTYPE)
 
 
 def load_params(path) -> ModelParams:

@@ -2,8 +2,9 @@
 baseline, and the pseudo-labeling semi-supervised loop.
 
 Every phase runs on one driver, ``_fit`` (optimizer, shuffling, epoch
-loop, non-finite loss guard, per-epoch mean loss), and supplies only its
-step: a closure from a batch of row indices to (loss, gradients).
+loop, non-finite loss and gradient guard, per-epoch mean loss), and
+supplies only its step: a closure from a batch of row indices to (loss,
+gradients). Weights, gradients and optimizer state are float32.
 Everything is single-threaded and draws all randomness from streams
 spawned off the run seed, so a (seed, data, config) triple reproduces the
 parameter trajectory bit for bit. Stream assignments are fixed per concern
@@ -49,7 +50,8 @@ class MissingClass(ValueError):
 
 
 class NonFiniteLoss(ValueError):
-    """A training step's loss is NaN or infinite, so the run is stopped."""
+    """A training step's loss or gradient is NaN or infinite, so the run is
+    stopped before the step updates any weight."""
 
 
 @dataclass(frozen=True)
@@ -120,20 +122,22 @@ class _Optimizer:
         if cfg.optimizer == "adam":
             # np.zeros, unlike zeros_like, leaves the pages of the never-live
             # tail of m and v uncommitted
-            self.m = [np.zeros(a.shape) for a in arrays]
-            self.v = [np.zeros(a.shape) for a in arrays]
+            self.m = [np.zeros(a.shape, a.dtype) for a in arrays]
+            self.v = [np.zeros(a.shape, a.dtype) for a in arrays]
             # two scratch buffers shared by all arrays keep the step free of
             # per-operation temporaries
             largest = max(a.size for a in arrays)
-            self._scratch = (np.empty(largest), np.empty(largest))
+            dtype = np.result_type(*arrays)
+            self._scratch = (np.empty(largest, dtype), np.empty(largest, dtype))
         elif cfg.momentum > 0:
-            self.vel = [np.zeros(a.shape) for a in arrays]
+            self.vel = [np.zeros(a.shape, a.dtype) for a in arrays]
 
     def _lr(self) -> float:
+        # a Python float, so that it scales float32 arrays in float32
         if not self.cfg.cosine_decay:
             return self.cfg.learning_rate
         frac = (self.t - 1) / self.total_steps
-        return self.cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * frac))
+        return float(self.cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * frac)))
 
     def _prefix(self, i: int, width: int) -> int:
         self._live[i] = max(self._live[i], width)
@@ -225,12 +229,14 @@ def _add_scaled(g: np.ndarray, gu: np.ndarray, scale: float) -> np.ndarray:
     return g
 
 
-def _check_finite(loss: float, phase: str, epoch: int, step: int) -> None:
+def _check_finite(loss: float, grads, phase: str, epoch: int, step: int) -> None:
+    """Raise NonFiniteLoss if the loss or any gradient element is NaN or inf."""
+    where = f"at epoch {epoch + 1}, step {step + 1}; training stopped"
     if not math.isfinite(loss):
-        raise NonFiniteLoss(
-            f"{phase}: loss is {loss} at epoch {epoch + 1}, step {step + 1}; "
-            "training stopped (is the learning rate too high?)"
-        )
+        raise NonFiniteLoss(f"{phase}: loss is {loss} {where} (is the learning rate too high?)")
+    for i, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            raise NonFiniteLoss(f"{phase}: gradient of array {i} is not finite {where}")
 
 
 def _epoch_batches(n: int, batch_size: int, rng: RandomSource, drop_last: bool):
@@ -259,9 +265,11 @@ def _fit(phase: str, params, head: str, cfg: TrainConfig, n: int, drop_last: boo
     """Train ``head`` and the encoder for cfg.epochs shuffled passes over n rows.
 
     ``step(batch)`` maps a list of row indices to (loss, gradients), the
-    gradients in trainable_arrays order. The cosine schedule spans exactly
-    the steps taken: n // B per epoch when partial batches are dropped,
-    ceil(n / B) when they are kept. Records the per-epoch mean loss.
+    gradients in trainable_arrays order; a non-finite loss or gradient
+    stops the run before the optimizer step. The cosine schedule spans
+    exactly the steps taken: n // B per epoch when partial batches are
+    dropped, ceil(n / B) when they are kept. Records the per-epoch mean
+    loss.
     """
     steps_per_epoch = n // cfg.batch_size if drop_last else math.ceil(n / cfg.batch_size)
     opt = _Optimizer(trainable_arrays(params, head), cfg, cfg.epochs * steps_per_epoch)
@@ -271,7 +279,7 @@ def _fit(phase: str, params, head: str, cfg: TrainConfig, n: int, drop_last: boo
         epoch_losses = []
         for i, batch in enumerate(_epoch_batches(n, cfg.batch_size, rng_shuffle, drop_last)):
             loss, grads = step(batch)
-            _check_finite(loss, phase, epoch, i)
+            _check_finite(loss, grads, phase, epoch, i)
             opt.step(grads)
             epoch_losses.append(loss)
         result.loss_history.append(float(np.mean(epoch_losses)))

@@ -2,12 +2,17 @@
 
 They pin the exact bytes of augmentation, training and optimizer
 arithmetic, so any change to draw order, augmentation arithmetic or
-optimizer arithmetic shows up here as a digest mismatch. The flip
-digests (``pretrain-flip``, ``cli-augment-flip``) date from the per-trace
-engine and the unfused optimizer. The four that burst augmentation feeds
-(``pretrain-net``, ``finetune-net``, ``netfm``, ``cli-augment-net``) were
-re-recorded when every burst-augmentation decision got a fixed draw slot
-(3 draws per trace plus 3 per burst), which changed the augmented bytes.
+optimizer arithmetic shows up here as a digest mismatch. The two CLI
+augment digests hold no weights: ``cli-augment-flip`` dates from the
+per-trace engine, and ``cli-augment-net`` was re-recorded when every
+burst-augmentation decision got a fixed draw slot (3 draws per trace plus
+3 per burst). The five checkpoint digests (``pretrain-net``,
+``pretrain-flip``, ``finetune-net``, ``netfm``,
+``short-pretrain-finetune``) were re-recorded when training moved from
+float64 to float32; the checkpoint still stores float64 blocks, which hold
+the float32 weights exactly. They depend on the numpy and BLAS builds,
+whose float32 kernels may round differently; CI prints both.
+
 ``short-pretrain-finetune`` pins the first layer's live-prefix path: its
 traces all end by cell 48 of 64, so every fine-tuning batch and most
 pre-training batches leave the weight columns past their last live cell
@@ -15,8 +20,9 @@ out of the products, and the optimizer gets first-layer gradients of
 varying width, whose missing columns only decay Adam's state. The other
 digests cannot show that path, because each of their batches has a row
 that reaches the last cell. At 64 cells the shorter sums round exactly as
-the full-width ones do, so this digest is also what full-width products
-give; the bytes differ only at longer traces (the 5,000-cell chain).
+the full-width ones do, in float32 as in float64, so this digest is also
+what full-width products give; the bytes differ only at longer traces
+(the 5,000-cell chain).
 """
 
 import numpy as np
@@ -42,13 +48,13 @@ NET_CFG = AugmentConfig(
 )
 
 GOLDEN = {
-    "pretrain-net": "f20e7a692378606be52abbe57474c7163d37debb620d57a00f135920e5843c4e",
-    "pretrain-flip": "7149526aaa036d943a18bd6f54e92a0658e83e38c38228541dc12ad248002af7",
-    "finetune-net": "2a915cce0998acd2a57afbe280e8f6681df571eb61b01bb36114abfd7de2d318",
-    "netfm": "7e1169f2f306a39c34076e4fa8d4d157dd5d3b5de2c24444fe1fd09b0bb6909b",
+    "pretrain-net": "33996b1b4f7ee627f0d63b55243f93a35f486bcd88e0d5f662a01ffae944d9f6",
+    "pretrain-flip": "7a6ae96a09310a267dbf1826dc59afada72ee10c9ffc67823092fef1007e2357",
+    "finetune-net": "d6c2fc66752159e94a7ebab6d87c1d5b7d9321864bc986205b6283b2244d6e2d",
+    "netfm": "b389900888cd2ea7b85085602ccc36710137f68d216959b07a0f4f9805d89581",
     "cli-augment-net": "052f004c55c08ece4824fde7f2d9814f3016baabba7bbbdccbba29579c2475a7",
     "cli-augment-flip": "307dbb2698f439c6776b44a809a5719ce8b890a080d75f23915d32e2b10f326b",
-    "short-pretrain-finetune": "37df19cafa2955b39826eae20b0f5348a204dc975d0f57e13a014007b8b331af",
+    "short-pretrain-finetune": "109e41aeb52406e10413d4d0d07e3f05d7e6493a7f2a01d5ec86bf8a8e64a049",
 }
 
 

@@ -18,6 +18,7 @@ from traceaug.models import (
     ModelDims,
     ModelParams,
     attach_classifier,
+    cast_params,
     init_params,
     supervised_forward_backward,
 )
@@ -26,15 +27,15 @@ from traceaug.traces import DirectionTrace, fit_length
 from traceaug.training import TrainConfig, train_netfm
 
 
-def xent(logits, labels, keep=None, denom=None):
+def xent(logits, labels, keep=None, denom=None, dtype=np.float64):
     """supervised_forward_backward on a one-layer model whose logits are
     exactly its inputs, so each test sets the probabilities it scores."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits, dtype=dtype)
     k = logits.shape[1]
-    eye = np.eye(k)
+    eye = np.eye(k, dtype=dtype)
     params = ModelParams(
-        encoder=[(eye.copy(), np.zeros(k))], proj_w1=eye.copy(), proj_w2=eye.copy(),
-        clf_w=eye.copy(), clf_b=np.zeros(k),
+        encoder=[(eye.copy(), np.zeros(k, dtype))], proj_w1=eye.copy(), proj_w2=eye.copy(),
+        clf_w=eye.copy(), clf_b=np.zeros(k, dtype),
     )
     return supervised_forward_backward(logits, np.asarray(labels), params, keep, denom)
 
@@ -122,6 +123,7 @@ class TestCrossEntropy:
         # a zero classifier gives uniform rows, whatever the encoder does
         params = init_params(ModelDims(trace_len=32, hidden=(16,), embed_dim=8), RandomSource(0))
         attach_classifier(params, 4, RandomSource(1))
+        params = cast_params(params, np.float64)
         params.clf_w[:] = 0.0
         x = np.random.default_rng(0).choice([-1.0, 1.0], size=(5, 32))
         loss = supervised_forward_backward(x, np.array([0, 1, 2, 3, 3]), params)[0]
@@ -135,6 +137,13 @@ class TestCrossEntropy:
         result = xent([[0.0, -1e4]], [1])
         assert result[0] == pytest.approx(300 * math.log(10))
         assert np.all(np.isfinite(flat_grads(result)))
+
+    def test_zero_probability_clamped_float32(self):
+        # float32 rounds 1e-300 itself to 0; the floor holds on the log scale
+        result = xent([[0.0, -1e4]], [1], dtype=np.float32)
+        assert result[0] == pytest.approx(300 * math.log(10))
+        grads = flat_grads(result)
+        assert grads.dtype == np.float32 and np.all(np.isfinite(grads))
 
 
 def tiny_netfm_corpus():

@@ -6,13 +6,16 @@ from traceaug.models import (
     ModelDims,
     ModelParams,
     attach_classifier,
+    cast_params,
     classify_batch,
+    contrastive_forward_backward,
     encode_backward,
     encode_batch,
     init_params,
     load_params,
     predict_batch,
     save_params,
+    supervised_forward_backward,
 )
 from traceaug.rng import RandomSource
 from traceaug.traces import DirectionTrace
@@ -24,6 +27,11 @@ def tiny_params(seed=0, n_classes=3):
     params = init_params(TINY, RandomSource(seed))
     attach_classifier(params, n_classes, RandomSource(seed + 1))
     return params
+
+
+def tiny_params64(seed=0, n_classes=3):
+    """tiny_params upcast to float64, for comparisons at float64 precision."""
+    return cast_params(tiny_params(seed, n_classes), np.float64)
 
 
 def trace32(rng):
@@ -87,7 +95,7 @@ class TestLivePrefix:
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_zero_tail_matches_full_width(self, dtype):
         rng = np.random.default_rng(3)
-        params = tiny_params()
+        params = tiny_params64()
         x = np.where(rng.random((5, 32)) < 0.5, -1, 1).astype(dtype)
         x[:, 19:] = 0
         x[1, 18] = 0  # the last live column need not be live in every row
@@ -104,7 +112,7 @@ class TestLivePrefix:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_all_zero_batch_returns_the_bias(self):
-        params = tiny_params()
+        params = tiny_params64()
         params.encoder[0][1][...] = np.linspace(-1.0, 1.0, 16)
         embed, caches = encode_batch(np.zeros((2, 32), dtype=np.int8), params)
         assert caches[0][0].shape == (2, 0)
@@ -143,7 +151,7 @@ class TestClassify:
 
     def test_predict_batch_empty_and_order(self):
         rng = np.random.default_rng(5)
-        params = tiny_params(8)
+        params = tiny_params64(8)
         assert predict_batch(params, []).shape == (0, 3)
         traces = [trace32(rng) for _ in range(4)]
         batch = predict_batch(params, traces)
@@ -163,6 +171,50 @@ class TestClassify:
         params = init_params(TINY, RandomSource(0))
         with pytest.raises(ValueError):
             classify_batch(rows32(np.random.default_rng(7)), params)
+
+
+class TestFloat32:
+    """Training runs in float32 through the same functions that the
+    gradient checks run in float64."""
+
+    @staticmethod
+    def results(params, x, labels):
+        loss_c, enc_c, d_w1, d_w2 = contrastive_forward_backward(x, params, 0.5)
+        loss_s, enc_s, d_w, d_b = supervised_forward_backward(x, labels, params)
+        grads = pack_pairs(enc_c) + [d_w1, d_w2] + pack_pairs(enc_s) + [d_w, d_b]
+        return [loss_c, loss_s], grads
+
+    def test_float32_agrees_with_float64_on_the_same_weights(self):
+        rng = np.random.default_rng(12)
+        params = tiny_params(12)
+        x = np.where(rng.random((8, 32)) < 0.5, -1, 1).astype(np.int8)
+        x[:, 27:] = 0
+        labels = rng.integers(0, 3, size=8)
+        losses32, grads32 = self.results(params, x, labels)
+        losses64, grads64 = self.results(cast_params(params, np.float64), x, labels)
+        assert all(g.dtype == np.float32 for g in grads32)
+        assert all(g.dtype == np.float64 for g in grads64)
+        np.testing.assert_allclose(losses32, losses64, rtol=1e-5)
+        for g32, g64 in zip(grads32, grads64):
+            assert g32.shape == g64.shape
+            # float32 rounds each operation to 2**-24 relative; over ~32-term
+            # sums and three layers the gap stays near 4e-7 of the largest element
+            np.testing.assert_allclose(g32, g64, rtol=0, atol=4e-6 * np.abs(g64).max())
+
+    def test_weights_are_the_float64_draws_rounded(self):
+        params = tiny_params(4)
+        arrays = [a for layer in params.encoder for a in layer]
+        arrays += [params.proj_w1, params.proj_w2, params.clf_w, params.clf_b]
+        assert all(a.dtype == np.float32 for a in arrays)
+        rng = RandomSource(4)
+        bound = np.sqrt(6.0 / (32 + 16))
+        first = (rng.uniforms(16 * 32) * 2.0 - 1.0).reshape(16, 32) * bound
+        assert np.array_equal(params.encoder[0][0], first.astype(np.float32))
+
+    def test_probabilities_are_float32(self):
+        probs = predict_batch(tiny_params(6), [trace32(np.random.default_rng(6))])
+        assert probs.dtype == np.float32
+        assert predict_batch(tiny_params(6), []).dtype == np.float32
 
 
 class TestInit:
@@ -203,6 +255,27 @@ class TestCheckpoint:
         save_params(tmp_path / "again.ckpt", loaded)
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
         assert loaded.clf_w is None
+
+    def test_save_load_save_is_byte_identical_and_float32(self, tmp_path):
+        params = tiny_params(13, n_classes=4)
+        save_params(tmp_path / "a.ckpt", params)
+        loaded = load_params(tmp_path / "a.ckpt")
+        save_params(tmp_path / "b.ckpt", loaded)
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+        loaded_arrays = [a for layer in loaded.encoder for a in layer]
+        loaded_arrays += [loaded.proj_w1, loaded.proj_w2, loaded.clf_w, loaded.clf_b]
+        assert all(a.dtype == np.float32 for a in loaded_arrays)
+        assert np.array_equal(loaded.encoder[0][0], params.encoder[0][0])
+
+    def test_float64_checkpoint_loads_rounded_to_float32(self, tmp_path):
+        # checkpoints written by float64 training (0.2.0 and earlier)
+        params = cast_params(tiny_params(14), np.float64)
+        params.encoder[0][0][...] += 1e-12
+        save_params(tmp_path / "f64.ckpt", params)
+        loaded = load_params(tmp_path / "f64.ckpt")
+        assert loaded.encoder[0][0].dtype == np.float32
+        assert np.array_equal(loaded.encoder[0][0], params.encoder[0][0].astype(np.float32))
+        assert np.array_equal(loaded.clf_b, params.clf_b.astype(np.float32))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

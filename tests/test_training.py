@@ -334,6 +334,40 @@ class TestNonFiniteLoss:
             )
 
 
+class TestNonFiniteGradient:
+    """A finite loss with a NaN or infinite gradient stops the run before
+    the optimizer step, naming the phase, epoch, step and array."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_raises_before_the_step(self, bad, monkeypatch):
+        params = init_params(DIMS, RandomSource(2))
+        arrays = training.trainable_arrays(params, "projection")
+        rng = np.random.default_rng(3)
+        seen = []
+
+        def step(batch):
+            seen.append(weights(params))
+            grads = [rng.standard_normal(a.shape).astype(a.dtype) for a in arrays]
+            if len(seen) == 2:
+                grads[3][5] = bad
+            return 0.5, grads
+
+        steps = []
+        opt_step = training._Optimizer.step
+        monkeypatch.setattr(training._Optimizer, "step",
+                            lambda opt, grads: steps.append(opt_step(opt, grads)))
+        with pytest.raises(
+            NonFiniteLoss,
+            match=r"^pretrain: gradient of array 3 is not finite at epoch 1, step 2;",
+        ):
+            training._fit("pretrain", params, "projection", fast_cfg(batch_size=4, epochs=1),
+                          16, True, step)
+        # one Adam step ran; the failing step left the weights as it found them
+        assert len(steps) == 1
+        assert np.array_equal(weights(params), seen[1])
+        assert not np.array_equal(seen[0], seen[1])
+
+
 class TestOptimizers:
     def test_sgd_and_adam_both_learn(self):
         rng = np.random.default_rng(13)
