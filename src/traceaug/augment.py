@@ -43,6 +43,15 @@ sequence of n RandomSources, one per row. Flip augmentation draws one
 uniform per nonzero cell. The batch forms check their inputs before
 drawing anything (``check_net_inputs``), so a short trace or a missing
 distribution leaves the streams untouched.
+
+``net_augment_batch`` works on whole arrays. It run-length encodes the
+suffixes of all rows at once, takes the draws as one block, applies the
+three manipulations to the burst arrays, and assembles the cells from
+burst boundaries rather than cell by cell: each burst writes its change
+of sign at its first column into a marker matrix, each row's last sign is
+taken back at the row's end, and a cumulative sum along the rows, up to
+the last column that holds a cell, gives the cells. The protected prefix
+is then copied to its shifted columns.
 """
 
 from dataclasses import dataclass
@@ -245,8 +254,7 @@ def net_augment(
     cells = fit_length(np.concatenate((prefix, suffix_cells)), len(t))
 
     n = shift % (cfg.shift_max + 1)
-    if n > 0:
-        cells = np.concatenate((np.zeros(n, dtype=np.int8), cells[: len(cells) - n]))
+    cells = fit_length(np.concatenate((np.zeros(n, dtype=np.int8), cells)), len(t))
     return DirectionTrace(cells, label=t.label)
 
 
@@ -298,13 +306,19 @@ def _streams(rng, n: int):
 def _row_bursts(cells: np.ndarray):
     """2-D signed run-length encoding: the bursts of every row, in row order,
     and the row each burst belongs to. Zeros are skipped as in extract_bursts."""
-    rows, cols = np.nonzero(cells)
-    values = cells[rows, cols].astype(np.int64)
-    starts = np.ones(len(values), dtype=bool)
-    starts[1:] = (rows[1:] != rows[:-1]) | (values[1:] != values[:-1])
+    live = cells != 0
+    values = cells[live]  # row-major: each row's nonzero cells in order
+    row_ptr = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(live, axis=1), out=row_ptr[1:])
+    # a burst starts at a sign change and at each row's first nonzero cell
+    starts = np.empty(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    row_first = row_ptr[:-1]
+    starts[row_first[row_first < len(values)]] = True
     starts = np.flatnonzero(starts)
     lengths = np.diff(np.append(starts, len(values)))
-    return values[starts] * lengths, rows[starts]
+    rows = np.searchsorted(row_ptr, starts, side="right") - 1
+    return values[starts].astype(np.int64) * lengths, rows
 
 
 def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
@@ -318,7 +332,9 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
 
     ``rng`` is one RandomSource shared by the rows in order, or a sequence
     of n RandomSources, one per row. Either way the result and the final
-    stream counters equal those of calling net_augment row by row.
+    stream counters equal those of calling net_augment row by row. The
+    output is assembled from burst boundaries, one marker per burst and a
+    cumulative sum along each row, as the module docstring describes.
     """
     cells = np.asarray(cells, dtype=np.int8)
     n, length = cells.shape
@@ -394,22 +410,29 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
     out_values[o + 1] = dist.inverse_cdf(raw_to_uniforms(slots[split, 1]))
     out_values[o + 2] = b + position
 
-    # cells: prefix verbatim, then the expanded bursts, all shifted right
+    # cells from burst boundaries (see the module docstring). The marker
+    # matrix is wide enough for every row's end; the sum stops at the last
+    # column that holds a cell, so wide, sparse rows pay for their cells only.
     shift = (header[:, 2] % np.uint64(cfg.shift_max + 1)).astype(np.int64)
-    magnitudes = np.abs(out_values)
-    suffix = np.repeat(np.sign(out_values).astype(np.int8), magnitudes)
-    suffix_row = np.repeat(out_row, magnitudes)
-    row_first_cell = np.concatenate(([0], np.cumsum(magnitudes)))[_row_pointers(out_row, n)[:-1]]
-    suffix_col = (
-        np.arange(len(suffix)) - row_first_cell[suffix_row] + prefix_len + shift[suffix_row]
-    )
-    prefix_col = shift[:, None] + np.arange(prefix_len)
-    flat_rows = np.concatenate((np.repeat(np.arange(n), prefix_len), suffix_row))
-    flat_cols = np.concatenate((prefix_col.ravel(), suffix_col))
-    flat_values = np.concatenate((cells[:, :prefix_len].ravel(), suffix))
-    inside = flat_cols < length
+    signs = np.sign(out_values).astype(np.int8)
+    ptr = _row_pointers(out_row, n)
+    ends = np.concatenate(([0], np.cumsum(np.abs(out_values))))
+    # column of each row's first burst; past L only that it is past L matters
+    row_start = np.minimum(prefix_len + shift, length)
+    row_end = row_start + ends[ptr[1:]] - ends[ptr[:-1]]
+    width = int(row_end.max()) + 1
+    stop = min(width - 1, length)
+    change = signs.copy()
+    change[1:] -= np.where(out_row[1:] == out_row[:-1], signs[:-1], 0).astype(np.int8)
+    marks = np.zeros((n, width), dtype=np.int8)
+    row_base = np.arange(n) * width
+    marks.ravel()[ends[:-1] + (row_base + row_start - ends[ptr[:-1]])[out_row]] = change
+    marks.ravel()[row_base + row_end] = -signs[ptr[1:] - 1]
     out = np.zeros((n, length), dtype=np.int8)
-    out[flat_rows[inside], flat_cols[inside]] = flat_values[inside]
+    np.cumsum(marks[:, :stop], axis=1, dtype=np.int8, out=out[:, :stop])
+    prefix_col = shift[:, None] + np.arange(prefix_len)
+    kept = prefix_col < length
+    out[np.nonzero(kept)[0], prefix_col[kept]] = cells[:, :prefix_len][kept]
     return out
 
 
@@ -424,12 +447,15 @@ def flip_augment_batch(cells, p_flip: float, rng) -> np.ndarray:
         raise ValueError("p_flip must be in [0, 1]")
     cells = np.array(cells, dtype=np.int8)
     rngs = _streams(rng, len(cells))
-    rows, cols = np.nonzero(cells)
+    live = cells != 0
+    values = cells[live]  # row-major, so in draw order
     if rngs is None:
-        u = rng.uniforms(len(rows))
+        flip = rng.below(len(values), p_flip)
     else:
-        per_row = np.bincount(rows, minlength=len(cells)).tolist()
-        u = np.concatenate([np.empty(0)] + [s.uniforms(k) for s, k in zip(rngs, per_row)])
-    flip = u < p_flip
-    cells[rows[flip], cols[flip]] *= -1
+        per_row = np.count_nonzero(live, axis=1).tolist()
+        flip = np.concatenate(
+            [np.empty(0, dtype=bool)] + [s.below(k, p_flip) for s, k in zip(rngs, per_row)]
+        )
+    values *= 1 - 2 * flip.view(np.int8)  # -1 where flipped, else 1
+    cells[live] = values
     return cells

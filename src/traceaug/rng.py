@@ -7,11 +7,16 @@ vectorized paths produce identical sequences, which the augmentation and
 training contracts rely on.
 """
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPAWN_SALT = 0xD6E8FEB86659FD93
+# draws per block in RandomSource.below: its two uint64 temporaries (128 KB
+# each) are then reused heap memory, not fresh pages faulted in on every call
+_BELOW_BLOCK = 16384
 
 
 def _mix64(x: int) -> int:
@@ -22,12 +27,16 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer over a uint64 array, in place (one scratch array)."""
+    t = np.empty_like(x)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(x, np.uint64(shift), out=t)
+        x ^= t
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
+    return x
 
 
 def raw_to_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -85,15 +94,33 @@ class RandomSource:
 
     def _raw_block(self, n: int) -> np.ndarray:
         """The next n raw 64-bit draws, consumed; same stream as n _raw() calls."""
-        counters = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        x = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        return _mix64_vec(np.uint64(self._seed) + np.uint64(_GOLDEN) * counters)
+        x *= np.uint64(_GOLDEN)
+        x += np.uint64(self._seed)
+        return _mix64_inplace(x)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 uniforms in [0, 1); same stream as n uniform() calls."""
         if n == 0:
             return np.empty(0, dtype=np.float64)
         return raw_to_uniforms(self._raw_block(n))
+
+    def below(self, n: int, p: float) -> np.ndarray:
+        """n booleans, uniform() < p for each of the next n draws.
+
+        Same values and counter as ``uniforms(n) < p``, without forming the
+        floats: a uniform is k * 2**-53 with k = raw >> 11, so it lies below
+        p exactly when k < ceil(p * 2**53). The draws are taken
+        _BELOW_BLOCK at a time.
+        """
+        bound = np.uint64(min(max(math.ceil(p * 2.0**53), 0), 2**53))
+        out = np.empty(n, dtype=bool)
+        for start in range(0, n, _BELOW_BLOCK):
+            k = self._raw_block(min(_BELOW_BLOCK, n - start))
+            k >>= np.uint64(11)
+            np.less(k, bound, out=out[start : start + len(k)])
+        return out
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2n uniforms."""
@@ -103,7 +130,16 @@ class RandomSource:
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
     def shuffle(self, items) -> None:
-        """In-place Fisher-Yates shuffle of a mutable sequence or 1-d array."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        """In-place Fisher-Yates shuffle of a mutable sequence or 1-d array.
+
+        Draws one block of len(items) - 1 raw values: swap partner j of
+        position i (i from the end down to 1) is the next raw draw mod
+        (i + 1), so the permutation and the counter equal those of drawing
+        each partner with randbelow.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        partners = self._raw_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), partners.tolist()):
             items[i], items[j] = items[j], items[i]

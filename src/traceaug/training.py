@@ -54,6 +54,11 @@ class NonFiniteLoss(ValueError):
     stopped before the step updates any weight."""
 
 
+#: float32's smallest subnormal. Adam adds eps to float32 arrays, where an
+#: eps of half this or less is 0, and 0/0 then turns untouched weights NaN.
+_EPS_MIN = float(np.finfo(np.float32).smallest_subnormal)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings shared by all training phases."""
@@ -75,8 +80,11 @@ class TrainConfig:
         # only when lr is finite, eps > 0 and beta1 < 1
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        if not _EPS_MIN / 2 < self.eps < np.inf:
+            raise ValueError(
+                f"eps must be finite and nonzero in float32 (whose smallest is "
+                f"{_EPS_MIN:.3g}), got {self.eps!r}"
+            )
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")

@@ -8,11 +8,14 @@ fixed draw slot, so a row takes 3 + 3 * (its bursts after the prefix)
 draws, and one row's content never moves another row's draws.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceaug import augment
 from traceaug.augment import (
     AugmentConfig,
     EmptyDistribution,
@@ -32,16 +35,21 @@ CHUNKS = (1, 7, None)  # None: the whole corpus in one call
 
 @st.composite
 def corpora(draw):
-    """(n, L) cell matrices: alternating bursts, some after leading zeros."""
-    length = draw(st.integers(16, 90))
+    """(n, L) cell matrices: bursts after some leading zeros, with zero gaps
+    between some of them (the bursts on either side of a gap may share a
+    sign), in rows that end in zero padding up to L. L is short, or the
+    CLI's 5,000 cells."""
+    length = draw(st.one_of(st.integers(16, 90), st.just(5000)))
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         lead = draw(st.integers(0, 12))
         sign = draw(st.sampled_from([-1, 1]))
         cells = [0] * lead
-        for size in draw(st.lists(st.integers(1, 16), min_size=1, max_size=20)):
-            cells += [sign] * size
-            sign = -sign
+        bursts = st.tuples(st.integers(1, 16), st.sampled_from([0, 0, 0, 1, 3]), st.booleans())
+        for size, gap, keep_sign in draw(st.lists(bursts, min_size=1, max_size=20)):
+            cells += [sign] * size + [0] * gap
+            if not (gap and keep_sign):
+                sign = -sign
         row = fit_length(np.array(cells), length)
         if np.count_nonzero(row):
             rows.append(row)
@@ -59,8 +67,10 @@ def net_cases(draw):
     cells = draw(corpora())
     counts = np.count_nonzero(cells, axis=1)
     low = draw(st.integers(0, int(counts.max())))
+    length = cells.shape[1]
     cfg = AugmentConfig(
-        shift_max=draw(st.integers(0, 8)),
+        # past L - prefix, a row's whole suffix and then its prefix leave the trace
+        shift_max=draw(st.one_of(st.integers(0, 8), st.integers(length - 2, length + 3))),
         r_upsample=draw(positive_unit),
         r_downsample=draw(positive_unit),
         r_insert=draw(unit),
@@ -74,6 +84,27 @@ def net_cases(draw):
     support = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
     weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
     return cells, cfg, BurstSizeDistribution(np.array(support), np.array(weights))
+
+
+class AnyCells(DirectionTrace):
+    """A DirectionTrace that may hold interior zeros, which the constructor
+    refuses. The batch forms take any int8 matrix and skip zeros as the
+    per-trace functions do, so the reference runs on these rows too."""
+
+    def __post_init__(self):
+        self.cells = np.asarray(self.cells, dtype=np.int8)
+
+
+def ref_net(row, cfg, dist, rng):
+    """net_augment's cells for one row, interior zeros allowed."""
+    with mock.patch.object(augment, "DirectionTrace", AnyCells):
+        return net_augment(AnyCells(row), cfg, dist, rng).cells
+
+
+def ref_flip(row, p_flip, rng):
+    """flip_augment's cells for one row, interior zeros allowed."""
+    with mock.patch.object(augment, "DirectionTrace", AnyCells):
+        return flip_augment(AnyCells(row), p_flip, rng).cells
 
 
 def chunked(fn, cells, rngs, chunk):
@@ -97,7 +128,7 @@ def test_net_batch_matches_per_trace_on_a_shared_stream(case, seed, chunk):
     cells, cfg, dist = case
     ref_rng, batch_rng = RandomSource(seed), RandomSource(seed)
     expected = np.stack(
-        [net_augment(DirectionTrace(row), cfg, dist, ref_rng).cells for row in cells]
+        [ref_net(row, cfg, dist, ref_rng) for row in cells]
     )
     got = chunked(lambda c, r: net_augment_batch(c, cfg, dist, r), cells, batch_rng, chunk)
     assert got.dtype == np.int8
@@ -111,7 +142,7 @@ def test_net_batch_matches_per_trace_with_one_stream_per_row(case, seed, chunk):
     cells, cfg, dist = case
     ref_rngs, batch_rngs = per_row_streams(seed, len(cells)), per_row_streams(seed, len(cells))
     expected = np.stack([
-        net_augment(DirectionTrace(row), cfg, dist, rng).cells
+        ref_net(row, cfg, dist, rng)
         for row, rng in zip(cells, ref_rngs)
     ])
     got = chunked(lambda c, r: net_augment_batch(c, cfg, dist, r), cells, batch_rngs, chunk)
@@ -158,7 +189,7 @@ def test_flip_batch_matches_per_trace(cells, p_flip, seed, chunk, shared):
     else:
         ref_rows, batch = per_row_streams(seed, len(cells)), per_row_streams(seed, len(cells))
     expected = np.stack(
-        [flip_augment(DirectionTrace(row), p_flip, rng).cells for row, rng in zip(cells, ref_rows)]
+        [ref_flip(row, p_flip, rng) for row, rng in zip(cells, ref_rows)]
     )
     got = chunked(lambda c, r: flip_augment_batch(c, p_flip, r), cells, batch, chunk)
     np.testing.assert_array_equal(got, expected)
@@ -175,9 +206,40 @@ def test_rests_without_eligible_bursts():
     cfg = AugmentConfig(preserve_prefix=12, r_insert=1.0, r_merge=0.0, shift_max=3)
     dist = BurstSizeDistribution(np.array([2]), np.array([1]))
     ref, batch = RandomSource(4), RandomSource(4)
-    expected = np.stack([net_augment(DirectionTrace(r), cfg, dist, ref).cells for r in cells])
+    expected = np.stack([ref_net(r, cfg, dist, ref) for r in cells])
     np.testing.assert_array_equal(net_augment_batch(cells, cfg, dist, batch), expected)
     assert batch._count == ref._count
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("cfg", [
+    AugmentConfig(),
+    AugmentConfig(shift_max=45),  # beyond L = 40, and past prefix + shift
+    AugmentConfig(preserve_prefix=0, r_insert=1.0),
+], ids=["default", "shift-past-L", "no-prefix"])
+def test_empty_and_single_row_batches(n, shared, cfg):
+    row = fit_length(np.array([0, -1, -1, 0, -1] + [1, 1, -1, -1, -1, 0, 0, -1] * 4), 40)
+    cells = np.repeat(row[None], n, axis=0)
+    dist = BurstSizeDistribution(np.array([1, 3]), np.array([2, 1]))
+    for seed in range(20):
+        if shared:
+            ref, batch = RandomSource(seed), RandomSource(seed)
+            ref_rows = [ref] * n
+        else:
+            ref_rows, batch = per_row_streams(seed, n), per_row_streams(seed, n)
+        for reference, batch_form in (
+            (lambda x, r: ref_net(x, cfg, dist, r),
+             lambda c, r: net_augment_batch(c, cfg, dist, r)),
+            (lambda x, r: ref_flip(x, 0.5, r),
+             lambda c, r: flip_augment_batch(c, 0.5, r)),
+        ):
+            expected = [reference(x, r) for x, r in zip(cells, ref_rows)]
+            got = batch_form(cells, batch)
+            assert got.shape == cells.shape and got.dtype == np.int8
+            np.testing.assert_array_equal(got, np.reshape(expected, cells.shape))
+        counts = [r._count for r in ([batch] if shared else batch)]
+        assert counts == [r._count for r in ([ref] if shared else ref_rows)]
 
 
 def test_short_row_named_and_no_draws_taken():

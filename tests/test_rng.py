@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceaug.rng import RandomSource
 
@@ -75,3 +77,45 @@ def test_shuffle_is_a_permutation_and_deterministic():
     assert a == b
     assert sorted(a) == items
     assert a != items
+
+
+def scalar_shuffle(rng, items):
+    """The scalar Fisher-Yates that RandomSource.shuffle replaced, frozen as
+    the reference: one randbelow draw per position, from the end."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_block_shuffle_matches_scalar_reference(n, kind):
+    for seed in (0, 17, 2**64 - 1):
+        ref_rng, rng = RandomSource(seed), RandomSource(seed)
+        ref_rng.uniforms(3)  # start mid-stream
+        rng.uniforms(3)
+        expected, got = kind(range(n)), kind(range(n))
+        scalar_shuffle(ref_rng, expected)
+        rng.shuffle(got)
+        assert list(got) == list(expected)
+        assert rng._count == ref_rng._count
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.sampled_from([0, 1, 500, 16384, 40000]),
+    pick=st.integers(0, 2**32),
+    p=st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
+        st.floats(0.0, 1.0),
+    ),
+)
+def test_below_equals_the_uniform_comparison(seed, n, pick, p):
+    ref_rng, rng = RandomSource(seed), RandomSource(seed)
+    u = ref_rng.uniforms(n)
+    if n:  # also at a draw's own uniform and its float neighbours
+        at = u[pick % n]
+        p = [p, at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)][pick % 4]
+    np.testing.assert_array_equal(rng.below(n, p), u < p)
+    assert rng._count == ref_rng._count

@@ -25,6 +25,8 @@ from traceaug.training import (
 )
 
 DIMS = ModelDims(trace_len=64, hidden=(32,), embed_dim=16)
+#: The smallest eps Adam's float32 arrays can hold; half of it rounds to 0.
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 
 def weights(p):
@@ -400,7 +402,7 @@ class TestOptimizers:
     @given(
         run=narrow_runs(), seed=st.integers(0, 2**32 - 1), cosine=st.booleans(),
         lr=st.sampled_from([0.0, 1e-3, 0.5]), beta1=st.sampled_from([0.0, 0.9]),
-        beta2=st.sampled_from([0.0, 0.999]), eps=st.sampled_from([1e-8, 5e-324]),
+        beta2=st.sampled_from([0.0, 0.999]), eps=st.sampled_from([1e-8, F32_TINY]),
     )
     def test_adam_step_matches_reference_formula_bitwise(
         self, run, seed, cosine, lr, beta1, beta2, eps
@@ -489,7 +491,8 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", -1e-3), ("eps", 0.0), ("eps", -1e-8),
-        ("eps", float("nan")), ("eps", float("inf")), ("beta1", 1.0),
+        ("eps", float("nan")), ("eps", float("inf")), ("eps", 5e-324),
+        ("eps", F32_TINY / 2), ("beta1", 1.0),
         ("beta1", -0.1), ("beta1", float("nan")), ("beta2", 1.0),
         ("beta2", 1.5), ("momentum", -0.5), ("momentum", float("nan")),
         ("momentum", float("inf")),
@@ -499,7 +502,7 @@ class TestTrainConfigValidation:
             TrainConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        TrainConfig(learning_rate=0.0, eps=5e-324, beta1=0.0, beta2=0.0, momentum=0.0)
+        TrainConfig(learning_rate=0.0, eps=F32_TINY, beta1=0.0, beta2=0.0, momentum=0.0)
 
 
 class TestBadInputsFailBeforeTraining:
