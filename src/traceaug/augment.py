@@ -32,35 +32,35 @@ Integers are the raw draw modulo the range; uniforms are
 ``raw_to_uniforms`` of it. Slots that a trace does not read are still
 consumed.
 
-Single traces go through ``net_augment`` and ``flip_augment``. Training
-loops and the CLI use the batch forms, ``net_augment_batch(cells, cfg,
-dist, rng)`` and ``flip_augment_batch(cells, p_flip, rng)``, which take an
-(n, L) int8 cell matrix and return the augmented matrix. Their contract is
-draw for draw: the result, and the counter of every stream afterwards,
-equal those of calling the per-trace function on the rows in order.
-``rng`` is either one RandomSource that the rows share in row order, or a
-sequence of n RandomSources, one per row. Flip augmentation draws one
-uniform per nonzero cell. The batch forms check their inputs before
-drawing anything (``check_net_inputs``), so a short trace or a missing
-distribution leaves the streams untouched.
+The engine works on batches: ``net_augment_batch(cells, cfg, dist, rng)``
+and ``flip_augment_batch(cells, p_flip, rng)`` take an (n, L) int8 cell
+matrix and return the augmented matrix; ``net_augment`` and
+``flip_augment`` are their one-trace forms. ``rng`` is one RandomSource
+that the rows share in row order, or a sequence of n RandomSources, one
+per row. Flip augmentation draws one uniform per nonzero cell. Inputs are
+checked before any draw (``check_net_inputs``). The contract is draw for
+draw: the result, and every stream's counter afterwards, equal those of
+the per-trace engine frozen in ``tests/augment_reference.py``, run on the
+rows in order.
 
-``net_augment_batch`` works on whole arrays. It run-length encodes the
-suffixes of all rows at once, takes the draws as one block, applies the
-three manipulations to the burst arrays, and assembles the cells from
-burst boundaries rather than cell by cell: each burst writes its change
-of sign at its first column into a marker matrix, each row's last sign is
-taken back at the row's end, and a cumulative sum along the rows, up to
-the last column that holds a cell, gives the cells. The protected prefix
-is then copied to its shifted columns.
+``net_augment_batch`` run-length encodes the suffixes of all rows at once
+and takes the draws as one block. Each stage (``modify_incoming_burst_sizes``,
+``insert_outgoing_bursts``, ``merge_incoming_bursts``) runs once on the
+bursts of the rows that picked it, and a stable sort by row restores the
+row order. The cells are assembled from burst boundaries: each burst
+writes its change of sign at its first column into a marker matrix, each
+row's last sign is taken back at the row's end, and a cumulative sum
+along the rows, up to the last column that holds a cell, gives the cells.
+The protected prefix is then copied to its shifted columns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bursts import bursts_to_cells, extract_bursts, normalize_bursts, split_prefix
+from .bursts import bursts_to_cells, extract_bursts, normalize_bursts  # noqa: F401  perfbench/tracing.py wraps these
 from .rng import RandomSource, raw_to_uniforms
-from .traces import DirectionTrace, fit_length
+from .traces import DirectionTrace
 
 
 #: Smallest incoming burst (in cells) that insertion may split.
@@ -111,44 +111,36 @@ class AugmentConfig:
             raise ValueError("low_cells must be below high_cells")
 
 
-def _round_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero."""
-    return int(np.sign(x) * np.floor(abs(x) + 0.5))
-
-
 def modify_incoming_burst_sizes(
-    bursts: np.ndarray, nonzero_count: int, cfg: AugmentConfig, direction: int, slots
+    bursts: np.ndarray, nonzero_count, cfg: AugmentConfig, direction, slots
 ) -> np.ndarray:
     """Scale large incoming bursts up or down.
 
-    Short traces (nonzero_count <= low_cells) are always upsampled, long
-    ones (> high_cells) downsampled; anything between upsamples when the
-    raw ``direction`` draw is even. Each incoming burst at least
+    ``nonzero_count`` and the raw ``direction`` draw are one trace's
+    values, or arrays holding the value of each burst's trace. Short
+    traces (nonzero_count <= low_cells) are always upsampled, long ones
+    (> high_cells) downsampled; anything between upsamples when
+    ``direction`` is even. Each incoming burst at least
     burst_size_threshold cells large is scaled by (1 + u*delta), u the
     uniform of its first slot (``slots[j, 0]``), rounded to the nearest
-    integer and floored at magnitude 1 so that no burst vanishes or flips
-    direction. Outgoing and small incoming bursts pass through untouched.
+    integer (ties away from zero) and floored at magnitude 1 so that no
+    burst vanishes or flips direction. Outgoing and small incoming bursts
+    pass through untouched.
     """
     bursts = np.asarray(bursts, dtype=np.int64)
-    if nonzero_count <= cfg.low_cells:
-        delta = cfg.r_upsample
-    elif nonzero_count > cfg.high_cells:
-        delta = -cfg.r_downsample
-    else:
-        delta = cfg.r_upsample if int(direction) % 2 == 0 else -cfg.r_downsample
-
+    count = np.asarray(nonzero_count)
+    up = (count <= cfg.low_cells) | ((count <= cfg.high_cells) & (np.asarray(direction) % 2 == 0))
+    delta = np.broadcast_to(np.where(up, cfg.r_upsample, -cfg.r_downsample), bursts.shape)
     eligible = bursts <= -cfg.burst_size_threshold
+    b = bursts[eligible]
     u = raw_to_uniforms(np.asarray(slots, dtype=np.uint64)[eligible, 0])
-    scaled = bursts[eligible] * (1.0 + u * delta)
+    scaled = b * (1.0 + u * delta[eligible])
     out = bursts.copy()
-    out[eligible] = [
-        max(1, abs(_round_away(s))) * int(np.sign(b))
-        for s, b in zip(scaled, bursts[eligible])
-    ]
+    out[eligible] = np.maximum(1, np.floor(np.abs(scaled) + 0.5)).astype(np.int64) * np.sign(b)
     return out
 
 
-def insert_outgoing_bursts(bursts: np.ndarray, cfg: AugmentConfig, dist, slots) -> np.ndarray:
+def insert_outgoing_bursts(bursts: np.ndarray, rows, cfg: AugmentConfig, dist, slots):
     """Split incoming bursts around sampled outgoing bursts.
 
     Incoming burst j of at least 7 cells fires when the uniform of
@@ -156,119 +148,64 @@ def insert_outgoing_bursts(bursts: np.ndarray, cfg: AugmentConfig, dist, slots) 
     [-p, +s, -(m-p)], with the inserted size s the distribution's value
     at the uniform of ``slots[j, 1]`` and the split position
     p = 3 + ``slots[j, 2]`` mod (m-5), in {3, ..., m-3}. The incoming
-    cell count is preserved exactly.
-    """
-    if dist is None or dist.total == 0:
-        raise EmptyDistribution("need a nonempty outgoing-burst-size distribution")
-    slots = np.asarray(slots, dtype=np.uint64)
-    uniforms, splits = raw_to_uniforms(slots[:, :2]).tolist(), slots[:, 2].tolist()
-    out: list[int] = []
-    for b, (fire, size), split in zip(
-        np.asarray(bursts, dtype=np.int64).tolist(), uniforms, splits, strict=True
-    ):
-        if b > -_MIN_SPLIT_CELLS or fire >= cfg.r_insert:
-            out.append(b)  # outgoing, too small to split, or not fired
-            continue
-        position = 3 + split % (-b - 5)
-        out += [-position, int(dist.inverse_cdf(size)), b + position]
-    return np.array(out, dtype=np.int64)
-
-
-def merge_incoming_bursts(bursts: np.ndarray, cfg: AugmentConfig, slots) -> np.ndarray:
-    """Merge runs of incoming bursts, dropping outgoing bursts in between.
-
-    Scanning left to right, incoming burst j fires when the uniform of
-    ``slots[j, 0]`` is below r_merge; k = 2 + ``slots[j, 1]`` mod
-    (n_merge-1), in {2, ..., n_merge}, and the next k incoming bursts
-    (including the current one) collapse into their signed sum. Outgoing
-    bursts strictly between merged incoming bursts are removed; if fewer
-    than k incoming bursts remain, whatever remains is merged. Bursts a
-    group swallows never fire themselves. The total incoming cell count is
-    preserved exactly.
+    cell count is preserved exactly. ``rows`` holds each burst's trace;
+    returns the new bursts and their traces.
     """
     bursts = np.asarray(bursts, dtype=np.int64)
     slots = np.asarray(slots, dtype=np.uint64)
-    fires, groups = raw_to_uniforms(slots[:, 0]).tolist(), slots[:, 1].tolist()
-    out: list[int] = []
-    i = 0
-    n = len(bursts)
-    while i < n:
-        b = int(bursts[i])
-        if b > 0 or fires[i] >= cfg.r_merge:
-            out.append(b)
-            i += 1
-            continue
-        k = 2 + groups[i] % (cfg.n_merge - 1)
-        merged = 0
-        taken = 0
-        last_incoming = i
-        j = i
-        while j < n and taken < k:
-            if bursts[j] < 0:
-                merged += int(bursts[j])
-                taken += 1
-                last_incoming = j
-            j += 1
-        out.append(merged)
-        i = last_incoming + 1
-    return np.array(out, dtype=np.int64)
+    split = np.flatnonzero(
+        (bursts <= -_MIN_SPLIT_CELLS) & (raw_to_uniforms(slots[:, 0]) < cfg.r_insert)
+    )
+    repeats = np.ones(len(bursts), dtype=np.int64)
+    repeats[split] = 3
+    out = np.repeat(bursts, repeats)
+    b = bursts[split]
+    position = 3 + (slots[split, 2] % (-b - 5).astype(np.uint64)).astype(np.int64)
+    o = (np.cumsum(repeats) - 3)[split]
+    out[o] = -position
+    out[o + 1] = dist.inverse_cdf(raw_to_uniforms(slots[split, 1]))
+    out[o + 2] = b + position
+    return out, np.repeat(rows, repeats)
 
 
-def net_augment(
-    t: DirectionTrace, cfg: AugmentConfig, dist, rng: RandomSource
-) -> DirectionTrace:
-    """Apply one burst manipulation plus a shift to a direction trace.
+def merge_incoming_bursts(bursts: np.ndarray, rows, cfg: AugmentConfig, slots):
+    """Merge runs of incoming bursts, dropping outgoing bursts in between.
 
-    The first ``preserve_prefix`` cells are kept verbatim; one of the
-    three manipulations rewrites the burst sequence of the remainder; the
-    result is converted back to cells and the whole trace shifted right by
-    n cells (n uniform in {0, ..., shift_max}): the last n cells are
-    dropped and n zero cells inserted at the beginning. The output is
-    truncated or zero-padded back to the input length. The trace takes
-    one block of 3 + 3 * (bursts after the prefix) draws from ``rng``,
-    laid out as the module docstring describes.
+    Scanning each trace left to right, incoming burst j fires when the
+    uniform of ``slots[j, 0]`` is below r_merge; k = 2 + ``slots[j, 1]``
+    mod (n_merge-1), in {2, ..., n_merge}, and the next k incoming bursts
+    of the trace (including the current one) collapse into their signed
+    sum. Outgoing bursts strictly between merged incoming bursts are
+    removed; if fewer than k incoming bursts remain, whatever remains is
+    merged. Bursts a group swallows never fire themselves. The total
+    incoming cell count is preserved exactly. ``rows`` holds each burst's
+    trace, in nondecreasing order; returns the new bursts and their traces.
     """
-    nonzero_count = t.nonzero_count
-    if nonzero_count <= cfg.preserve_prefix:
-        raise TraceTooShort(
-            f"need more than {cfg.preserve_prefix} nonzero cells, got {nonzero_count}"
-        )
-    prefix, rest = split_prefix(t.cells, cfg.preserve_prefix)
-    bursts = extract_bursts(rest)
-    raw = rng._raw_block(3 + 3 * len(bursts))
-    manipulation, direction, shift = raw[:3].tolist()
-    slots = raw[3:].reshape(-1, 3)
-
-    if manipulation % 3 == 0:
-        bursts = modify_incoming_burst_sizes(bursts, nonzero_count, cfg, direction, slots)
-    elif manipulation % 3 == 1:
-        bursts = insert_outgoing_bursts(bursts, cfg, dist, slots)
-    else:
-        bursts = merge_incoming_bursts(bursts, cfg, slots)
-    bursts = normalize_bursts(bursts)
-
-    natural = int(np.abs(bursts).sum()) if len(bursts) else 0
-    suffix_cells = bursts_to_cells(bursts, natural)
-    # fixed length first: shifting the padded trace drops tail padding for
-    # short traces instead of real cells
-    cells = fit_length(np.concatenate((prefix, suffix_cells)), len(t))
-
-    n = shift % (cfg.shift_max + 1)
-    cells = fit_length(np.concatenate((np.zeros(n, dtype=np.int8), cells)), len(t))
-    return DirectionTrace(cells, label=t.label)
-
-
-def flip_augment(t: DirectionTrace, p_flip: float, rng: RandomSource) -> DirectionTrace:
-    """Negate each nonzero cell independently with probability p_flip."""
-    if not 0.0 <= p_flip <= 1.0:
-        raise ValueError("p_flip must be in [0, 1]")
-    cells = t.cells.copy()
-    nz = np.flatnonzero(cells)
-    if len(nz):
-        u = rng.uniforms(len(nz))
-        flip = nz[u < p_flip]
-        cells[flip] = -cells[flip]
-    return DirectionTrace(cells, label=t.label)
+    bursts, rows = np.asarray(bursts, dtype=np.int64), np.asarray(rows)
+    slots = np.asarray(slots, dtype=np.uint64)
+    incoming = bursts < 0
+    fired = np.flatnonzero(incoming & (raw_to_uniforms(slots[:, 0]) < cfg.r_merge))
+    inc_idx = np.flatnonzero(incoming)
+    k = (slots[fired, 1] % np.uint64(cfg.n_merge - 1)).astype(np.int64) + 2
+    row_end = np.searchsorted(inc_idx, np.searchsorted(rows, rows[fired], side="right"))
+    reach = inc_idx[np.minimum(np.searchsorted(inc_idx, fired) + k, row_end) - 1]
+    # a fired burst swallows the next k-1 incoming bursts of its trace
+    # unless an earlier group of the trace swallowed it first
+    first, last, covered = [], [], -1
+    for f, r in zip(fired.tolist(), reach.tolist()):
+        if f > covered:
+            first.append(f)
+            last.append(r)
+            covered = r
+    first, last = np.array(first, dtype=np.int64), np.array(last, dtype=np.int64)
+    out = bursts.copy()
+    incoming_sum = np.cumsum(np.where(incoming, bursts, 0))
+    out[first] = incoming_sum[last] - incoming_sum[first] + bursts[first]
+    cover = np.zeros(len(bursts) + 1, dtype=np.int64)
+    cover[first + 1] += 1
+    cover[last + 1] -= 1
+    keep = np.cumsum(cover[:-1]) == 0
+    return out[keep], rows[keep]
 
 
 # -- batch engine ------------------------------------------------------------
@@ -303,13 +240,13 @@ def _streams(rng, n: int):
     return rngs
 
 
-def _row_bursts(cells: np.ndarray):
+def _row_bursts(cells: np.ndarray, counts: np.ndarray):
     """2-D signed run-length encoding: the bursts of every row, in row order,
-    and the row each burst belongs to. Zeros are skipped as in extract_bursts."""
-    live = cells != 0
-    values = cells[live]  # row-major: each row's nonzero cells in order
+    and the row each burst belongs to. ``counts`` holds each row's nonzero
+    cell count. Zeros are skipped as in extract_bursts."""
+    values = cells[cells != 0]  # row-major: each row's nonzero cells in order
     row_ptr = np.zeros(len(cells) + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(live, axis=1), out=row_ptr[1:])
+    np.cumsum(counts, out=row_ptr[1:])
     # a burst starts at a sign change and at each row's first nonzero cell
     starts = np.empty(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=starts[1:])
@@ -328,13 +265,13 @@ def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
-    """net_augment on every row of an (n, L) int8 cell matrix.
+    """One burst manipulation plus a shift on every row of an (n, L) int8
+    cell matrix.
 
     ``rng`` is one RandomSource shared by the rows in order, or a sequence
-    of n RandomSources, one per row. Either way the result and the final
-    stream counters equal those of calling net_augment row by row. The
-    output is assembled from burst boundaries, one marker per burst and a
-    cumulative sum along each row, as the module docstring describes.
+    of n RandomSources, one per row; either way row r takes the same draws.
+    The output is assembled from burst boundaries, one marker per burst
+    and a cumulative sum along each row, as the module docstring describes.
     """
     cells = np.asarray(cells, dtype=np.int8)
     n, length = cells.shape
@@ -345,7 +282,8 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
     if n == 0:
         return cells.copy()
 
-    sizes, burst_row = _row_bursts(cells[:, prefix_len:])
+    suffix_counts = counts - np.count_nonzero(cells[:, :prefix_len], axis=1)
+    sizes, burst_row = _row_bursts(cells[:, prefix_len:], suffix_counts)
     burst_ptr = _row_pointers(burst_row, n)
     # row r's block is one header triple, then one triple per burst; in a
     # shared stream the blocks follow each other, so counted in triples row
@@ -357,58 +295,25 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
         raw = np.concatenate([s._raw_block(3 + 3 * k) for s, k in zip(rngs, per_row)])
     triples = raw.reshape(-1, 3)
     header = triples[np.arange(n) + burst_ptr[:-1]]
-    slots = triples[np.arange(len(sizes)) + burst_row + 1]
+    slot_of = np.arange(len(sizes)) + burst_row + 1  # each burst's triple
+
+    # each stage takes the bursts of the rows that picked it; one stable
+    # sort by row puts the rows back in order
     manipulation = (header[:, 0] % np.uint64(3))[burst_row]
-    fires = raw_to_uniforms(slots[:, 0])
-    incoming = sizes < 0
-    values = sizes.copy()
-
-    # resize: every eligible burst by its own uniform, in the row's direction
-    delta = np.where(counts <= cfg.low_cells, cfg.r_upsample, -cfg.r_downsample)
-    mixed = (counts > cfg.low_cells) & (counts <= cfg.high_cells)
-    up = header[mixed, 1] % np.uint64(2) == 0
-    delta[mixed] = np.where(up, cfg.r_upsample, -cfg.r_downsample)
-    resized = (manipulation == 0) & (sizes <= -cfg.burst_size_threshold)
-    b = sizes[resized]
-    scaled = b * (1.0 + fires[resized] * delta[burst_row[resized]])
-    values[resized] = np.maximum(1, np.floor(np.abs(scaled) + 0.5)).astype(np.int64) * np.sign(b)
-
-    # merge: a fired burst swallows the next k-1 incoming bursts of its row
-    # unless an earlier group of the row swallowed it first
-    fired = np.flatnonzero((manipulation == 2) & incoming & (fires < cfg.r_merge))
-    inc_idx = np.flatnonzero(incoming)
-    k = (slots[fired, 1] % np.uint64(cfg.n_merge - 1)).astype(np.int64) + 2
-    row_end = np.searchsorted(inc_idx, burst_ptr[burst_row[fired] + 1])
-    reach = inc_idx[np.minimum(np.searchsorted(inc_idx, fired) + k, row_end) - 1]
-    first, last, covered = [], [], -1
-    for f, r in zip(fired.tolist(), reach.tolist()):
-        if f > covered:
-            first.append(f)
-            last.append(r)
-            covered = r
-    repeats = np.ones(len(sizes), dtype=np.int64)
-    if first:
-        first, last = np.array(first), np.array(last)
-        incoming_sum = np.cumsum(np.where(incoming, sizes, 0))
-        values[first] = incoming_sum[last] - incoming_sum[first] + sizes[first]
-        cover = np.zeros(len(sizes) + 1, dtype=np.int64)
-        cover[first + 1] += 1
-        cover[last + 1] -= 1
-        repeats[np.cumsum(cover[:-1]) > 0] = 0
-
-    # insert: each fired burst -m becomes [-p, +s, -(m-p)]
-    split = np.flatnonzero(
-        (manipulation == 1) & (sizes <= -_MIN_SPLIT_CELLS) & (fires < cfg.r_insert)
+    resize, insert, merge = (manipulation == m for m in range(3))
+    rows = burst_row[resize]
+    resized = modify_incoming_burst_sizes(
+        sizes[resize], counts[rows], cfg, header[:, 1][rows], triples[slot_of[resize]]
     )
-    repeats[split] = 3
-    out_values = np.repeat(values, repeats)
-    out_row = np.repeat(burst_row, repeats)
-    b = sizes[split]
-    position = 3 + (slots[split, 2] % (-b - 5).astype(np.uint64)).astype(np.int64)
-    o = (np.cumsum(repeats) - 3)[split]
-    out_values[o] = -position
-    out_values[o + 1] = dist.inverse_cdf(raw_to_uniforms(slots[split, 1]))
-    out_values[o + 2] = b + position
+    inserted, inserted_rows = insert_outgoing_bursts(
+        sizes[insert], burst_row[insert], cfg, dist, triples[slot_of[insert]]
+    )
+    merged, merged_rows = merge_incoming_bursts(
+        sizes[merge], burst_row[merge], cfg, triples[slot_of[merge]]
+    )
+    out_row = np.concatenate((rows, inserted_rows, merged_rows))
+    order = np.argsort(out_row, kind="stable")
+    out_values, out_row = np.concatenate((resized, inserted, merged))[order], out_row[order]
 
     # cells from burst boundaries (see the module docstring). The marker
     # matrix is wide enough for every row's end; the sum stops at the last
@@ -437,11 +342,12 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
 
 
 def flip_augment_batch(cells, p_flip: float, rng) -> np.ndarray:
-    """flip_augment on every row of an (n, L) int8 cell matrix.
+    """Negate each nonzero cell of an (n, L) int8 cell matrix independently
+    with probability p_flip.
 
     ``rng`` is one RandomSource shared by the rows in order, or a sequence
-    of n RandomSources, one per row; results and stream counters equal
-    those of calling flip_augment row by row.
+    of n RandomSources, one per row; each nonzero cell takes one draw, in
+    row-major order.
     """
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("p_flip must be in [0, 1]")
@@ -459,3 +365,13 @@ def flip_augment_batch(cells, p_flip: float, rng) -> np.ndarray:
     values *= 1 - 2 * flip.view(np.int8)  # -1 where flipped, else 1
     cells[live] = values
     return cells
+
+
+def net_augment(t: DirectionTrace, cfg: AugmentConfig, dist, rng: RandomSource) -> DirectionTrace:
+    """net_augment_batch on one trace."""
+    return DirectionTrace(net_augment_batch(t.cells[None], cfg, dist, rng)[0], label=t.label)
+
+
+def flip_augment(t: DirectionTrace, p_flip: float, rng: RandomSource) -> DirectionTrace:
+    """flip_augment_batch on one trace."""
+    return DirectionTrace(flip_augment_batch(t.cells[None], p_flip, rng)[0], label=t.label)

@@ -33,13 +33,6 @@ def bursts_to_cells(bursts, length: int) -> np.ndarray:
     return fit_length(cells, length)
 
 
-def split_prefix(cells: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a cell array into (first k cells verbatim, remainder)."""
-    if k > len(cells):
-        raise ValueError(f"prefix length {k} exceeds trace length {len(cells)}")
-    return cells[:k].copy(), cells[k:].copy()
-
-
 def normalize_bursts(bursts) -> np.ndarray:
     """Merge adjacent same-sign entries and drop zeros so the alternating
     sign invariant holds; burst manipulations may transiently break it."""

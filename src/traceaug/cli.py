@@ -110,9 +110,13 @@ def _add_augment_flags(p):
 
 
 def _augment_config(args) -> aug_mod.AugmentConfig:
-    return aug_mod.AugmentConfig(**{
-        name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _AUGMENT_FLAGS
-    })
+    """The augmentation flags' config; a value it refuses is a usage error."""
+    try:
+        return aug_mod.AugmentConfig(**{
+            name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _AUGMENT_FLAGS
+        })
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _add_train_flags(p, lr, epochs, batch, optimizer="adam", momentum=0.0):
@@ -142,25 +146,12 @@ def _train_config(args) -> training.TrainConfig:
     )
 
 
-class _Subcommands:
-    """add_parser shim that records every subparser for config-file defaults."""
-
-    def __init__(self, subparsers):
-        self._subparsers = subparsers
-        self.registry: dict[str, argparse.ArgumentParser] = {}
-
-    def add_parser(self, name, **kwargs):
-        p = self._subparsers.add_parser(name, **kwargs)
-        self.registry[name] = p
-        return p
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="traceaug",
         description="Tor-trace augmentation, training, and evaluation pipeline",
     )
-    sub = _Subcommands(parser.add_subparsers(dest="command", required=True))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic timed-trace corpus")
     _add_common(p)
@@ -265,7 +256,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
-    return parser, sub.registry
+    return parser, sub.choices
 
 
 def _outdir(args) -> Path:
@@ -346,9 +337,9 @@ def cmd_ncm_split(args) -> int:
 
 def cmd_augment(args) -> int:
     started = time.time()
+    cfg = _augment_config(args)
     out = _outdir(args)
     corpus = traces.load_dtrace(args.input)
-    cfg = _augment_config(args)
     dist = _load_dist(args, corpus) if args.method == "net" else None
     if args.method == "net":
         aug_mod.check_net_inputs([t.nonzero_count for t in corpus], cfg, dist)
@@ -420,6 +411,7 @@ def _write_history(path, values) -> None:
 
 def cmd_pretrain(args) -> int:
     started = time.time()
+    aug_cfg = _augment_config(args)
     out = _outdir(args)
     corpus = traces.load_dtrace(args.input, trace_len=args.trace_len)
     unlabeled = training.strip_labels(corpus)
@@ -430,7 +422,7 @@ def cmd_pretrain(args) -> int:
     result = training.pretrain(
         unlabeled,
         _train_config(args),
-        _augment_config(args),
+        aug_cfg,
         dist,
         _ssl_config(args),
         dims=dims,
@@ -489,6 +481,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_netfm(args) -> int:
     started = time.time()
+    aug_cfg = _augment_config(args)
     out = _outdir(args)
     labeled = traces.load_dtrace(args.labeled, trace_len=args.trace_len)
     labeled, _ = _map_unmonitored(labeled)
@@ -502,7 +495,7 @@ def cmd_netfm(args) -> int:
         unlabeled,
         _train_config(args),
         _ssl_config(args),
-        _augment_config(args),
+        aug_cfg,
         p_flip_weak=args.p_flip,
         dist=dist,
         dims=dims,

@@ -44,9 +44,6 @@ class BurstSizeDistribution:
     def total(self) -> int:
         return int(self.cumulative[-1])
 
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.total
-
     def inverse_cdf(self, u):
         """Support values at uniforms u in [0, 1), scalar or array: each value
         is taken with probability count/total when u is uniform."""

@@ -42,6 +42,11 @@ def random_slots(n, seed):
     return np.random.default_rng(seed).integers(0, 2**64, size=(n, 3), dtype=np.uint64)
 
 
+def one_row(bursts):
+    """The stages' row of each burst when all bursts belong to one trace."""
+    return np.zeros(len(bursts), dtype=np.int64)
+
+
 IDENTITY_CFG = AugmentConfig(
     shift_max=0, r_insert=0.0, r_merge=0.0, burst_size_threshold=10**9
 )
@@ -104,14 +109,18 @@ class TestInsert:
     def test_rate_zero_is_identity(self):
         cfg = AugmentConfig(r_insert=0.0)
         bursts = np.array([-10, 3, -20])
-        out = insert_outgoing_bursts(bursts, cfg, singleton_dist(), slots(*[(FIRE, 0, 0)] * 3))
+        out, _ = insert_outgoing_bursts(
+            bursts, one_row(bursts), cfg, singleton_dist(), slots(*[(FIRE, 0, 0)] * 3)
+        )
         assert out.tolist() == bursts.tolist()
 
     def test_split_structure_and_preservation(self):
         cfg = AugmentConfig(r_insert=1.0)
         dist = singleton_dist(4)
         for seed in range(20):
-            out = insert_outgoing_bursts(np.array([-10]), cfg, dist, random_slots(1, seed))
+            out, _ = insert_outgoing_bursts(
+                np.array([-10]), one_row([-10]), cfg, dist, random_slots(1, seed)
+            )
             assert len(out) == 3
             p, s, r = out
             assert s == 4 and 3 <= -p <= 7 and p + r == -10
@@ -120,13 +129,15 @@ class TestInsert:
         # size at u = 0.5 of {1: 1, 5: 1}; position 3 + 9 mod (12 - 5) = 5
         dist = BurstSizeDistribution(np.array([1, 5]), np.array([1, 1]))
         half = 2**63
-        out = insert_outgoing_bursts(np.array([-12]), AugmentConfig(), dist, slots(FIRE, half, 9))
+        out, _ = insert_outgoing_bursts(
+            np.array([-12]), one_row([-12]), AugmentConfig(), dist, slots(FIRE, half, 9)
+        )
         assert out.tolist() == [-5, 5, -7]
 
     def test_small_bursts_never_split(self):
         cfg = AugmentConfig(r_insert=1.0)
-        out = insert_outgoing_bursts(
-            np.array([-6, 2, -5]), cfg, singleton_dist(), random_slots(3, 0)
+        out, _ = insert_outgoing_bursts(
+            np.array([-6, 2, -5]), one_row([-6, 2, -5]), cfg, singleton_dist(), random_slots(3, 0)
         )
         assert out.tolist() == [-6, 2, -5]
 
@@ -137,28 +148,30 @@ class TestInsert:
             sizes = -rng.integers(1, 60, size=20)
             sizes[::2] = rng.integers(1, 6, size=10)  # alternate outgoing
             bursts = normalize_bursts(sizes)
-            out = insert_outgoing_bursts(
-                bursts, cfg, singleton_dist(), random_slots(len(bursts), trial)
+            out, _ = insert_outgoing_bursts(
+                bursts, one_row(bursts), cfg, singleton_dist(), random_slots(len(bursts), trial)
             )
             assert out[out < 0].sum() == bursts[bursts < 0].sum()
 
     def test_empty_distribution_rejected(self):
+        trace = DirectionTrace(fit_length(np.full(30, -1), 40))
         with pytest.raises(EmptyDistribution):
-            insert_outgoing_bursts(np.array([-10]), AugmentConfig(), None, random_slots(1, 0))
+            net_augment(trace, AugmentConfig(), None, RandomSource(0))
 
 
 class TestMerge:
     def test_rate_zero_is_identity(self):
         cfg = AugmentConfig(r_merge=0.0)
         bursts = np.array([-3, 2, -4, 1, -5])
-        out = merge_incoming_bursts(bursts, cfg, slots(*[(FIRE, 0, 0)] * 5))
+        out, _ = merge_incoming_bursts(bursts, one_row(bursts), cfg, slots(*[(FIRE, 0, 0)] * 5))
         assert out.tolist() == bursts.tolist()
 
     def test_hand_enumerated_merge(self):
         # the first incoming burst merges k = 2 bursts; the second incoming
         # burst would fire too, but the group has swallowed it
         draws = slots((FIRE, 0, 0), (HOLD, 0, 0), (FIRE, 0, 0), (HOLD, 0, 0), (HOLD, 0, 0))
-        out = merge_incoming_bursts(np.array([-3, 2, -4, 1, -5]), AugmentConfig(), draws)
+        bursts = np.array([-3, 2, -4, 1, -5])
+        out, _ = merge_incoming_bursts(bursts, one_row(bursts), AugmentConfig(), draws)
         assert out.tolist() == [-7, 1, -5]
         assert out[out < 0].sum() == -12
 
@@ -167,12 +180,12 @@ class TestMerge:
         # second slots would fire if they were read as the fire decision
         draws = slots((FIRE, 5, 0), *[(HOLD, 0, 0)] * 8)
         bursts = np.array([-1, 2, -3, 4, -5, 6, -7, 8, -9])
-        out = merge_incoming_bursts(bursts, AugmentConfig(), draws)
+        out, _ = merge_incoming_bursts(bursts, one_row(bursts), AugmentConfig(), draws)
         assert out.tolist() == [-9, 6, -7, 8, -9]
 
     def test_single_burst_merge_is_noop(self):
         cfg = AugmentConfig(r_merge=1.0)
-        out = merge_incoming_bursts(np.array([-4]), cfg, random_slots(1, 0))
+        out, _ = merge_incoming_bursts(np.array([-4]), one_row([-4]), cfg, random_slots(1, 0))
         assert out.tolist() == [-4]
 
     def test_incoming_preserved_outgoing_never_grows(self):
@@ -182,7 +195,9 @@ class TestMerge:
             sizes = list(rng.integers(1, 8, size=15))
             sizes[1::2] = (-rng.integers(1, 40, size=7)).tolist()
             bursts = normalize_bursts(sizes)
-            out = merge_incoming_bursts(bursts, cfg, random_slots(len(bursts), trial))
+            out, _ = merge_incoming_bursts(
+                bursts, one_row(bursts), cfg, random_slots(len(bursts), trial)
+            )
             assert out[out < 0].sum() == bursts[bursts < 0].sum()
             assert out[out > 0].sum() <= bursts[bursts > 0].sum()
 
@@ -295,7 +310,7 @@ def test_incoming_conservation_property(seed, n_nonzero):
     incoming = bursts[bursts < 0].sum()
     cfg = AugmentConfig()
     draws = random_slots(len(bursts), seed)
-    inserted = insert_outgoing_bursts(bursts, cfg, singleton_dist(), draws)
-    merged = merge_incoming_bursts(bursts, cfg, draws)
+    inserted, _ = insert_outgoing_bursts(bursts, one_row(bursts), cfg, singleton_dist(), draws)
+    merged, _ = merge_incoming_bursts(bursts, one_row(bursts), cfg, draws)
     assert inserted[inserted < 0].sum() == incoming
     assert merged[merged < 0].sum() == incoming

@@ -1,9 +1,9 @@
-"""The batch augmentation engine against the per-trace reference.
+"""The batch augmentation engine against the frozen per-trace reference.
 
 net_augment_batch and flip_augment_batch must return, byte for byte, what
-net_augment and flip_augment return row by row, and leave every random
-stream at the same counter: for one stream shared by all rows and for one
-stream per row, whatever the batch (chunk) size. Every decision has a
+the per-trace engine of augment_reference.py returns row by row, and
+leave every random stream at the same counter: for one stream shared by
+all rows and for one stream per row, whatever the batch (chunk) size. Every decision has a
 fixed draw slot, so a row takes 3 + 3 * (its bursts after the prefix)
 draws, and one row's content never moves another row's draws.
 """
@@ -15,14 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceaug import augment
+import augment_reference
 from traceaug.augment import (
     AugmentConfig,
     EmptyDistribution,
     TraceTooShort,
-    flip_augment,
     flip_augment_batch,
-    net_augment,
     net_augment_batch,
 )
 from traceaug.bursts import extract_bursts
@@ -89,22 +87,22 @@ def net_cases(draw):
 class AnyCells(DirectionTrace):
     """A DirectionTrace that may hold interior zeros, which the constructor
     refuses. The batch forms take any int8 matrix and skip zeros as the
-    per-trace functions do, so the reference runs on these rows too."""
+    reference's per-trace functions do, so the reference runs on these rows too."""
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.int8)
 
 
 def ref_net(row, cfg, dist, rng):
-    """net_augment's cells for one row, interior zeros allowed."""
-    with mock.patch.object(augment, "DirectionTrace", AnyCells):
-        return net_augment(AnyCells(row), cfg, dist, rng).cells
+    """The reference net_augment's cells for one row, interior zeros allowed."""
+    with mock.patch.object(augment_reference, "DirectionTrace", AnyCells):
+        return augment_reference.net_augment(AnyCells(row), cfg, dist, rng).cells
 
 
 def ref_flip(row, p_flip, rng):
-    """flip_augment's cells for one row, interior zeros allowed."""
-    with mock.patch.object(augment, "DirectionTrace", AnyCells):
-        return flip_augment(AnyCells(row), p_flip, rng).cells
+    """The reference flip_augment's cells for one row, interior zeros allowed."""
+    with mock.patch.object(augment_reference, "DirectionTrace", AnyCells):
+        return augment_reference.flip_augment(AnyCells(row), p_flip, rng).cells
 
 
 def chunked(fn, cells, rngs, chunk):

@@ -1,14 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceaug.bursts import (
-    bursts_to_cells,
-    extract_bursts,
-    normalize_bursts,
-    split_prefix,
-)
+from traceaug.bursts import bursts_to_cells, extract_bursts, normalize_bursts
 from traceaug.traces import DirectionTrace, fit_length
 
 
@@ -45,16 +39,6 @@ def test_cells_empty_bursts():
 
 def test_cells_truncation():
     assert bursts_to_cells([-6], 4).tolist() == [-1, -1, -1, -1]
-
-
-def test_split_prefix_reassembly():
-    cells = np.array([1, -1, -1, 1, 1, 0])
-    prefix, rest = split_prefix(cells, 3)
-    assert np.array_equal(np.concatenate((prefix, rest)), cells)
-    assert len(split_prefix(cells, 0)[0]) == 0
-    assert len(split_prefix(cells, len(cells))[1]) == 0
-    with pytest.raises(ValueError):
-        split_prefix(cells, 7)
 
 
 def test_normalize_merges_same_sign_and_drops_zeros():

@@ -308,6 +308,23 @@ class TestTrainFlags:
         assert f"{cfg}:1" in capsys.readouterr().err
 
 
+class TestAugmentFlags:
+    @pytest.mark.parametrize("command", [
+        ("augment", "--in", "absent.dtrace"), ABSENT_INPUTS["--tau-s"], ABSENT_INPUTS["--tau-f"],
+    ], ids=["augment", "pretrain", "netfm"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--p-flip", "2"), ("--n-merge", "1"), ("--shift-max", "-1"),
+    ])
+    def test_out_of_range_value_is_usage_error_before_any_input_is_read(
+        self, tmp_path, capsys, command, flag, value, monkeypatch
+    ):
+        # the input files do not exist: a usage error must come first
+        monkeypatch.chdir(tmp_path)
+        assert run(*command, flag, value, "--out", tmp_path / "out") == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigDefaults:
     def test_ssl_and_train_configs_take_only_the_flags_a_command_defines(self):
         parser, _ = cli.build_parser()

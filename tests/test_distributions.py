@@ -30,13 +30,13 @@ def test_duplicate_traces_double_counts_same_probabilities():
     once = build_distribution([t])
     twice = build_distribution([t, t])
     assert twice.counts.tolist() == (2 * once.counts).tolist()
-    assert np.allclose(once.probabilities(), twice.probabilities())
+    assert twice.total == 2 * once.total
 
 
 def test_direct_frequencies():
     dist = build_distribution([trace_of([1, -2, 1, -2, 1, -2, 5, -2])])
     assert dist.support.tolist() == [1, 5]
-    assert np.allclose(dist.probabilities(), [0.75, 0.25])
+    assert dist.counts.tolist() == [3, 1] and dist.total == 4
 
 
 def test_no_outgoing_rejected():
