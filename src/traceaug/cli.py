@@ -45,39 +45,44 @@ def _positive_int(kind, minimum=1):
     return convert
 
 
-def _finite_float(kind, positive=False, at_most=np.inf):
-    """A finite float >= 0, or > 0 when ``positive``, and <= ``at_most``;
-    NaN, inf and values out of range are usage errors."""
-    if at_most < np.inf:
-        wanted = f"in {'(' if positive else '['}0, {at_most:g}]"
-    else:
-        wanted = f"finite and {'>' if positive else '>='} 0"
+def _finite_float(kind, positive=False):
+    """A finite float >= 0, or > 0 when ``positive``; NaN, inf and values
+    out of range are usage errors."""
 
     def convert(text):
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{kind} must be a number")
-        above_zero = value > 0 if positive else value >= 0
-        if not (above_zero and value <= at_most and value < np.inf):
-            raise argparse.ArgumentTypeError(f"{kind} must be {wanted}")
+        if not ((value > 0 if positive else value >= 0) and value < np.inf):
+            raise argparse.ArgumentTypeError(
+                f"{kind} must be finite and {'>' if positive else '>='} 0")
         return value
 
     return convert
 
 
-def _int_list(text):
+def _number_list(parse, text) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [parse(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list")
+        raise argparse.ArgumentTypeError(f"expected a comma-separated {parse.__name__} list")
 
 
-def _float_list(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated float list")
+def _visits(text) -> list[int]:
+    counts = _number_list(int, text)
+    if len(counts) not in (1, 2) or min(counts) < 1:
+        raise argparse.ArgumentTypeError("visits takes one or two counts (superior,inferior) >= 1")
+    return counts
+
+
+def _thresholds(text) -> list[float]:
+    values = _number_list(float, text)
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise argparse.ArgumentTypeError("thresholds must be in [0, 1]")
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError("thresholds must be sorted ascending")
+    return values
 
 
 def _add_common(p):
@@ -87,63 +92,66 @@ def _add_common(p):
     p.add_argument("--out", required=True, help="output directory")
 
 
-#: (flag, AugmentConfig field) of every augmentation flag; each flag's dest
-#: is its own name (so --burst-threshold sets burst_threshold), and its
-#: type and default are the field's.
-_AUGMENT_FLAGS = (
-    ("--shift-max", "shift_max"),
-    ("--r-upsample", "r_upsample"),
-    ("--r-downsample", "r_downsample"),
-    ("--r-insert", "r_insert"),
-    ("--burst-threshold", "burst_size_threshold"),
-    ("--n-merge", "n_merge"),
-    ("--r-merge", "r_merge"),
-    ("--preserve-prefix", "preserve_prefix"),
-    ("--p-flip", "p_flip"),
-)
+#: The training flags of every training command; only netfm adds --mu.
+_TRAIN_FLAGS = ("lr", "epochs", "batch", "optimizer", "momentum", "cosine")
+#: The flag dests of each config dataclass. A flag is ``--`` plus its dest
+#: with ``-`` for ``_``; its dest is its field's name unless _FIELDS renames it.
+_CONFIG_FLAGS = {
+    training.TrainConfig: (*_TRAIN_FLAGS, "mu"),
+    training.SslConfig: ("tau_s", "tau_f", "lambda_u"),
+    models.ModelDims: ("trace_len", "embed", "hidden"),
+    aug_mod.AugmentConfig: (
+        "shift_max", "r_upsample", "r_downsample", "r_insert", "burst_threshold",
+        "n_merge", "r_merge", "preserve_prefix", "p_flip",
+    ),
+}
+_FIELDS = {
+    "lr": "learning_rate", "batch": "batch_size", "cosine": "cosine_decay",
+    "burst_threshold": "burst_size_threshold", "embed": "embed_dim",
+}
 
 
-def _add_augment_flags(p):
-    for flag, name in _AUGMENT_FLAGS:
-        default = getattr(aug_mod.AugmentConfig, name)
-        p.add_argument(flag, type=type(default), default=default)
+def _field_value(cls, name):
+    """Parse a flag's text as field ``name`` of ``cls`` (a tuple field takes
+    a comma-separated integer list) and build ``cls`` with just that field,
+    so ``cls.__post_init__`` is the flag's only check; its ValueError
+    becomes a usage error."""
+    default = getattr(cls, name)
+
+    def convert(text):
+        try:
+            if isinstance(default, tuple):
+                value = tuple(_number_list(int, text))
+            else:
+                value = type(default)(text)
+            cls(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+
+    return convert
 
 
-def _augment_config(args) -> aug_mod.AugmentConfig:
-    """The augmentation flags' config; a value it refuses is a usage error."""
-    try:
-        return aug_mod.AugmentConfig(**{
-            name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _AUGMENT_FLAGS
-        })
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _add_config_flags(p, cls, dests=None, **defaults):
+    """Add the flags of ``dests`` (all of ``cls``'s by default), each taking
+    its type and default from its field; ``defaults`` overrides a default
+    by dest. A bool field is a store_true flag."""
+    for dest in dests or _CONFIG_FLAGS[cls]:
+        name = _FIELDS.get(dest, dest)
+        default = defaults.get(dest, getattr(cls, name))
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true", default=default)
+        else:
+            choices = training.OPTIMIZERS if name == "optimizer" else None
+            p.add_argument(flag, type=_field_value(cls, name), default=default, choices=choices)
 
 
-def _add_train_flags(p, lr, epochs, batch, optimizer="adam", momentum=0.0):
-    p.add_argument("--lr", type=_finite_float("lr"), default=lr)
-    p.add_argument("--epochs", type=_positive_int("epochs"), default=epochs)
-    p.add_argument("--batch", type=_positive_int("batch"), default=batch)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=optimizer)
-    p.add_argument("--momentum", type=_finite_float("momentum"), default=momentum)
-    p.add_argument("--cosine", action="store_true", help="cosine-decay the learning rate")
-
-
-def _defined(args, *names) -> dict:
-    """The named flags this subcommand defines; the dataclass supplies the rest."""
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
-
-
-def _train_config(args) -> training.TrainConfig:
-    return training.TrainConfig(
-        batch_size=args.batch,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        optimizer=args.optimizer,
-        momentum=args.momentum,
-        cosine_decay=args.cosine,
-        seed=args.seed,
-        **_defined(args, "mu"),
-    )
+def _config(cls, args, **fixed):
+    """``cls`` from the flags of it that this command defines, plus ``fixed``;
+    the dataclass supplies the rest."""
+    flags = {_FIELDS.get(d, d): getattr(args, d) for d in _CONFIG_FLAGS[cls] if hasattr(args, d)}
+    return cls(**flags, **fixed)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -156,7 +164,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("gen", help="generate a synthetic timed-trace corpus")
     _add_common(p)
     p.add_argument("--classes", type=_positive_int("classes", minimum=2), default=20)
-    p.add_argument("--visits", type=_int_list, default=[30, 30],
+    p.add_argument("--visits", type=_visits, default=[30, 30],
                    help="visits per class per profile (superior,inferior)")
     p.add_argument("--superior-bandwidth",
                    type=_finite_float("superior-bandwidth", positive=True), default=2.0)
@@ -184,7 +192,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="augmented outputs per input trace")
     p.add_argument("--dist", default=None,
                    help=".bdist file; defaults to a histogram built from the input")
-    _add_augment_flags(p)
+    _add_config_flags(p, aug_mod.AugmentConfig)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("stats", help="burst-size histogram and per-class incoming stats")
@@ -198,13 +206,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help=".dtrace corpus; labels are stripped before training")
     p.add_argument("--method", choices=("net", "flip"), default="net")
     p.add_argument("--dist", default=None)
-    p.add_argument("--trace-len", type=_positive_int("trace-len"), default=500)
-    p.add_argument("--embed", type=_positive_int("embed", minimum=4), default=64)
-    p.add_argument("--hidden", type=_int_list, default=[256, 128])
-    p.add_argument("--tau-s", type=_finite_float("tau-s", positive=True),
-                   default=training.SslConfig.tau_s)
-    _add_train_flags(p, lr=3e-4, epochs=30, batch=64)
-    _add_augment_flags(p)
+    _add_config_flags(p, models.ModelDims)
+    _add_config_flags(p, training.SslConfig, ("tau_s",))
+    _add_config_flags(p, training.TrainConfig, _TRAIN_FLAGS)
+    _add_config_flags(p, aug_mod.AugmentConfig)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="attach and train a classifier on labeled traces")
@@ -213,7 +218,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--in", dest="input", required=True, help="labeled .dtrace file")
     p.add_argument("--n-labeled", type=_positive_int("n-labeled"), default=None,
                    help="take only the first N labeled traces per class")
-    _add_train_flags(p, lr=5e-4, epochs=30, batch=32)
+    _add_config_flags(p, training.TrainConfig, _TRAIN_FLAGS, lr=5e-4, batch=32)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("netfm", help="semi-supervised training with pseudo-labels")
@@ -221,16 +226,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled", required=True)
     p.add_argument("--dist", default=None)
-    p.add_argument("--trace-len", type=_positive_int("trace-len"), default=500)
-    p.add_argument("--embed", type=_positive_int("embed", minimum=4), default=64)
-    p.add_argument("--hidden", type=_int_list, default=[256, 128])
-    p.add_argument("--mu", type=_positive_int("mu"), default=training.TrainConfig.mu)
-    p.add_argument("--lambda-u", type=_finite_float("lambda-u"),
-                   default=training.SslConfig.lambda_u)
-    p.add_argument("--tau-f", type=_finite_float("tau-f", positive=True, at_most=1.0),
-                   default=training.SslConfig.tau_f)
-    _add_train_flags(p, lr=1e-2, epochs=30, batch=32, optimizer="sgd", momentum=0.9)
-    _add_augment_flags(p)
+    _add_config_flags(p, models.ModelDims)
+    _add_config_flags(p, training.SslConfig, ("tau_f", "lambda_u"))
+    _add_config_flags(p, training.TrainConfig, lr=1e-2, batch=32, optimizer="sgd",
+                      momentum=0.9)
+    _add_config_flags(p, aug_mod.AugmentConfig)
     p.set_defaults(func=cmd_netfm)
 
     p = sub.add_parser("eval-cw", help="closed-world accuracy of a checkpoint")
@@ -244,7 +244,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True,
                    help=".dtrace file; label -1 marks unmonitored traces")
-    p.add_argument("--thresholds", type=_float_list, default=[0.0, 0.5, 1.0])
+    p.add_argument("--thresholds", type=_thresholds, default=[0.0, 0.5, 1.0])
     p.add_argument("--class-correct", action="store_true",
                    help="require the predicted class to match the true label")
     p.set_defaults(func=cmd_eval_ow)
@@ -252,8 +252,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     _add_common(p)
     p.add_argument("--instances", type=_positive_int("instances"), default=20)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--step", type=_finite_float("step", positive=True), default=1e-5)
+    p.add_argument("--tolerance", type=_finite_float("tolerance", positive=True), default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser, sub.choices
@@ -299,8 +299,6 @@ def _load_dist(args, corpus) -> distributions.BurstSizeDistribution:
 
 def cmd_gen(args) -> int:
     started = time.time()
-    if len(args.visits) not in (1, 2):
-        raise UsageError("--visits takes one count or one per profile (superior,inferior)")
     visits = args.visits * 2 if len(args.visits) == 1 else args.visits
     out = _outdir(args)
     rng = RandomSource(args.seed)
@@ -337,7 +335,7 @@ def cmd_ncm_split(args) -> int:
 
 def cmd_augment(args) -> int:
     started = time.time()
-    cfg = _augment_config(args)
+    cfg = _config(aug_mod.AugmentConfig, args)
     out = _outdir(args)
     corpus = traces.load_dtrace(args.input)
     dist = _load_dist(args, corpus) if args.method == "net" else None
@@ -411,21 +409,17 @@ def _write_history(path, values) -> None:
 
 def cmd_pretrain(args) -> int:
     started = time.time()
-    aug_cfg = _augment_config(args)
     out = _outdir(args)
     corpus = traces.load_dtrace(args.input, trace_len=args.trace_len)
     unlabeled = training.strip_labels(corpus)
     dist = _load_dist(args, corpus) if args.method == "net" else None
-    dims = models.ModelDims(
-        trace_len=args.trace_len, hidden=tuple(args.hidden), embed_dim=args.embed
-    )
     result = training.pretrain(
         unlabeled,
-        _train_config(args),
-        aug_cfg,
+        _config(training.TrainConfig, args, seed=args.seed),
+        _config(aug_mod.AugmentConfig, args),
         dist,
-        _ssl_config(args),
-        dims=dims,
+        _config(training.SslConfig, args),
+        dims=_config(models.ModelDims, args),
         augmenter=args.method,
     )
     ckpt = out / "model.ckpt"
@@ -439,11 +433,7 @@ def cmd_pretrain(args) -> int:
     return _finish(args, started, [args.input], [ckpt, hist])
 
 
-def _ssl_config(args) -> training.SslConfig:
-    return training.SslConfig(**_defined(args, "tau_s", "tau_f", "lambda_u", "mu"))
-
-
-def _map_unmonitored(corpus) -> tuple[list, int]:
+def _map_unmonitored(corpus) -> list:
     """Remap the -1 unmonitored sentinel to the last class index."""
     labels = [t.label for t in corpus if t.label is not None and t.label >= 0]
     n_mon = max(labels) + 1 if labels else 0
@@ -453,7 +443,7 @@ def _map_unmonitored(corpus) -> tuple[list, int]:
             mapped.append(traces.DirectionTrace(t.cells, label=n_mon))
         else:
             mapped.append(t)
-    return mapped, n_mon
+    return mapped
 
 
 def cmd_finetune(args) -> int:
@@ -461,7 +451,7 @@ def cmd_finetune(args) -> int:
     out = _outdir(args)
     params = models.load_params(args.model)
     corpus = traces.load_dtrace(args.input, trace_len=params.trace_len)
-    corpus, _ = _map_unmonitored(corpus)
+    corpus = _map_unmonitored(corpus)
     if args.n_labeled is not None:
         per_class: dict[int, int] = {}
         kept = []
@@ -470,7 +460,7 @@ def cmd_finetune(args) -> int:
                 kept.append(t)
                 per_class[t.label] = per_class.get(t.label, 0) + 1
         corpus = kept
-    result = training.finetune(params, corpus, _train_config(args))
+    result = training.finetune(params, corpus, _config(training.TrainConfig, args, seed=args.seed))
     ckpt = out / "model.ckpt"
     models.save_params(ckpt, result.params)
     hist = out / "loss_history.txt"
@@ -481,24 +471,19 @@ def cmd_finetune(args) -> int:
 
 def cmd_netfm(args) -> int:
     started = time.time()
-    aug_cfg = _augment_config(args)
     out = _outdir(args)
-    labeled = traces.load_dtrace(args.labeled, trace_len=args.trace_len)
-    labeled, _ = _map_unmonitored(labeled)
+    labeled = _map_unmonitored(traces.load_dtrace(args.labeled, trace_len=args.trace_len))
     unlabeled = traces.load_dtrace(args.unlabeled, trace_len=args.trace_len)
     dist = _load_dist(args, unlabeled)
-    dims = models.ModelDims(
-        trace_len=args.trace_len, hidden=tuple(args.hidden), embed_dim=args.embed
-    )
     result = training.train_netfm(
         labeled,
         unlabeled,
-        _train_config(args),
-        _ssl_config(args),
-        aug_cfg,
+        _config(training.TrainConfig, args, seed=args.seed),
+        _config(training.SslConfig, args),
+        _config(aug_mod.AugmentConfig, args),
         p_flip_weak=args.p_flip,
         dist=dist,
-        dims=dims,
+        dims=_config(models.ModelDims, args),
     )
     ckpt = out / "model.ckpt"
     models.save_params(ckpt, result.params)
@@ -534,8 +519,6 @@ def cmd_eval_cw(args) -> int:
 def cmd_eval_ow(args) -> int:
     started = time.time()
     out = _outdir(args)
-    if any(b < a for a, b in zip(args.thresholds, args.thresholds[1:])):
-        raise UsageError("--thresholds must be sorted ascending")
     params = models.load_params(args.model)
     corpus = traces.load_dtrace(args.input, trace_len=params.trace_len)
     if any(t.label is None for t in corpus):

@@ -45,10 +45,12 @@ class ModelDims:
     embed_dim: int = 64
 
     def __post_init__(self):
-        if self.trace_len < 1 or self.embed_dim < 4:
-            raise ValueError("trace_len must be >= 1 and embed_dim >= 4")
-        if self.embed_dim % 4 != 0:
-            raise ValueError("embed_dim must be divisible by 4 (projection is embed/4)")
+        if self.trace_len < 1:
+            raise ValueError("trace_len must be >= 1")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
+        if self.embed_dim < 4 or self.embed_dim % 4 != 0:
+            raise ValueError("embed_dim must be a multiple of 4 (projection is embed/4)")
 
     @property
     def proj_dim(self) -> int:

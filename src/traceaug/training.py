@@ -59,6 +59,10 @@ class NonFiniteLoss(ValueError):
 _EPS_MIN = float(np.finfo(np.float32).smallest_subnormal)
 
 
+#: TrainConfig's optimizer names.
+OPTIMIZERS = ("adam", "sgd")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings shared by all training phases."""
@@ -92,7 +96,9 @@ class TrainConfig:
             raise ValueError(f"momentum must be finite and >= 0, got {self.momentum!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")

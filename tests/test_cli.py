@@ -14,6 +14,7 @@ from traceaug.augment import AugmentConfig
 from traceaug.cli import main
 from traceaug.losses import SslConfig
 from traceaug.manifest import content_hash, environment
+from traceaug.models import ModelDims
 from traceaug.traces import DirectionTrace, fit_length, load_dtrace, load_ttrace, save_dtrace
 from traceaug.training import TrainConfig
 
@@ -271,11 +272,16 @@ class TestTrainingCommands:
         assert all(int(r) >= 0 for r in retained)
 
 
+PRETRAIN = ("pretrain", "--in", "absent.dtrace")
+NETFM = ("netfm", "--labeled", "absent.dtrace", "--unlabeled", "absent.dtrace")
+
 #: A command that defines each flag, with inputs that do not exist.
 ABSENT_INPUTS = {
-    "--tau-s": ("pretrain", "--in", "absent.dtrace"),
-    "--tau-f": ("netfm", "--labeled", "absent.dtrace", "--unlabeled", "absent.dtrace"),
-    "--lambda-u": ("netfm", "--labeled", "absent.dtrace", "--unlabeled", "absent.dtrace"),
+    "--tau-s": PRETRAIN, "--hidden": PRETRAIN, "--embed": PRETRAIN,
+    "--tau-f": NETFM, "--lambda-u": NETFM, "--mu": NETFM,
+    "--visits": ("gen",),
+    "--thresholds": ("eval-ow", "--model", "absent.ckpt", "--in", "absent.dtrace"),
+    "--step": ("gradcheck",), "--tolerance": ("gradcheck",),
 }
 
 
@@ -285,27 +291,35 @@ class TestTrainFlags:
         ("--momentum", "nan"), ("--momentum", "-0.5"),
         ("--tau-s", "nan"), ("--tau-s", "inf"), ("--lambda-u", "nan"), ("--lambda-u", "inf"),
         ("--tau-f", "nan"), ("--tau-s", "0"), ("--tau-f", "0"), ("--tau-f", "1.5"),
+        ("--hidden", "0"), ("--hidden", "-5"), ("--embed", "6"), ("--epochs", "0"),
+        ("--batch", "0"), ("--mu", "0"),
+        ("--visits", "0"), ("--visits", "2,0"), ("--visits", "1,2,3"),
+        ("--thresholds", "0,2"), ("--thresholds", "0.5,0.1"), ("--thresholds", "nan"),
+        ("--step", "0"), ("--step", "nan"), ("--tolerance", "nan"), ("--tolerance", "-1"),
     ])
     def test_bad_value_is_usage_error_before_any_input_is_read(
         self, tmp_path, capsys, flag, value, monkeypatch
     ):
-        # the input files do not exist: a usage error must come first
+        # the input files do not exist: a usage error must come first; one
+        # token, so a negative value reaches the flag's converter
         monkeypatch.chdir(tmp_path)
         command = ABSENT_INPUTS.get(
             flag, ("finetune", "--model", "absent.ckpt", "--in", "absent.dtrace")
         )
-        assert run(*command, flag, value, "--out", tmp_path / "out") == 2
+        assert run(*command, f"{flag}={value}", "--out", tmp_path / "out") == 2
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_value_in_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("lr=nan\n")
-        assert run(
-            "pretrain", "--config", cfg, "--in", tmp_path / "absent.dtrace",
-            "--out", tmp_path / "out",
-        ) == 2
-        assert f"{cfg}:1" in capsys.readouterr().err
+        for entry in ("lr=nan", "hidden=0"):
+            cfg.write_text(f"seed=1\n{entry}\n")
+            assert run(
+                "pretrain", "--config", cfg, "--in", tmp_path / "absent.dtrace",
+                "--out", tmp_path / "out",
+            ) == 2
+            assert f"{cfg}:2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAugmentFlags:
@@ -325,35 +339,45 @@ class TestAugmentFlags:
         assert not (tmp_path / "out").exists()
 
 
+#: The configs each command builds, at its flags' defaults.
+BUILT_CONFIGS = {
+    "augment": [AugmentConfig()],
+    "pretrain": [TrainConfig(), SslConfig(), ModelDims(), AugmentConfig()],
+    "finetune": [TrainConfig(learning_rate=5e-4, batch_size=32)],
+    "netfm": [
+        TrainConfig(learning_rate=1e-2, batch_size=32, optimizer="sgd", momentum=0.9),
+        SslConfig(), ModelDims(), AugmentConfig(),
+    ],
+}
+
+
 class TestConfigDefaults:
     def test_ssl_and_train_configs_take_only_the_flags_a_command_defines(self):
         parser, _ = cli.build_parser()
         pre = parser.parse_args(["pretrain", "--in", "x", "--out", "y", "--tau-s", "0.2"])
-        assert cli._ssl_config(pre) == SslConfig(tau_s=0.2)
-        assert cli._train_config(pre).mu == TrainConfig.mu
+        assert cli._config(SslConfig, pre) == SslConfig(tau_s=0.2)
+        assert cli._config(TrainConfig, pre).mu == TrainConfig.mu
         fm = parser.parse_args([
             "netfm", "--labeled", "a", "--unlabeled", "b", "--out", "y",
             "--mu", "3", "--lambda-u", "0.5", "--tau-f", "0.8",
         ])
-        assert cli._ssl_config(fm) == SslConfig(tau_f=0.8, lambda_u=0.5, mu=3)
-        assert cli._train_config(fm).mu == 3
+        # --mu is TrainConfig's; SslConfig.mu is unread and keeps its default
+        assert cli._config(SslConfig, fm) == SslConfig(tau_f=0.8, lambda_u=0.5)
+        assert cli._config(TrainConfig, fm).mu == 3
 
     @pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
     def test_parsed_defaults_build_the_dataclass_defaults(self, command):
         parser, commands = cli.build_parser()
         required = [a.option_strings[0] for a in commands[command]._actions if a.required]
         args = parser.parse_args([command] + [tok for flag in required for tok in (flag, "x")])
-        assert cli._ssl_config(args) == SslConfig()
-        if command in ("augment", "pretrain", "netfm"):
-            assert cli._augment_config(args) == AugmentConfig()
-        if command == "netfm":
-            assert cli._train_config(args).mu == TrainConfig.mu
+        for expected in BUILT_CONFIGS.get(command, []):
+            assert cli._config(type(expected), args) == expected
 
     def test_burst_threshold_flag_keeps_its_dest(self):
         parser, _ = cli.build_parser()
         args = parser.parse_args(["augment", "--in", "x", "--out", "y", "--burst-threshold", "7"])
         assert args.burst_threshold == 7
-        assert cli._augment_config(args).burst_size_threshold == 7
+        assert cli._config(AugmentConfig, args).burst_size_threshold == 7
 
 
 class TestNonFiniteLoss:

@@ -234,6 +234,11 @@ class TestInit:
         with pytest.raises(ValueError):
             ModelDims(trace_len=10, hidden=(4,), embed_dim=6)
 
+    @pytest.mark.parametrize("hidden", [(0,), (32, -1)])
+    def test_hidden_widths_must_be_positive(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            ModelDims(hidden=hidden)
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):

@@ -495,7 +495,7 @@ class TestTrainConfigValidation:
         ("eps", F32_TINY / 2), ("beta1", 1.0),
         ("beta1", -0.1), ("beta1", float("nan")), ("beta2", 1.0),
         ("beta2", 1.5), ("momentum", -0.5), ("momentum", float("nan")),
-        ("momentum", float("inf")),
+        ("momentum", float("inf")), ("epochs", 0),
     ])
     def test_bad_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
