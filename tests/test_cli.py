@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -195,6 +196,34 @@ class TestStats:
         assert len(lines) == 3  # one per class
         label, mean, std = lines[0].split()
         float(mean), float(std)
+
+
+class TestSteadyMemory:
+    @pytest.mark.parametrize("outcome", [0, "raise"])
+    def test_command_runs_between_threshold_and_trim(self, tmp_path, monkeypatch, outcome):
+        calls = []
+
+        def command(args):
+            calls.append(("command", cli._set_madvise_hugepage(False)))
+            if outcome == "raise":
+                raise OSError("disk full")
+            return outcome
+
+        monkeypatch.setattr(cli, "cmd_stats", command)
+        monkeypatch.setattr(cli, "_mallopt", lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(cli, "_malloc_trim", lambda pad: calls.append(("trim", pad)))
+        previous = cli._set_madvise_hugepage(True)
+        try:
+            code = run("stats", "--in", tmp_path / "x.dtrace", "--out", tmp_path / "out")
+            assert cli._set_madvise_hugepage(previous) is True
+        finally:
+            cli._set_madvise_hugepage(previous)
+        assert calls == [(cli._M_MMAP_THRESHOLD, 1 << 20), ("command", False), ("trim", 0)]
+        assert code == (1 if outcome == "raise" else 0)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_glibc_functions_are_found(self):
+        assert cli._mallopt is not None and cli._malloc_trim is not None
 
 
 @pytest.fixture(scope="module")
