@@ -44,6 +44,11 @@ def raw_to_uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals of paired uniforms in [0, 1), as normals() forms them."""
+    return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+
+
 class RandomSource:
     """Seeded stream of uniform bits with scalar and vectorized draws.
 
@@ -106,6 +111,17 @@ class RandomSource:
             return np.empty(0, dtype=np.float64)
         return raw_to_uniforms(self._raw_block(n))
 
+    def rewind(self, n: int) -> None:
+        """Give back the last n draws: the next n draws repeat them.
+
+        For a caller that takes a block as long as it may need and uses
+        only its first part; it leaves the counter where drawing just that
+        part would have.
+        """
+        if not 0 <= n <= self._count:
+            raise ValueError(f"cannot rewind {n} of {self._count} draws")
+        self._count -= n
+
     def below(self, n: int, p: float) -> np.ndarray:
         """n booleans, uniform() < p for each of the next n draws.
 
@@ -125,9 +141,7 @@ class RandomSource:
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2n uniforms."""
         u = self.uniforms(2 * n)
-        u1 = 1.0 - u[0::2]  # in (0, 1], safe for log
-        u2 = u[1::2]
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return box_muller(u[0::2], u[1::2])
 
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates shuffle of a mutable sequence or 1-d array.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RandomSource
+from .rng import RandomSource, box_muller
 from .traces import DEFAULT_CELL_SIZE, TimedTrace
 
 #: Bytes per second corresponding to a bandwidth factor of 1.0; with the
@@ -92,28 +92,71 @@ def make_templates(
 def render_visit(
     tmpl: SiteTemplate, profile: ConditionProfile, rng: RandomSource
 ) -> TimedTrace:
-    """One synthetic page visit under the given network conditions."""
-    bursts: list[int] = []
-    for b in tmpl.base_bursts:
-        if b > 0:
-            bursts.append(b)
-            continue
-        size = -b
-        if tmpl.noise_scale > 0:
-            size = max(1, int(round(size * np.exp(tmpl.noise_scale * rng.normals(1)[0]))))
-        if profile.control_rate > 0 and size >= 2 and rng.uniform() < profile.control_rate:
-            half = (size + 1) // 2
-            bursts += [-half, 1, -(size - half)]
-        else:
-            bursts.append(-size)
+    """One synthetic page visit under the given network conditions.
 
-    directions = np.repeat(np.sign(bursts), np.abs(bursts)).astype(np.int8)
+    The template's incoming bursts take their draws in order: two for the
+    lognormal size noise when ``noise_scale > 0``, then one for the split
+    decision when ``control_rate > 0`` and the noisy size is at least 2. A
+    jittered visit then takes two for its duration noise. All of them come
+    from one block, and the bursts are rendered as whole arrays.
+    """
+    base = np.array(tmpl.base_bursts, dtype=np.int64)
+    incoming = (base < 0).nonzero()[0]
+    size = -base[incoming]
+    noise_draws = 2 if tmpl.noise_scale > 0 else 0
+    jitter_draws = 2 if profile.jitter > 0 else 0
+    block = (noise_draws + (profile.control_rate > 0)) * len(incoming) + jitter_draws
+    u = rng.uniforms(block)
+
+    # takes_split: whether a burst takes a split draw. With noise, first
+    # assume every burst does; a short burst found at the first
+    # disagreement shifts the draws of every later burst down by one.
+    takes_split = np.full(len(incoming), profile.control_rate > 0)
+    if noise_draws:
+        noisy = size.copy()
+    else:
+        noisy = size
+        takes_split &= size >= 2
+    start = 0
+    while True:
+        draws = noise_draws + takes_split
+        offset = draws.cumsum() - draws
+        if noise_draws:
+            at = offset[start:]
+            scale = np.exp(tmpl.noise_scale * box_muller(u[at], u[at + 1]))
+            noisy[start:] = np.maximum(1, np.rint(size[start:] * scale))
+        short = (takes_split[start:] & (noisy[start:] < 2)).nonzero()[0]
+        if not len(short):
+            break
+        start += int(short[0])
+        takes_split[start] = False
+        start += 1
+    used = int(draws.sum())
+    split = takes_split.copy()
+    split[takes_split] = u[offset[takes_split] + noise_draws] < profile.control_rate
+
+    # a split burst becomes [-half, 1, -(size - half)]: two incoming bursts
+    # around one flow-control cell
+    base[incoming] = -noisy
+    where = incoming[split]
+    counts = np.ones(len(base), dtype=np.int64)
+    counts[where] = 3
+    bursts = np.repeat(base, counts)
+    first = (counts.cumsum() - counts)[where]
+    half = (noisy[split] + 1) // 2
+    bursts[first] = -half
+    bursts[first + 1] = 1
+    bursts[first + 2] = half - noisy[split]
+
+    directions = np.repeat(np.sign(bursts).astype(np.int8), np.abs(bursts))
     sizes = np.full(len(directions), DEFAULT_CELL_SIZE, dtype=np.int64)
-    incoming_bytes = int(sizes[directions == -1].sum())
+    incoming_bytes = DEFAULT_CELL_SIZE * int(noisy.sum())
 
     duration = incoming_bytes / (profile.bandwidth_factor * NOMINAL_RATE)
-    if profile.jitter > 0:
-        duration *= float(np.exp(profile.jitter * rng.normals(1)[0]))
+    if jitter_draws:
+        z = box_muller(u[used : used + 1], u[used + 1 : used + 2])
+        duration *= float(np.exp(profile.jitter * z[0]))
+    rng.rewind(block - used - jitter_draws)
     times = np.linspace(0.0, duration, num=len(directions))
     return TimedTrace(times=times, directions=directions, sizes=sizes, label=tmpl.class_id)
 

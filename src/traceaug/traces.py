@@ -15,6 +15,7 @@ first and last cell. Traces at or above a bytes-per-second threshold are
 "superior", the rest "inferior".
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -75,8 +76,12 @@ class DirectionTrace:
         bad = np.abs(self.cells) > 1
         if bad.any():
             raise ValueError(f"cell directions must be in {{-1,0,+1}}, got {self.cells[bad][0]}")
-        nz = np.flatnonzero(self.cells)
-        if len(nz) and (nz[-1] - nz[0] + 1) != len(nz):
+        # the nonzero cells are one run when the first of them starts a run
+        # as long as their count
+        nonzero = self.cells != 0
+        count = int(np.count_nonzero(nonzero))
+        first = int(nonzero.argmax()) if count else 0
+        if not nonzero[first : first + count].all():
             raise ValueError("zeros may only lead or trail, not interrupt the trace")
 
     def __len__(self) -> int:
@@ -112,13 +117,13 @@ class TimedTrace:
             raise ValueError("a timed trace needs at least one cell")
         if len(self.directions) != n or len(self.sizes) != n:
             raise ValueError("times, directions and sizes must have equal length")
-        if not np.all(np.isfinite(self.times)):
+        if not np.isfinite(self.times).all():
             raise ValueError("timestamps must be finite")
-        if np.any(np.diff(self.times) < 0):
+        if (self.times[1:] < self.times[:-1]).any():
             raise ValueError("timestamps must be non-decreasing")
-        if not np.all(np.abs(self.directions) == 1):
+        if not (np.abs(self.directions) == 1).all():
             raise ValueError("timed-trace directions must be -1 or +1")
-        if np.any(self.sizes <= 0):
+        if (self.sizes <= 0).any():
             raise ValueError("cell sizes must be positive")
 
     def __len__(self) -> int:
@@ -243,34 +248,36 @@ def filter_traces(traces: list[DirectionTrace], policy: FilterPolicy) -> list[Di
 # {"label": L, "cells": [[time, direction, size], ...]}; float timestamps
 # round-trip exactly (shortest-repr float64 serialization).
 
-#: Canonical .dtrace token of direction d in row d + 1, as the slots
-#: [sign or hole, digit, space]; holes are dropped when a row is encoded.
-_HOLE = 0
-_DTRACE_TOKENS = np.frombuffer(b"-1 \x000 \x001 ", dtype=np.uint8).reshape(3, 3)
-_MINUS, _ONE = ord("-"), ord("1")
+# With "-1" written as "/", the byte below "0", every canonical token is one
+# byte, "0" + d for direction d, so a cell and the space after it form one
+# little-endian 16-bit word, _ZERO_SPACE + d. A row of L cells is L words,
+# the last one's space turned into the line's newline.
+_WORD = np.dtype("<u2")
+_ZERO_SPACE = ord("0") | ord(" ") << 8
+_SPACE_TO_NEWLINE = (ord(" ") - ord("\n")) << 8
+#: rows encoded per word matrix by save_dtrace
+_SAVE_ROWS = 64
 
 
-def _encode_cells(cells: np.ndarray) -> np.ndarray:
-    """Canonical bytes of a direction row, each token followed by one space.
+def _canonical_cells(field: bytes) -> np.ndarray | None:
+    """Directions of a cell field in the form save_dtrace writes, or None.
 
-    A direction outside {-1,0,+1} indexes past the token table and raises
-    IndexError.
+    After "-1" -> "/" and one more space, a canonical field of L cells is L
+    words, each one of "/ ", "0 " and "1 ". A field that held a "/"
+    beforehand is not canonical.
     """
-    slots = _DTRACE_TOKENS.take((cells + 1).astype(np.uint8), axis=0).ravel()
-    return slots.compress(slots != _HOLE)
-
-
-def _decode_canonical(field: bytes) -> np.ndarray | None:
-    """Directions of a canonical cell field, or None if the field is not in
-    the form ``_encode_cells`` writes."""
-    buf = np.frombuffer(field, dtype=np.uint8)
-    digits = np.flatnonzero(buf > _MINUS)  # '0' and '1' sort above '-' and ' '
-    cells = (buf[digits] == _ONE).astype(np.int8)
-    cells[buf[digits - 1] == _MINUS] = -1
-    # the parse above trusts the layout (a leading digit even reads byte -1);
-    # re-encoding proves it
-    if _encode_cells(cells)[:-1].tobytes() != field:
+    if not field:
+        return np.zeros(0, dtype=np.int8)
+    if b"/" in field:
         return None
+    text = field.replace(b"-1", b"/") + b" "
+    if len(text) % 2:
+        return None
+    shifted = np.frombuffer(text, dtype=_WORD) - np.uint16(_ZERO_SPACE - 1)  # d + 1
+    if shifted.max() > 2:
+        return None
+    cells = shifted.astype(np.int8)
+    cells -= 1
     return cells
 
 
@@ -294,12 +301,27 @@ def _parse_dtrace_tokens(line: bytes, line_no: int) -> tuple[int | None, np.ndar
 
 
 def save_dtrace(path, traces: list[DirectionTrace]) -> None:
-    """Write traces in the canonical .dtrace form, one line at a time."""
+    """Write traces in the canonical .dtrace form.
+
+    Runs of up to _SAVE_ROWS consecutive traces of equal length are encoded
+    as one matrix of cell words; each row's "/"s become "-1" as it is
+    written after its label.
+    """
     with open(path, "wb") as fh:
-        for t in traces:
-            fh.write(b"\t" if t.label is None else b"%d\t" % int(t.label))
-            fh.write(_encode_cells(t.cells)[:-1])
-            fh.write(b"\n")
+        for length, group in itertools.groupby(traces, key=len):
+            group = list(group)
+            for start in range(0, len(group), _SAVE_ROWS):
+                rows = group[start : start + _SAVE_ROWS]
+                cells = np.stack([t.cells for t in rows])
+                if length and (cells.min() < -1 or cells.max() > 1):
+                    raise ValueError("cell directions must be in {-1,0,+1}")
+                words = cells.astype(_WORD)
+                words += np.uint16(_ZERO_SPACE)
+                words[:, -1:] -= np.uint16(_SPACE_TO_NEWLINE)
+                for t, line in zip(rows, words):
+                    fh.write(b"\t" if t.label is None else b"%d\t" % int(t.label))
+                    # a row of no cells is just its newline
+                    fh.write(line.tobytes().replace(b"/", b"-1") or b"\n")
 
 
 def load_dtrace(path, trace_len: int | None = None) -> list[DirectionTrace]:
@@ -317,17 +339,17 @@ def load_dtrace(path, trace_len: int | None = None) -> list[DirectionTrace]:
             if not line:
                 continue
             label_field, tab, cell_field = line.partition(b"\t")
-            cells = _decode_canonical(cell_field) if tab else None
+            cells = _canonical_cells(cell_field) if tab else None
             try:
                 label = None if label_field == b"" else int(label_field)
             except ValueError:
                 cells = None
             if cells is None:
                 label, cells = _parse_dtrace_tokens(line, line_no)
+            if trace_len and len(cells) != trace_len:
+                cells = fit_length(cells, trace_len)
             try:
-                trace = DirectionTrace(
-                    fit_length(cells, trace_len) if trace_len else cells, label=label
-                )
+                trace = DirectionTrace(cells, label=label)
             except ValueError as exc:
                 raise TraceFormatError(str(exc), line_no) from exc
             traces.append(trace)
@@ -356,11 +378,15 @@ def load_ttrace(path) -> list[TimedTrace]:
             try:
                 record = json.loads(line)
                 cells = record["cells"]
+                label = record.get("label")
+                # json gives bools, floats and strings too; none is a label
+                if label is not None and type(label) is not int:
+                    raise ValueError(f"label must be an integer or null, got {label!r}")
                 trace = TimedTrace(
                     times=np.array([c[0] for c in cells], dtype=np.float64),
                     directions=np.array([c[1] for c in cells], dtype=np.int8),
                     sizes=np.array([c[2] for c in cells], dtype=np.int64),
-                    label=record.get("label"),
+                    label=label,
                 )
             except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise TraceFormatError(str(exc), line_no) from exc

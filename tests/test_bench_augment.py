@@ -4,15 +4,19 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_augment.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench():
-    spec = importlib.util.spec_from_file_location("bench_augment", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_augment")
 
 
 def test_runs_accumulate_and_a_mixed_setup_is_refused(bench, tmp_path):
@@ -26,3 +30,19 @@ def test_runs_accumulate_and_a_mixed_setup_is_refused(bench, tmp_path):
     with pytest.raises(SystemExit):
         bench.main(["--rows", "3", "--repeats", "1", "--out", out])
     assert json.loads(Path(out).read_text()) == doc
+
+
+def test_trace_data_timings_accumulate_per_label(tmp_path):
+    bench = load_tool("bench_tracedata")
+    out = str(tmp_path / "bench.json")
+    small = ["--classes", "2", "--repeats", "1", "--out", out]
+    assert bench.main(small + ["--label", "parent"]) == 0
+    assert bench.main(small) == 0
+    doc = json.loads(Path(out).read_text())
+    assert doc["median"].keys() == {"parent", "change"}
+    assert set(doc["runs"]["change"][0]) == {
+        "make_dataset_us_per_visit_c7", "make_dataset_us_per_visit_cli",
+        "save_dtrace_ns_per_cell", "load_dtrace_ns_per_cell",
+    }
+    with pytest.raises(SystemExit):
+        bench.main(["--classes", "3", "--repeats", "1", "--out", out])

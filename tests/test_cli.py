@@ -109,6 +109,13 @@ class TestNcmSplit:
         assert run("ncm-split", "--in", bad, "--out", tmp_path / "out") == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["1.5", "true", '"7"'])
+    def test_non_integer_label_exits_1_with_line_number(self, tmp_path, capsys, label):
+        bad = tmp_path / "bad.ttrace"
+        bad.write_text(f'{{"label":{label},"cells":[[0.0,-1,512],[2.0,-1,512]]}}\n')
+        assert run("ncm-split", "--in", bad, "--out", tmp_path / "out") == 1
+        assert "line 1: label must be an integer or null" in capsys.readouterr().err
+
     def test_degenerate_traces_warned_and_skipped(self, tmp_path, capsys):
         path = tmp_path / "degen.ttrace"
         path.write_text(

@@ -1,10 +1,14 @@
-"""Golden sha256 digests of small training runs and CLI augment outputs.
+"""Golden sha256 digests of small training runs and CLI chain outputs.
 
 They pin the exact bytes of augmentation, training and optimizer
 arithmetic, so any change to draw order, augmentation arithmetic or
-optimizer arithmetic shows up here as a digest mismatch. The two CLI
-augment digests hold no weights: ``cli-augment-flip`` dates from the
-per-trace engine, and ``cli-augment-net`` was re-recorded when every
+optimizer arithmetic shows up here as a digest mismatch. The three
+``cli-gen``/``cli-split`` digests pin the synthetic corpus (``synth``'s
+draw order and noise arithmetic, ``.ttrace`` formatting) and the
+``.dtrace`` writer; they date from the per-burst synthesis loop and the
+per-row ``.dtrace`` encoder. The two CLI augment digests hold no weights:
+``cli-augment-flip`` dates from the per-trace engine, and
+``cli-augment-net`` was re-recorded when every
 burst-augmentation decision got a fixed draw slot (3 draws per trace plus
 3 per burst). The five checkpoint digests (``pretrain-net``,
 ``pretrain-flip``, ``finetune-net``, ``netfm``,
@@ -55,6 +59,9 @@ GOLDEN = {
     "cli-augment-net": "052f004c55c08ece4824fde7f2d9814f3016baabba7bbbdccbba29579c2475a7",
     "cli-augment-flip": "307dbb2698f439c6776b44a809a5719ce8b890a080d75f23915d32e2b10f326b",
     "short-pretrain-finetune": "109e41aeb52406e10413d4d0d07e3f05d7e6493a7f2a01d5ec86bf8a8e64a049",
+    "cli-gen-ttrace": "3e542106a6fd5ae72d4db75582b8132063f0c8e53d17ab1434b528b08bbc0007",
+    "cli-split-superior": "de37116c44a69ea30b0bc6c068e88651df9271f4c65dfd0a2d1dc624a6e9face",
+    "cli-split-inferior": "2c9b28b8581ed8ff8fd120753a4d3042fddfad725544e4ba2a48a959b6e29512",
 }
 
 
@@ -152,6 +159,9 @@ def test_cli_augment_digests(tmp_path):
     run("augment", "--in", src, "--method", "flip", "--views", 2, "--seed", 6,
         "--p-flip", 0.3, "--out", tmp_path / "flip")
     digests = {
+        "cli-gen-ttrace": content_hash(tmp_path / "gen" / "dataset.ttrace"),
+        "cli-split-superior": content_hash(src),
+        "cli-split-inferior": content_hash(tmp_path / "split" / "inferior.dtrace"),
         "cli-augment-net": content_hash(tmp_path / "net" / "augmented.dtrace"),
         "cli-augment-flip": content_hash(tmp_path / "flip" / "augmented.dtrace"),
     }

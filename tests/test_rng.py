@@ -26,6 +26,19 @@ def test_interleaved_calls_continue_one_stream():
     assert mixed == list(b.uniforms(6))
 
 
+def test_rewind_gives_back_the_unused_end_of_a_block():
+    a = RandomSource(7)
+    b = RandomSource(7)
+    block = a.uniforms(10)
+    a.rewind(6)
+    assert a._count == 4
+    assert np.array_equal(a.uniforms(6), block[4:])
+    assert np.array_equal(block[:4], b.uniforms(4))
+    for bad in (-1, 11):
+        with pytest.raises(ValueError):
+            RandomSource(7).rewind(bad)
+
+
 def test_uniform_range_and_mean():
     u = RandomSource(3).uniforms(200_000)
     assert u.min() >= 0.0 and u.max() < 1.0

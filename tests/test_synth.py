@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import synth_reference
 from traceaug.rng import RandomSource
 from traceaug.synth import (
     ConditionProfile,
@@ -93,6 +96,55 @@ class TestRenderVisit:
         assert visit.times[0] == 0.0
         assert visit.times[-1] > 0.0
         assert np.all(np.diff(visit.times) >= 0.0)
+
+
+@st.composite
+def visit_cases(draw):
+    """A template with base sizes down to 1, so that noisy sizes below 2
+    (which take no split draw) occur, and a profile whose noise, control
+    rate and jitter each include 0."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=24))
+    bursts = tuple(b if draw(st.booleans()) else -b for b in sizes)
+    noise = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    control = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    jitter = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    tmpl = SiteTemplate(class_id=draw(st.integers(0, 9)), base_bursts=bursts,
+                        noise_scale=noise, seed=0)
+    profile = ConditionProfile(draw(st.sampled_from([0.4, 1.0, 2.0])), control, jitter)
+    return tmpl, profile, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 5))
+
+
+class TestRenderVisitReference:
+    """The array renderer against the per-burst loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=visit_cases())
+    def test_same_trace_and_counter_as_the_loop(self, case):
+        tmpl, profile, seed, drawn = case
+        rng, ref_rng = RandomSource(seed), RandomSource(seed)
+        rng.uniforms(drawn)
+        ref_rng.uniforms(drawn)
+        expected = synth_reference.render_visit(tmpl, profile, ref_rng)
+        visit = render_visit(tmpl, profile, rng)
+        assert rng._count == ref_rng._count
+        assert visit.times.tobytes() == expected.times.tobytes()
+        assert visit.directions.tobytes() == expected.directions.tobytes()
+        assert visit.sizes.tobytes() == expected.sizes.tobytes()
+        assert visit.label == expected.label
+
+    def test_short_bursts_shift_later_draws(self):
+        # sizes of 1 and 2 under strong noise: many bursts fall below 2 and
+        # skip their split draw, so later bursts read shifted draws
+        tmpl = SiteTemplate(class_id=0, base_bursts=(-1, 1, -2, -1, -2) * 8,
+                            noise_scale=2.0, seed=0)
+        profile = ConditionProfile(1.0, control_rate=0.5, jitter=0.3)
+        for seed in range(20):
+            rng, ref_rng = RandomSource(seed), RandomSource(seed)
+            visit = render_visit(tmpl, profile, rng)
+            expected = synth_reference.render_visit(tmpl, profile, ref_rng)
+            assert rng._count == ref_rng._count
+            assert np.array_equal(visit.directions, expected.directions)
+            assert np.array_equal(visit.times, expected.times)
 
 
 class TestMakeDataset:

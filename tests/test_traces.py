@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dtrace_reference
 from traceaug.traces import (
     DegenerateTrace,
     DirectionTrace,
@@ -46,6 +47,16 @@ class TestDirectionTrace:
     def test_accepts_prefix_and_suffix_zeros(self):
         t = DirectionTrace(np.array([0, 0, 1, -1, 0, 0]))
         assert t.nonzero_count == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.sampled_from([-1, 0, 0, 1]), max_size=12))
+    def test_zeros_rule_matches_the_nonzero_span(self, cells):
+        nz = np.flatnonzero(cells)
+        if len(nz) and nz[-1] - nz[0] + 1 != len(nz):
+            with pytest.raises(ValueError, match="interrupt"):
+                DirectionTrace(np.array(cells))
+        else:
+            DirectionTrace(np.array(cells, dtype=np.int8))
 
     def test_equality_includes_label(self):
         a = DirectionTrace(np.array([1, -1, 0]), label=3)
@@ -285,6 +296,14 @@ def direction_traces(draw):
     return DirectionTrace(np.array([0] * lead + core + [0] * trail), label=label)
 
 
+#: cell tokens of the generated lines: canonical ones, weighted up, then
+#: accepted variants and tokens that must be refused
+DTRACE_TOKENS = [b"-1", b"0", b"1"] * 4 + [
+    b"+1", b"01", b"-0", b"00", b"2", b"-", b"/", b"-2", b"1-1", b"x",
+]
+DTRACE_SEPARATORS = [b" "] * 6 + [b"  ", b"\t", b"\x0b", b" \t"]
+
+
 class TestDtraceCodec:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -337,7 +356,7 @@ class TestDtraceCodec:
 
     @pytest.mark.parametrize("field", [
         b"1 x -1", b"1 2 -1", b"1 --1", b"1- -1", b"1 - -1", b"-", b"1 \xff",
-        b"1 -1 99999999999999999999", b"1  -2",
+        b"1 -1 99999999999999999999", b"1  -2", b"1 / -1", b"/",
     ])
     def test_bad_token_names_its_line(self, tmp_path, field):
         path = tmp_path / "bad.dtrace"
@@ -353,6 +372,51 @@ class TestDtraceCodec:
         with pytest.raises(TraceFormatError) as info:
             load_dtrace(path)
         assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("line", [
+        b"3\t0 1 -1 -1 1 0\n",     # canonical
+        b"3\t+1 -1 0\n",            # explicit plus
+        b"3\t01 -1 00\n",           # leading zeros
+        b"3\t1\t-1\t0\n",           # tabs
+        b"3\t1  -1   0\n",          # repeated spaces
+        b"3\t1 -1 0\r\n",           # CRLF line end
+        b"3\t\n",                   # empty cell field
+        b"-1\t1 -1\n",              # unmonitored label
+        b"\t1 -1 0\n",              # empty label: unlabeled
+        b"3\t-0 1 -1\n",            # "-0" reads as 0, as int() reads it
+    ])
+    @pytest.mark.parametrize("trace_len", [None, 2, 6])
+    def test_accepted_lines_read_as_the_per_row_reader_read_them(
+        self, tmp_path, line, trace_len
+    ):
+        path = tmp_path / "corpus.dtrace"
+        path.write_bytes(b"5\t-1 1\n\n" + line + b"5\t0 1 -1\n")
+        expected = dtrace_reference.load_dtrace(path, trace_len)
+        assert load_dtrace(path, trace_len) == expected
+        assert len(expected) == 3
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(label=st.sampled_from([b"", b"-1", b"3", b"+2", b" 4", b"x", b"2"]),
+           tokens=st.lists(st.sampled_from(DTRACE_TOKENS), max_size=12),
+           seps=st.lists(st.sampled_from(DTRACE_SEPARATORS), min_size=12, max_size=12),
+           end=st.sampled_from([b"\n", b"\r\n"]),
+           trace_len=st.sampled_from([None, 3, 8]))
+    def test_any_line_reads_or_fails_as_the_per_row_reader_did(
+        self, tmp_path, label, tokens, seps, end, trace_len
+    ):
+        field = b"".join(t + s for t, s in zip(tokens, seps))
+        field = field[: -len(seps[len(tokens) - 1])] if tokens else field
+        path = tmp_path / "corpus.dtrace"
+        path.write_bytes(b"5\t-1 1\n" + label + b"\t" + field + end + b"5\t0 1 -1\n")
+
+        def outcome(reader):
+            try:
+                return reader(path, trace_len)
+            except TraceFormatError as exc:
+                return f"error at line {exc.line_no}"
+
+        assert outcome(load_dtrace) == outcome(dtrace_reference.load_dtrace)
 
     def test_trace_len_truncates_and_pads(self, tmp_path):
         path = tmp_path / "corpus.dtrace"
@@ -399,6 +463,23 @@ class TestTtraceFormat:
         with pytest.raises(TraceFormatError, match="finite") as info:
             load_ttrace(path)
         assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("label", ["1.5", "true", "false", '"7"', "[1]", "{}"])
+    def test_non_integer_label_reports_line(self, tmp_path, label):
+        path = tmp_path / "bad.ttrace"
+        path.write_text(
+            '{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}\n'
+            f'{{"label":{label},"cells":[[0.0,-1,512],[1.0,-1,512]]}}\n'
+        )
+        with pytest.raises(TraceFormatError, match="integer or null") as info:
+            load_ttrace(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("label, expected", [("-1", -1), ("12", 12), ("null", None)])
+    def test_integer_or_null_label_loads(self, tmp_path, label, expected):
+        path = tmp_path / "corpus.ttrace"
+        path.write_text(f'{{"label":{label},"cells":[[0.0,-1,512],[1.0,-1,512]]}}\n')
+        assert load_ttrace(path)[0].label == expected
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.ttrace"

@@ -8,12 +8,9 @@ visits from ``synth``, as the experiments use. Each figure is the median
 of ``--repeats`` timed calls after one untimed call.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
-file, and ``median`` holds, per label, the median of its runs. Other
-labels are kept, so two checkouts can be compared side by side; on a
-noisy machine, alternate a few invocations of each. A file holds runs of
-one setup: an invocation whose rows, repeats, versions or machine differ
-from the file's is refused. The package is imported from this checkout's
-``src``, or from another checkout's with ``--src``:
+file, as ``tools/benchfile.py`` describes; on a noisy machine, alternate a
+few invocations of each checkout. The package is imported from this
+checkout's ``src``, or from another checkout's with ``--src``:
 
     python tools/bench_augment.py --src ../parent/src --label parent
     python tools/bench_augment.py --label change
@@ -22,10 +19,6 @@ from the file's is refused. The package is imported from this checkout's
 script still works.
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import sys
 import time
@@ -33,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchfile  # noqa: E402
+
 SHAPES = {"c7": 500, "cli": 5000}
 SHUFFLE_LEN = 2000
 SEED = 41  # corpus and stream seed
@@ -78,39 +73,20 @@ def measure(rows: int, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", default="change", help="key to store the timings under")
-    ap.add_argument("--out", default="BENCH_augment.json", help="JSON file to update")
-    ap.add_argument("--src", default=str(SRC), help="directory to import traceaug from")
+    ap = benchfile.parser(__doc__.split("\n\n")[0], "BENCH_augment.json")
     ap.add_argument("--rows", type=int, default=128, help="rows per call")
     ap.add_argument("--repeats", type=int, default=51, help="timed calls per figure")
     args = ap.parse_args(argv)
     if args.rows < 1 or args.repeats < 1:
         ap.error("--rows and --repeats must be >= 1")
-    sys.path.insert(0, str(Path(args.src).resolve()))
     setup = {
         "rows": args.rows,
         "cells": SHAPES,
         "repeats": args.repeats,
         "seed": SEED,
         "statistic": "median ms per call after one warm-up call",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
     }
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    if doc.get("setup", setup) != setup:
-        ap.error(f"{out} holds runs of another setup ({doc['setup']}); use another --out")
-    doc["setup"] = setup
-    timings = measure(args.rows, args.repeats)
-    runs = doc.setdefault("runs", {}).setdefault(args.label, [])
-    runs.append(timings)
-    doc.setdefault("median", {})[args.label] = {
-        key: statistics.median(run[key] for run in runs) for key in timings
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps({args.label: timings}, indent=2))
+    benchfile.record(ap, args, setup, lambda: measure(args.rows, args.repeats))
     return 0
 
 
