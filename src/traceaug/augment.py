@@ -36,12 +36,12 @@ The engine works on batches: ``net_augment_batch(cells, cfg, dist, rng)``
 and ``flip_augment_batch(cells, p_flip, rng)`` take an (n, L) int8 cell
 matrix and return the augmented matrix; ``net_augment`` and
 ``flip_augment`` are their one-trace forms. ``rng`` is one RandomSource
-that the rows share in row order, or a sequence of n RandomSources, one
-per row. Flip augmentation draws one uniform per nonzero cell. Inputs are
-checked before any draw (``check_net_inputs``). The contract is draw for
-draw: the result, and every stream's counter afterwards, equal those of
-the per-trace engine frozen in ``tests/augment_reference.py``, run on the
-rows in order.
+that the rows draw from in row order, so a batch takes the same draws as
+its rows would one at a time. Flip augmentation draws one uniform per
+nonzero cell. Inputs are checked before any draw (``check_net_inputs``).
+The contract is draw for draw: the result, and the stream's counter
+afterwards, equal those of the per-trace engine frozen in
+``tests/augment_reference.py``, run on the rows in order.
 
 ``net_augment_batch`` run-length encodes the suffixes of all rows at once
 and takes the draws as one block. Each stage (``modify_incoming_burst_sizes``,
@@ -230,16 +230,6 @@ def check_net_inputs(nonzero_counts, cfg: AugmentConfig, dist) -> None:
         raise EmptyDistribution("need a nonempty outgoing-burst-size distribution")
 
 
-def _streams(rng, n: int):
-    """None for one shared stream, else the per-row stream list."""
-    if isinstance(rng, RandomSource):
-        return None
-    rngs = list(rng)
-    if len(rngs) != n:
-        raise ValueError(f"need one random stream per row: {n} rows, {len(rngs)} streams")
-    return rngs
-
-
 def _row_bursts(cells: np.ndarray, counts: np.ndarray):
     """2-D signed run-length encoding: the bursts of every row, in row order,
     and the row each burst belongs to. ``counts`` holds each row's nonzero
@@ -264,36 +254,30 @@ def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
     return ptr
 
 
-def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
+def net_augment_batch(cells, cfg: AugmentConfig, dist, rng: RandomSource) -> np.ndarray:
     """One burst manipulation plus a shift on every row of an (n, L) int8
     cell matrix.
 
-    ``rng`` is one RandomSource shared by the rows in order, or a sequence
-    of n RandomSources, one per row; either way row r takes the same draws.
-    The output is assembled from burst boundaries, one marker per burst
-    and a cumulative sum along each row, as the module docstring describes.
+    The rows draw from ``rng`` in row order, each its block of 3 + 3 * nb
+    draws. The output is assembled from burst boundaries, one marker per
+    burst and a cumulative sum along each row, as the module docstring
+    describes.
     """
     cells = np.asarray(cells, dtype=np.int8)
     n, length = cells.shape
     prefix_len = cfg.preserve_prefix
     counts = np.count_nonzero(cells, axis=1)
     check_net_inputs(counts, cfg, dist)
-    rngs = _streams(rng, n)
     if n == 0:
         return cells.copy()
 
     suffix_counts = counts - np.count_nonzero(cells[:, :prefix_len], axis=1)
     sizes, burst_row = _row_bursts(cells[:, prefix_len:], suffix_counts)
     burst_ptr = _row_pointers(burst_row, n)
-    # row r's block is one header triple, then one triple per burst; in a
-    # shared stream the blocks follow each other, so counted in triples row
-    # r starts at r + burst_ptr[r] and burst g sits at g + burst_row[g] + 1
-    if rngs is None:
-        raw = rng._raw_block(3 * (n + len(sizes)))
-    else:
-        per_row = np.diff(burst_ptr).tolist()
-        raw = np.concatenate([s._raw_block(3 + 3 * k) for s, k in zip(rngs, per_row)])
-    triples = raw.reshape(-1, 3)
+    # row r's block is one header triple, then one triple per burst; the
+    # blocks follow each other, so counted in triples row r starts at
+    # r + burst_ptr[r] and burst g sits at g + burst_row[g] + 1
+    triples = rng._raw_block(3 * (n + len(sizes))).reshape(-1, 3)
     header = triples[np.arange(n) + burst_ptr[:-1]]
     slot_of = np.arange(len(sizes)) + burst_row + 1  # each burst's triple
 
@@ -341,27 +325,18 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng) -> np.ndarray:
     return out
 
 
-def flip_augment_batch(cells, p_flip: float, rng) -> np.ndarray:
+def flip_augment_batch(cells, p_flip: float, rng: RandomSource) -> np.ndarray:
     """Negate each nonzero cell of an (n, L) int8 cell matrix independently
     with probability p_flip.
 
-    ``rng`` is one RandomSource shared by the rows in order, or a sequence
-    of n RandomSources, one per row; each nonzero cell takes one draw, in
-    row-major order.
+    Each nonzero cell takes one draw from ``rng``, in row-major order.
     """
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("p_flip must be in [0, 1]")
     cells = np.array(cells, dtype=np.int8)
-    rngs = _streams(rng, len(cells))
     live = cells != 0
     values = cells[live]  # row-major, so in draw order
-    if rngs is None:
-        flip = rng.below(len(values), p_flip)
-    else:
-        per_row = np.count_nonzero(live, axis=1).tolist()
-        flip = np.concatenate(
-            [np.empty(0, dtype=bool)] + [s.below(k, p_flip) for s, k in zip(rngs, per_row)]
-        )
+    flip = rng.below(len(values), p_flip)
     values *= 1 - 2 * flip.view(np.int8)  # -1 where flipped, else 1
     cells[live] = values
     return cells

@@ -3,8 +3,10 @@
 Every command writes its outputs plus a manifest recording the resolved
 configuration, the seed, and content hashes of all inputs and outputs;
 re-running with the same inputs reproduces the output hashes byte for
-byte. Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error,
-3 check failure.
+byte. ``main`` runs each command in one envelope: it creates ``--out``,
+calls the command, and writes the manifest only once the command has
+returned, so a command that fails leaves none. Exit codes: 0 success,
+1 runtime or I/O failure, 2 usage error, 3 check failure.
 """
 
 import argparse
@@ -101,7 +103,8 @@ def _thresholds(text) -> list[float]:
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="run seed (bit-reproducible)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="run seed (same bytes on one numpy/BLAS build and thread count)")
     p.add_argument("--config", default=None,
                    help="key=value config file; explicit flags override it")
     p.add_argument("--out", required=True, help="output directory")
@@ -274,12 +277,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _config_snapshot(args) -> dict:
     skip = {"func", "command", "config"}
     return {
@@ -289,33 +286,43 @@ def _config_snapshot(args) -> dict:
     }
 
 
-def _finish(args, started, inputs, outputs) -> int:
-    out = Path(args.out)
-    write_manifest(
-        out / "manifest.json",
-        command=args.command,
-        config=_config_snapshot(args),
-        seed=getattr(args, "seed", None),
-        inputs=inputs,
-        outputs=outputs,
-        started=started,
-    )
-    return EXIT_OK
-
-
 def _load_dist(args, corpus) -> distributions.BurstSizeDistribution:
     if args.dist is not None:
         return distributions.load_bdist(args.dist)
     return distributions.build_distribution(corpus)
 
 
+def _load_model(args, classifier=False):
+    """The ``--model`` checkpoint and the ``--in`` corpus at its trace
+    length. With ``classifier``, a checkpoint that has none is refused
+    before the corpus is read."""
+    params = models.load_params(args.model)
+    if classifier and params.n_classes is None:
+        raise ValueError(f"{args.model} has no classifier; fine-tune it first")
+    return params, traces.load_dtrace(args.input, trace_len=params.trace_len)
+
+
+def _save_model(out, params, **histories) -> list[Path]:
+    """Write ``model.ckpt`` and, for each keyword, ``<name>.txt`` with one
+    value per line; returns the paths in that order."""
+    paths = [out / "model.ckpt"]
+    models.save_params(paths[0], params)
+    for name, values in histories.items():
+        paths.append(out / f"{name}.txt")
+        with open(paths[-1], "w", encoding="ascii") as fh:
+            fh.writelines(f"{v!r}\n" for v in values)
+    return paths
+
+
 # -- commands ----------------------------------------------------------------
+#
+# A command takes the parsed flags and its existing output directory, and
+# returns the input and output paths its manifest hashes, plus an exit code
+# when that is not EXIT_OK; main() does the rest.
 
 
-def cmd_gen(args) -> int:
-    started = time.time()
+def cmd_gen(args, out):
     visits = args.visits * 2 if len(args.visits) == 1 else args.visits
-    out = _outdir(args)
     rng = RandomSource(args.seed)
     templates = synth.make_templates(args.classes, rng.spawn(0), noise_scale=args.noise)
     profiles = [
@@ -326,12 +333,10 @@ def cmd_gen(args) -> int:
     path = out / "dataset.ttrace"
     traces.save_ttrace(path, dataset)
     print(f"wrote {len(dataset)} traces for {args.classes} classes to {path}")
-    return _finish(args, started, [], [path])
+    return [], [path]
 
 
-def cmd_ncm_split(args) -> int:
-    started = time.time()
-    out = _outdir(args)
+def cmd_ncm_split(args, out):
     corpus = traces.load_ttrace(args.input)
     skipped: list[traces.DegenerateTrace] = []
     superior, inferior = traces.partition_by_ncm(corpus, args.threshold, skipped)
@@ -345,55 +350,50 @@ def cmd_ncm_split(args) -> int:
         f"superior: {len(superior)}  inferior: {len(inferior)}  skipped: {len(skipped)}"
         f"  (threshold {args.threshold:g} B/s)"
     )
-    return _finish(args, started, [args.input], [sup_path, inf_path])
+    return [args.input], [sup_path, inf_path]
 
 
-def cmd_augment(args) -> int:
-    started = time.time()
+def cmd_augment(args, out):
     cfg = _config(aug_mod.AugmentConfig, args)
-    out = _outdir(args)
     corpus = traces.load_dtrace(args.input)
     dist = _load_dist(args, corpus) if args.method == "net" else None
     if args.method == "net":
         aug_mod.check_net_inputs([t.nonzero_count for t in corpus], cfg, dist)
-    root = RandomSource(args.seed)
-
-    # view v of trace i draws from its own stream, spawn(i * views + v), so
-    # the output does not depend on how the views are grouped into batches
+    # the views draw from one stream in output order, so the output does
+    # not depend on how they are grouped into batches
+    rng = RandomSource(args.seed)
     augmented = []
     for chunk in _augment_chunks(corpus, args.views, AUGMENT_CHUNK):
-        cells = np.stack([corpus[i].cells for i, _ in chunk])
-        rngs = [root.spawn(stream) for _, stream in chunk]
+        cells = np.stack([corpus[i].cells for i in chunk])
         if args.method == "net":
-            views = aug_mod.net_augment_batch(cells, cfg, dist, rngs)
+            views = aug_mod.net_augment_batch(cells, cfg, dist, rng)
         else:
-            views = aug_mod.flip_augment_batch(cells, cfg.p_flip, rngs)
+            views = aug_mod.flip_augment_batch(cells, cfg.p_flip, rng)
         augmented += [
-            traces.DirectionTrace(row, label=corpus[i].label) for row, (i, _) in zip(views, chunk)
+            traces.DirectionTrace(row, label=corpus[i].label) for row, i in zip(views, chunk)
         ]
     path = out / "augmented.dtrace"
     traces.save_dtrace(path, augmented)
     print(f"augmented {len(corpus)} traces x{args.views} with method={args.method}")
-    return _finish(args, started, [args.input], [path])
+    return [args.input], [path]
 
 
 def _augment_chunks(corpus, views: int, size: int):
-    """(trace index, stream index) lists of at most ``size`` views in output
-    order; a chunk never mixes trace lengths, so it stacks into a matrix."""
+    """Trace-index lists of at most ``size`` views in output order, each
+    trace ``views`` times; a chunk never mixes trace lengths, so it stacks
+    into a matrix."""
     chunk = []
     for i, t in enumerate(corpus):
-        for v in range(views):
-            if chunk and (len(chunk) == size or len(t) != len(corpus[chunk[0][0]])):
+        for _ in range(views):
+            if chunk and (len(chunk) == size or len(t) != len(corpus[chunk[0]])):
                 yield chunk
                 chunk = []
-            chunk.append((i, i * views + v))
+            chunk.append(i)
     if chunk:
         yield chunk
 
 
-def cmd_stats(args) -> int:
-    started = time.time()
-    out = _outdir(args)
+def cmd_stats(args, out):
     corpus = traces.load_dtrace(args.input)
     dist = distributions.build_distribution(corpus)
     bdist_path = out / "burst_sizes.bdist"
@@ -413,18 +413,10 @@ def cmd_stats(args) -> int:
         f"{dist.total} outgoing bursts over {len(dist.support)} sizes; "
         f"{len(by_label)} labeled classes"
     )
-    return _finish(args, started, [args.input], [bdist_path, stats_path])
+    return [args.input], [bdist_path, stats_path]
 
 
-def _write_history(path, values) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for v in values:
-            fh.write(f"{v!r}\n")
-
-
-def cmd_pretrain(args) -> int:
-    started = time.time()
-    out = _outdir(args)
+def cmd_pretrain(args, out):
     corpus = traces.load_dtrace(args.input, trace_len=args.trace_len)
     unlabeled = training.strip_labels(corpus)
     dist = _load_dist(args, corpus) if args.method == "net" else None
@@ -437,15 +429,12 @@ def cmd_pretrain(args) -> int:
         dims=_config(models.ModelDims, args),
         augmenter=args.method,
     )
-    ckpt = out / "model.ckpt"
-    models.save_params(ckpt, result.params)
-    hist = out / "loss_history.txt"
-    _write_history(hist, result.loss_history)
+    outputs = _save_model(out, result.params, loss_history=result.loss_history)
     print(
         f"pre-trained on {len(unlabeled)} traces for {args.epochs} epochs; "
         f"loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}"
     )
-    return _finish(args, started, [args.input], [ckpt, hist])
+    return [args.input], outputs
 
 
 def _map_unmonitored(corpus) -> list:
@@ -461,11 +450,8 @@ def _map_unmonitored(corpus) -> list:
     return mapped
 
 
-def cmd_finetune(args) -> int:
-    started = time.time()
-    out = _outdir(args)
-    params = models.load_params(args.model)
-    corpus = traces.load_dtrace(args.input, trace_len=params.trace_len)
+def cmd_finetune(args, out):
+    params, corpus = _load_model(args)
     corpus = _map_unmonitored(corpus)
     if args.n_labeled is not None:
         per_class: dict[int, int] = {}
@@ -476,17 +462,12 @@ def cmd_finetune(args) -> int:
                 per_class[t.label] = per_class.get(t.label, 0) + 1
         corpus = kept
     result = training.finetune(params, corpus, _config(training.TrainConfig, args, seed=args.seed))
-    ckpt = out / "model.ckpt"
-    models.save_params(ckpt, result.params)
-    hist = out / "loss_history.txt"
-    _write_history(hist, result.loss_history)
+    outputs = _save_model(out, result.params, loss_history=result.loss_history)
     print(f"fine-tuned on {len(corpus)} labeled traces; final loss {result.loss_history[-1]:.4f}")
-    return _finish(args, started, [args.model, args.input], [ckpt, hist])
+    return [args.model, args.input], outputs
 
 
-def cmd_netfm(args) -> int:
-    started = time.time()
-    out = _outdir(args)
+def cmd_netfm(args, out):
     labeled = _map_unmonitored(traces.load_dtrace(args.labeled, trace_len=args.trace_len))
     unlabeled = traces.load_dtrace(args.unlabeled, trace_len=args.trace_len)
     dist = _load_dist(args, unlabeled)
@@ -500,25 +481,17 @@ def cmd_netfm(args) -> int:
         dist=dist,
         dims=_config(models.ModelDims, args),
     )
-    ckpt = out / "model.ckpt"
-    models.save_params(ckpt, result.params)
-    loss_hist = out / "loss_history.txt"
-    _write_history(loss_hist, result.loss_history)
-    retained_hist = out / "retained_history.txt"
-    _write_history(retained_hist, result.retained_history)
+    outputs = _save_model(out, result.params, loss_history=result.loss_history,
+                          retained_history=result.retained_history)
     print(
         f"semi-supervised run on {len(labeled)} labeled + {len(unlabeled)} unlabeled; "
         f"final loss {result.loss_history[-1]:.4f}"
     )
-    return _finish(args, started, [args.labeled, args.unlabeled],
-                   [ckpt, loss_hist, retained_hist])
+    return [args.labeled, args.unlabeled], outputs
 
 
-def cmd_eval_cw(args) -> int:
-    started = time.time()
-    out = _outdir(args)
-    params = models.load_params(args.model)
-    corpus = traces.load_dtrace(args.input, trace_len=params.trace_len)
+def cmd_eval_cw(args, out):
+    params, corpus = _load_model(args, classifier=True)
     labels = [t.label for t in corpus]
     if any(lab is None or lab < 0 for lab in labels):
         raise UsageError("closed-world evaluation needs non-negative labels")
@@ -528,14 +501,11 @@ def cmd_eval_cw(args) -> int:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{accuracy!r}\n")
     print(f"closed-world accuracy: {accuracy:.4f} over {len(corpus)} traces")
-    return _finish(args, started, [args.model, args.input], [path])
+    return [args.model, args.input], [path]
 
 
-def cmd_eval_ow(args) -> int:
-    started = time.time()
-    out = _outdir(args)
-    params = models.load_params(args.model)
-    corpus = traces.load_dtrace(args.input, trace_len=params.trace_len)
+def cmd_eval_ow(args, out):
+    params, corpus = _load_model(args, classifier=True)
     if any(t.label is None for t in corpus):
         raise UsageError("open-world evaluation needs labels (-1 for unmonitored)")
     is_monitored = np.array([t.label != traces.UNMONITORED for t in corpus])
@@ -554,12 +524,10 @@ def cmd_eval_ow(args) -> int:
             f"threshold {o.threshold:g}: precision {o.precision:.4f} "
             f"recall {o.recall:.4f} f1 {o.f1:.4f}"
         )
-    return _finish(args, started, [args.model, args.input], [path])
+    return [args.model, args.input], [path]
 
 
-def cmd_gradcheck(args) -> int:
-    started = time.time()
-    out = _outdir(args)
+def cmd_gradcheck(args, out):
     results = gradcheck.run_gradient_checks(
         seed=args.seed, instances=args.instances, step=args.step,
         tolerance=args.tolerance,
@@ -573,11 +541,10 @@ def cmd_gradcheck(args) -> int:
     print(f"max relative error {worst:.3e} over {args.instances} instances per check")
     for name, value in results.items():
         print(f"  {name}: {value:.3e}")
-    _finish(args, started, [], [path])
     if not passed:
         print(f"FAIL: tolerance {args.tolerance:g} exceeded", file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+        return [], [path], EXIT_CHECK
+    return [], [path]
 
 
 # -- entry -------------------------------------------------------------------
@@ -690,9 +657,22 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    started = time.time()
     try:
         with _steady_memory():
-            return args.func(args)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            inputs, outputs, *code = args.func(args, out)
+            write_manifest(
+                out / "manifest.json",
+                command=args.command,
+                config=_config_snapshot(args),
+                seed=args.seed,
+                inputs=inputs,
+                outputs=outputs,
+                started=started,
+            )
+        return code[0] if code else EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,7 @@ def raw_to_uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Standard normals of paired uniforms in [0, 1), as normals() forms them."""
+    """Standard normals of paired uniforms in [0, 1), by Box-Muller."""
     return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -137,11 +137,6 @@ class RandomSource:
             k >>= np.uint64(11)
             np.less(k, bound, out=out[start : start + len(k)])
         return out
-
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller; consumes 2n uniforms."""
-        u = self.uniforms(2 * n)
-        return box_muller(u[0::2], u[1::2])
 
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates shuffle of a mutable sequence or 1-d array.

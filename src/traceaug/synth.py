@@ -32,7 +32,6 @@ class SiteTemplate:
     class_id: int
     base_bursts: tuple[int, ...]
     noise_scale: float
-    seed: int
 
     def __post_init__(self):
         if any(b == 0 for b in self.base_bursts):
@@ -78,14 +77,7 @@ def make_templates(
         for _ in range(n_rounds):
             bursts.append(child.randint(1, 3))          # request
             bursts.append(-child.randint(3, 30))        # response content
-        templates.append(
-            SiteTemplate(
-                class_id=class_id,
-                base_bursts=tuple(bursts),
-                noise_scale=noise_scale,
-                seed=child.seed,
-            )
-        )
+        templates.append(SiteTemplate(class_id, tuple(bursts), noise_scale))
     return templates
 
 

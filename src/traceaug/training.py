@@ -5,14 +5,16 @@ Every phase runs on one driver, ``_fit`` (optimizer, shuffling, epoch
 loop, non-finite loss and gradient guard, per-epoch mean loss), and
 supplies only its step: a closure from a batch of row indices to (loss,
 gradients). Weights, gradients and optimizer state are float32.
-Everything is single-threaded and draws all randomness from streams
-spawned off the run seed, so a (seed, data, config) triple reproduces the
-parameter trajectory bit for bit. Stream assignments are fixed per concern
-(init, shuffling, augmentation, ...), and a stream depends only on the
-seed and its spawn index, not on where it is spawned. The semi-supervised
-loop consumes its labeled-side streams exactly like the plain supervised
-loop, which makes the two trajectories identical when the unlabeled
-weight is zero.
+All randomness comes from streams spawned off the run seed, so a (seed,
+data, config) triple reproduces the parameter trajectory bit for bit on
+the same numpy/BLAS build at the same BLAS thread count. Another thread
+count may round the float32 products differently: criterion 7 reads net
+0.638 with one OpenBLAS thread and 0.649 with two. Stream assignments are
+fixed per concern (init, shuffling, augmentation, ...), and a stream
+depends only on the seed and its spawn index, not on where it is spawned.
+The semi-supervised loop consumes its labeled-side streams exactly like
+the plain supervised loop, which makes the two trajectories identical
+when the unlabeled weight is zero.
 """
 
 import math

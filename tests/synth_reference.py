@@ -3,7 +3,8 @@
 ``traceaug.synth.render_visit`` takes a visit's draws as one block and
 renders its bursts as whole arrays. This module keeps the earlier renderer,
 unchanged: it walks the template's bursts one at a time, drawing each
-incoming burst's lognormal noise and split decision as it goes.
+incoming burst's lognormal noise and split decision as it goes. Each
+normal takes the next two uniforms through ``box_muller``.
 ``tests/test_synth.py`` checks the array renderer against it trace for
 trace and counter for counter, so do not change its arithmetic or its
 draws.
@@ -11,9 +12,15 @@ draws.
 
 import numpy as np
 
-from traceaug.rng import RandomSource
+from traceaug.rng import RandomSource, box_muller
 from traceaug.synth import NOMINAL_RATE, ConditionProfile, SiteTemplate
 from traceaug.traces import DEFAULT_CELL_SIZE, TimedTrace
+
+
+def _normal(rng: RandomSource):
+    """One standard normal from the next two uniforms of ``rng``."""
+    u = rng.uniforms(2)
+    return box_muller(u[0::2], u[1::2])[0]
 
 
 def render_visit(
@@ -27,7 +34,7 @@ def render_visit(
             continue
         size = -b
         if tmpl.noise_scale > 0:
-            size = max(1, int(round(size * np.exp(tmpl.noise_scale * rng.normals(1)[0]))))
+            size = max(1, int(round(size * np.exp(tmpl.noise_scale * _normal(rng)))))
         if profile.control_rate > 0 and size >= 2 and rng.uniform() < profile.control_rate:
             half = (size + 1) // 2
             bursts += [-half, 1, -(size - half)]
@@ -40,6 +47,6 @@ def render_visit(
 
     duration = incoming_bytes / (profile.bandwidth_factor * NOMINAL_RATE)
     if profile.jitter > 0:
-        duration *= float(np.exp(profile.jitter * rng.normals(1)[0]))
+        duration *= float(np.exp(profile.jitter * _normal(rng)))
     times = np.linspace(0.0, duration, num=len(directions))
     return TimedTrace(times=times, directions=directions, sizes=sizes, label=tmpl.class_id)

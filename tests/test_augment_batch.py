@@ -1,11 +1,11 @@
 """The batch augmentation engine against the frozen per-trace reference.
 
 net_augment_batch and flip_augment_batch must return, byte for byte, what
-the per-trace engine of augment_reference.py returns row by row, and
-leave every random stream at the same counter: for one stream shared by
-all rows and for one stream per row, whatever the batch (chunk) size. Every decision has a
-fixed draw slot, so a row takes 3 + 3 * (its bursts after the prefix)
-draws, and one row's content never moves another row's draws.
+the per-trace engine of augment_reference.py returns row by row on the
+same stream, and leave the stream at the same counter, whatever the batch
+(chunk) size. Every decision has a fixed draw slot, so a row takes
+3 + 3 * (its bursts after the prefix) draws, and one row's content never
+moves another row's draws.
 """
 
 from unittest import mock
@@ -105,19 +105,12 @@ def ref_flip(row, p_flip, rng):
         return augment_reference.flip_augment(AnyCells(row), p_flip, rng).cells
 
 
-def chunked(fn, cells, rngs, chunk):
-    """Apply a batch function chunk by chunk; rngs is one shared stream or a list."""
+def chunked(fn, cells, rng, chunk):
+    """Apply a batch function chunk by chunk, all chunks on the one stream."""
     chunk = chunk or len(cells)
-    out = []
-    for start in range(0, len(cells), chunk):
-        part = rngs if isinstance(rngs, RandomSource) else rngs[start : start + chunk]
-        out.append(fn(cells[start : start + chunk], part))
-    return np.concatenate(out)
-
-
-def per_row_streams(seed, n):
-    root = RandomSource(seed)
-    return [root.spawn(i) for i in range(n)]
+    return np.concatenate(
+        [fn(cells[start : start + chunk], rng) for start in range(0, len(cells), chunk)]
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,27 +128,16 @@ def test_net_batch_matches_per_trace_on_a_shared_stream(case, seed, chunk):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=net_cases(), seed=st.integers(0, 2**32), chunk=st.sampled_from(CHUNKS))
-def test_net_batch_matches_per_trace_with_one_stream_per_row(case, seed, chunk):
-    cells, cfg, dist = case
-    ref_rngs, batch_rngs = per_row_streams(seed, len(cells)), per_row_streams(seed, len(cells))
-    expected = np.stack([
-        ref_net(row, cfg, dist, rng)
-        for row, rng in zip(cells, ref_rngs)
-    ])
-    got = chunked(lambda c, r: net_augment_batch(c, cfg, dist, r), cells, batch_rngs, chunk)
-    np.testing.assert_array_equal(got, expected)
-    assert [r._count for r in batch_rngs] == [r._count for r in ref_rngs]
-
-
-@settings(max_examples=100, deadline=None)
 @given(case=net_cases(), seed=st.integers(0, 2**32))
 def test_each_row_takes_a_fixed_block_of_draws(case, seed):
     cells, cfg, dist = case
     expected = np.array([3 + 3 * len(extract_bursts(r[cfg.preserve_prefix:])) for r in cells])
-    rngs = per_row_streams(seed, len(cells))
-    net_augment_batch(cells, cfg, dist, rngs)
-    assert [r._count for r in rngs] == expected.tolist()
+    per_row = []
+    for row in cells:
+        rng = RandomSource(seed)
+        net_augment_batch(row[None], cfg, dist, rng)
+        per_row.append(rng._count)
+    assert per_row == expected.tolist()
     shared = RandomSource(seed)
     net_augment_batch(cells, cfg, dist, shared)
     assert shared._count == expected.sum()
@@ -176,25 +158,13 @@ def test_a_row_does_not_move_later_rows_draws(case, seed, row):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    cells=corpora(), p_flip=unit, seed=st.integers(0, 2**32),
-    chunk=st.sampled_from(CHUNKS), shared=st.booleans(),
-)
-def test_flip_batch_matches_per_trace(cells, p_flip, seed, chunk, shared):
-    if shared:
-        ref, batch = RandomSource(seed), RandomSource(seed)
-        ref_rows = [ref] * len(cells)
-    else:
-        ref_rows, batch = per_row_streams(seed, len(cells)), per_row_streams(seed, len(cells))
-    expected = np.stack(
-        [ref_flip(row, p_flip, rng) for row, rng in zip(cells, ref_rows)]
-    )
+@given(cells=corpora(), p_flip=unit, seed=st.integers(0, 2**32), chunk=st.sampled_from(CHUNKS))
+def test_flip_batch_matches_per_trace(cells, p_flip, seed, chunk):
+    ref, batch = RandomSource(seed), RandomSource(seed)
+    expected = np.stack([ref_flip(row, p_flip, ref) for row in cells])
     got = chunked(lambda c, r: flip_augment_batch(c, p_flip, r), cells, batch, chunk)
     np.testing.assert_array_equal(got, expected)
-    if shared:
-        assert batch._count == ref._count
-    else:
-        assert [r._count for r in batch] == [r._count for r in ref_rows]
+    assert batch._count == ref._count
 
 
 def test_rests_without_eligible_bursts():
@@ -210,34 +180,37 @@ def test_rests_without_eligible_bursts():
 
 
 @pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("whole", [True, False])
 @pytest.mark.parametrize("cfg", [
     AugmentConfig(),
     AugmentConfig(shift_max=45),  # beyond L = 40, and past prefix + shift
     AugmentConfig(preserve_prefix=0, r_insert=1.0),
 ], ids=["default", "shift-past-L", "no-prefix"])
-def test_empty_and_single_row_batches(n, shared, cfg):
+def test_empty_and_single_row_batches(n, whole, cfg):
+    """One call on the whole batch, or one call per row and then one on
+    the empty rest, all on the one stream: the same as the reference."""
     row = fit_length(np.array([0, -1, -1, 0, -1] + [1, 1, -1, -1, -1, 0, 0, -1] * 4), 40)
     cells = np.repeat(row[None], n, axis=0)
     dist = BurstSizeDistribution(np.array([1, 3]), np.array([2, 1]))
     for seed in range(20):
-        if shared:
-            ref, batch = RandomSource(seed), RandomSource(seed)
-            ref_rows = [ref] * n
-        else:
-            ref_rows, batch = per_row_streams(seed, n), per_row_streams(seed, n)
+        ref, batch = RandomSource(seed), RandomSource(seed)
         for reference, batch_form in (
             (lambda x, r: ref_net(x, cfg, dist, r),
              lambda c, r: net_augment_batch(c, cfg, dist, r)),
             (lambda x, r: ref_flip(x, 0.5, r),
              lambda c, r: flip_augment_batch(c, 0.5, r)),
         ):
-            expected = [reference(x, r) for x, r in zip(cells, ref_rows)]
-            got = batch_form(cells, batch)
+            expected = [reference(x, ref) for x in cells]
+            if whole:
+                got = batch_form(cells, batch)
+            else:
+                got = np.concatenate(
+                    [batch_form(cells[i : i + 1], batch) for i in range(n)]
+                    + [batch_form(cells[n:], batch)]
+                )
             assert got.shape == cells.shape and got.dtype == np.int8
             np.testing.assert_array_equal(got, np.reshape(expected, cells.shape))
-        counts = [r._count for r in ([batch] if shared else batch)]
-        assert counts == [r._count for r in ([ref] if shared else ref_rows)]
+        assert batch._count == ref._count
 
 
 def test_short_row_named_and_no_draws_taken():
@@ -255,9 +228,3 @@ def test_missing_distribution_rejected_up_front():
     cells = np.stack([fit_length(np.array([-1] * 30), 40)])
     with pytest.raises(EmptyDistribution):
         net_augment_batch(cells, AugmentConfig(), None, RandomSource(0))
-
-
-def test_stream_count_must_match_rows():
-    cells = np.stack([fit_length(np.array([-1, 1] * 15), 40)] * 3)
-    with pytest.raises(ValueError, match="one random stream per row"):
-        flip_augment_batch(cells, 0.5, per_row_streams(0, 2))

@@ -174,22 +174,39 @@ class TestAugmentCommand:
         assert content_hash(src) == before
 
 
+def run_fresh(threads, *argv):
+    """``traceaug argv`` in a new process, so that BLAS reads ``threads`` as
+    its thread count when it starts."""
+    src_dir = str(Path(traceaug.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceaug.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestBlasThreads:
     def test_augment_bytes_do_not_depend_on_blas_threads(self, corpus, tmp_path):
-        # two processes, so the thread count is read at BLAS start-up
-        src_dir = str(Path(traceaug.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
         digests = set()
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
             out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "traceaug.cli", "augment", "--views", "2", "--seed", "4",
-                 "--in", str(corpus / "split" / "superior.dtrace"), "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
+            run_fresh(threads, "augment", "--views", 2, "--seed", 4,
+                      "--in", corpus / "split" / "superior.dtrace", "--out", out)
             digests.add(content_hash(out / "augmented.dtrace"))
+        assert len(digests) == 1
+
+    def test_pretrain_bytes_repeat_in_fresh_processes_at_one_blas_thread(self, corpus, tmp_path):
+        # the promise covers one numpy/BLAS build at one BLAS thread count;
+        # trained weights may differ between thread counts
+        digests = set()
+        for run_id in ("a", "b"):
+            out = tmp_path / run_id
+            run_fresh("1", "pretrain", "--in", corpus / "split" / "superior.dtrace",
+                      "--epochs", 1, "--batch", 8, "--trace-len", 120, "--embed", 16,
+                      "--hidden", 32, "--seed", 9, "--out", out)
+            digests.add(content_hash(out / "model.ckpt"))
         assert len(digests) == 1
 
 
@@ -210,11 +227,11 @@ class TestSteadyMemory:
     def test_command_runs_between_threshold_and_trim(self, tmp_path, monkeypatch, outcome):
         calls = []
 
-        def command(args):
+        def command(args, out):
             calls.append(("command", cli._set_madvise_hugepage(False)))
             if outcome == "raise":
                 raise OSError("disk full")
-            return outcome
+            return [], []
 
         monkeypatch.setattr(cli, "cmd_stats", command)
         monkeypatch.setattr(cli, "_mallopt", lambda param, value: calls.append((param, value)))
@@ -287,6 +304,21 @@ class TestTrainingCommands:
         for line in lines:
             threshold, precision, recall, f1 = map(float, line.split())
             assert 0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0
+
+    @pytest.mark.parametrize("command", ["eval-cw", "eval-ow"])
+    def test_eval_refuses_a_checkpoint_without_classifier(
+        self, corpus, trained, tmp_path, capsys, command
+    ):
+        # a pretrain checkpoint, and a corpus with one unmonitored trace
+        corpus_traces = load_dtrace(corpus / "split" / "inferior.dtrace")
+        corpus_traces[0] = DirectionTrace(corpus_traces[0].cells, label=-1)
+        src = tmp_path / "ow.dtrace"
+        save_dtrace(src, corpus_traces)
+        assert run(command, "--model", trained / "pt" / "model.ckpt", "--in", src,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "has no classifier" in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_eval_ow_unsorted_thresholds_usage_error(self, corpus, trained, tmp_path):
         assert run(
@@ -476,6 +508,10 @@ class TestGradcheckCommand:
     def test_fails_with_exit_3_on_impossible_tolerance(self, tmp_path):
         assert run("gradcheck", "--out", tmp_path, "--instances", 2, "--seed", 0,
                    "--tolerance", "1e-18") == 3
+        # a failed check still writes its report and a manifest that hashes it
+        report = tmp_path / "gradcheck.txt"
+        assert "passed 0.0" in report.read_text().splitlines()
+        assert output_hashes(tmp_path) == {str(report): content_hash(report)}
 
 
 class TestConfigFile:

@@ -6,15 +6,15 @@ optimizer arithmetic shows up here as a digest mismatch. The three
 ``cli-gen``/``cli-split`` digests pin the synthetic corpus (``synth``'s
 draw order and noise arithmetic, ``.ttrace`` formatting) and the
 ``.dtrace`` writer; they date from the per-burst synthesis loop and the
-per-row ``.dtrace`` encoder. The two CLI augment digests hold no weights:
-``cli-augment-flip`` dates from the per-trace engine, and
-``cli-augment-net`` was re-recorded when every
-burst-augmentation decision got a fixed draw slot (3 draws per trace plus
-3 per burst). The five checkpoint digests (``pretrain-net``,
-``pretrain-flip``, ``finetune-net``, ``netfm``,
-``short-pretrain-finetune``) were re-recorded when training moved from
-float64 to float32; the checkpoint still stores float64 blocks, which hold
-the float32 weights exactly. They depend on the numpy and BLAS builds,
+per-row ``.dtrace`` encoder. The two CLI augment digests hold no weights;
+both were re-recorded when ``traceaug augment`` stopped spawning one
+stream per view and let its views draw from one ``RandomSource(seed)`` in
+output order, as training does. Draw slots are unchanged: 3 draws per
+trace plus 3 per burst for net, one per nonzero cell for flip. The five
+checkpoint digests (``pretrain-net``, ``pretrain-flip``, ``finetune-net``,
+``netfm``, ``short-pretrain-finetune``) were re-recorded when training
+moved from float64 to float32; the checkpoint still stores float64 blocks,
+which hold the float32 weights exactly. They depend on the numpy and BLAS builds,
 whose float32 kernels may round differently; CI prints both.
 
 ``short-pretrain-finetune`` pins the first layer's live-prefix path: its
@@ -56,8 +56,8 @@ GOLDEN = {
     "pretrain-flip": "7a6ae96a09310a267dbf1826dc59afada72ee10c9ffc67823092fef1007e2357",
     "finetune-net": "d6c2fc66752159e94a7ebab6d87c1d5b7d9321864bc986205b6283b2244d6e2d",
     "netfm": "b389900888cd2ea7b85085602ccc36710137f68d216959b07a0f4f9805d89581",
-    "cli-augment-net": "052f004c55c08ece4824fde7f2d9814f3016baabba7bbbdccbba29579c2475a7",
-    "cli-augment-flip": "307dbb2698f439c6776b44a809a5719ce8b890a080d75f23915d32e2b10f326b",
+    "cli-augment-net": "b7faa023e5e17ff7f9fc6f6fe2715f0f22cb2a0bd60a62cfe5ca916498288f73",
+    "cli-augment-flip": "d1b045409c5e9911c0dcd692fc098ea183aaba5193d9a638d0bd659454494149",
     "short-pretrain-finetune": "109e41aeb52406e10413d4d0d07e3f05d7e6493a7f2a01d5ec86bf8a8e64a049",
     "cli-gen-ttrace": "3e542106a6fd5ae72d4db75582b8132063f0c8e53d17ab1434b528b08bbc0007",
     "cli-split-superior": "de37116c44a69ea30b0bc6c068e88651df9271f4c65dfd0a2d1dc624a6e9face",

@@ -47,26 +47,26 @@ class TestTemplates:
 
 class TestRenderVisit:
     def test_noiseless_render_matches_template_expansion(self):
-        tmpl = SiteTemplate(class_id=0, base_bursts=(2, -5, 1, -3), noise_scale=0.0, seed=0)
+        tmpl = SiteTemplate(class_id=0, base_bursts=(2, -5, 1, -3), noise_scale=0.0)
         visit = render_visit(tmpl, CLEAN, RandomSource(0))
         expected = [1, 1, -1, -1, -1, -1, -1, 1, -1, -1, -1]
         assert visit.directions.tolist() == expected
         assert visit.label == 0
 
     def test_ncm_halves_exactly_with_bandwidth(self):
-        tmpl = SiteTemplate(class_id=1, base_bursts=(2, -50), noise_scale=0.0, seed=0)
+        tmpl = SiteTemplate(class_id=1, base_bursts=(2, -50), noise_scale=0.0)
         for b in (2.0, 1.0, 0.7, 0.4):
             full = render_visit(tmpl, ConditionProfile(b, 0.0, 0.0), RandomSource(1))
             half = render_visit(tmpl, ConditionProfile(b / 2, 0.0, 0.0), RandomSource(1))
             assert compute_ncm(half) == compute_ncm(full) / 2
 
     def test_ncm_equals_bandwidth_times_nominal_rate(self):
-        tmpl = SiteTemplate(class_id=0, base_bursts=(1, -20), noise_scale=0.0, seed=0)
+        tmpl = SiteTemplate(class_id=0, base_bursts=(1, -20), noise_scale=0.0)
         visit = render_visit(tmpl, ConditionProfile(1.0, 0.0, 0.0), RandomSource(2))
         assert compute_ncm(visit) == pytest.approx(40000.0)
 
     def test_control_cells_split_incoming_bursts(self):
-        tmpl = SiteTemplate(class_id=0, base_bursts=(1, -40), noise_scale=0.0, seed=0)
+        tmpl = SiteTemplate(class_id=0, base_bursts=(1, -40), noise_scale=0.0)
         noisy = render_visit(
             tmpl, ConditionProfile(1.0, control_rate=1.0, jitter=0.0), RandomSource(3)
         )
@@ -91,7 +91,7 @@ class TestRenderVisit:
         assert max(inf_ncm) < 40000.0
 
     def test_timestamps_cover_duration(self):
-        tmpl = SiteTemplate(class_id=0, base_bursts=(1, -10), noise_scale=0.0, seed=0)
+        tmpl = SiteTemplate(class_id=0, base_bursts=(1, -10), noise_scale=0.0)
         visit = render_visit(tmpl, CLEAN, RandomSource(0))
         assert visit.times[0] == 0.0
         assert visit.times[-1] > 0.0
@@ -109,7 +109,7 @@ def visit_cases(draw):
     control = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     jitter = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     tmpl = SiteTemplate(class_id=draw(st.integers(0, 9)), base_bursts=bursts,
-                        noise_scale=noise, seed=0)
+                        noise_scale=noise)
     profile = ConditionProfile(draw(st.sampled_from([0.4, 1.0, 2.0])), control, jitter)
     return tmpl, profile, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 5))
 
@@ -136,7 +136,7 @@ class TestRenderVisitReference:
         # sizes of 1 and 2 under strong noise: many bursts fall below 2 and
         # skip their split draw, so later bursts read shifted draws
         tmpl = SiteTemplate(class_id=0, base_bursts=(-1, 1, -2, -1, -2) * 8,
-                            noise_scale=2.0, seed=0)
+                            noise_scale=2.0)
         profile = ConditionProfile(1.0, control_rate=0.5, jitter=0.3)
         for seed in range(20):
             rng, ref_rng = RandomSource(seed), RandomSource(seed)
