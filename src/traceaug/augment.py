@@ -342,6 +342,20 @@ def flip_augment_batch(cells, p_flip: float, rng: RandomSource) -> np.ndarray:
     return cells
 
 
+def net_draw_counts(cells, cfg: AugmentConfig) -> np.ndarray:
+    """The draws net_augment_batch takes for each row of an (n, L) int8
+    cell matrix: 3 + 3 * the number of bursts after the preserved prefix."""
+    suffix = np.asarray(cells, dtype=np.int8)[:, cfg.preserve_prefix :]
+    _, burst_row = _row_bursts(suffix, np.count_nonzero(suffix, axis=1))
+    return 3 + 3 * np.bincount(burst_row, minlength=len(suffix))
+
+
+def flip_draw_counts(cells) -> np.ndarray:
+    """The draws flip_augment_batch takes for each row of an (n, L) cell
+    matrix: one per nonzero cell."""
+    return np.count_nonzero(cells, axis=1)
+
+
 def net_augment(t: DirectionTrace, cfg: AugmentConfig, dist, rng: RandomSource) -> DirectionTrace:
     """net_augment_batch on one trace."""
     return DirectionTrace(net_augment_batch(t.cells[None], cfg, dist, rng)[0], label=t.label)

@@ -26,7 +26,10 @@ from .rng import RandomSource
 try:
     from numpy._core.multiarray import _set_madvise_hugepage
 except ImportError:  # numpy < 2
-    from numpy.core.multiarray import _set_madvise_hugepage
+    try:
+        from numpy.core.multiarray import _set_madvise_hugepage
+    except ImportError:  # a numpy without the private name: its advice stays as is
+        _set_madvise_hugepage = None
 
 try:
     _libc = ctypes.CDLL(None)
@@ -637,11 +640,13 @@ def _steady_memory():
     """
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-    huge_pages = _set_madvise_hugepage(False)
+    if _set_madvise_hugepage is not None:
+        huge_pages = _set_madvise_hugepage(False)
     try:
         yield
     finally:
-        _set_madvise_hugepage(huge_pages)
+        if _set_madvise_hugepage is not None:
+            _set_madvise_hugepage(huge_pages)
         if _malloc_trim is not None:
             _malloc_trim(0)
 

@@ -32,6 +32,9 @@ _CKPT_VERSION = 1
 # the working dtype of weights and of training
 _DTYPE = np.float32
 
+#: float64 values per block when weights are drawn, saved or loaded
+_BLOCK = 1 << 16
+
 # the smallest true-class log-probability the cross-entropy scores
 _LOG_FLOOR = float(np.log(1e-300))
 
@@ -81,10 +84,18 @@ class ModelParams:
 
 
 def _glorot_uniform(rng: RandomSource, fan_out: int, fan_in: int) -> np.ndarray:
-    """Glorot-uniform weights, drawn and scaled in float64, stored rounded."""
+    """Glorot-uniform weights, drawn and scaled in float64, stored rounded.
+
+    The values are drawn _BLOCK at a time, so the float64 temporaries of a
+    wide first layer stay small; the stream is counter-based, so the values
+    are those of one draw of them all.
+    """
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    w = (rng.uniforms(fan_out * fan_in) * 2.0 - 1.0).reshape(fan_out, fan_in) * bound
-    return w.astype(_DTYPE)
+    w = np.empty(fan_out * fan_in, _DTYPE)
+    for start in range(0, w.size, _BLOCK):
+        u = rng.uniforms(min(_BLOCK, w.size - start))
+        w[start : start + len(u)] = (u * 2.0 - 1.0) * bound
+    return w.reshape(fan_out, fan_in)
 
 
 def init_params(dims: ModelDims, rng: RandomSource) -> ModelParams:
@@ -266,7 +277,9 @@ def trainable_arrays(params: ModelParams, head: str) -> list[np.ndarray]:
 
 def _write_block(fh, arr: np.ndarray) -> None:
     fh.write(struct.pack("<II", *arr.shape) if arr.ndim == 2 else struct.pack("<I", arr.shape[0]))
-    fh.write(arr.astype("<f8").tobytes(order="C"))
+    flat = arr.ravel()
+    for start in range(0, flat.size, _BLOCK):
+        fh.write(flat[start : start + _BLOCK].astype("<f8"))
 
 
 def save_params(path, params: ModelParams) -> None:
@@ -291,15 +304,22 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
+def _read_values(fh, n: int) -> np.ndarray:
+    out = np.empty(n, _DTYPE)
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        out[start : start + k] = np.frombuffer(_read_exact(fh, k * 8), dtype="<f8")
+    return out
+
+
 def _read_matrix(fh) -> np.ndarray:
     rows, cols = struct.unpack("<II", _read_exact(fh, 8))
-    block = np.frombuffer(_read_exact(fh, rows * cols * 8), dtype="<f8")
-    return block.reshape(rows, cols).astype(_DTYPE)
+    return _read_values(fh, rows * cols).reshape(rows, cols)
 
 
 def _read_vector(fh) -> np.ndarray:
     (n,) = struct.unpack("<I", _read_exact(fh, 4))
-    return np.frombuffer(_read_exact(fh, n * 8), dtype="<f8").astype(_DTYPE)
+    return _read_values(fh, n)
 
 
 def load_params(path) -> ModelParams:

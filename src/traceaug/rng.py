@@ -122,6 +122,17 @@ class RandomSource:
             raise ValueError(f"cannot rewind {n} of {self._count} draws")
         self._count -= n
 
+    def at(self, count: int) -> "RandomSource":
+        """A new source on this stream, positioned after its first ``count``
+        draws: its draws are the ones this source takes after ``count``
+        draws from its start. For a caller that knows how many draws the
+        work before its own takes."""
+        if count < 0:
+            raise ValueError(f"cannot position a stream at draw {count}")
+        out = RandomSource(self._seed)
+        out._count = count
+        return out
+
     def below(self, n: int, p: float) -> np.ndarray:
         """n booleans, uniform() < p for each of the next n draws.
 

@@ -52,6 +52,12 @@ class TraceFormatError(ValueError):
         self.line_no = line_no
 
 
+def _check_label(label) -> None:
+    """Labels are stored and trained on as int64."""
+    if label is not None and not -(2**63) <= label < 2**63:
+        raise ValueError(f"label {label} does not fit in a 64-bit integer")
+
+
 def fit_length(cells: np.ndarray, length: int) -> np.ndarray:
     """Truncate or zero-pad a cell array to exactly ``length`` entries."""
     cells = np.asarray(cells, dtype=np.int8)
@@ -70,6 +76,7 @@ class DirectionTrace:
     label: int | None = None
 
     def __post_init__(self):
+        _check_label(self.label)
         self.cells = np.asarray(self.cells, dtype=np.int8)
         if self.cells.ndim != 1:
             raise ValueError("cells must be one-dimensional")
@@ -109,6 +116,7 @@ class TimedTrace:
     label: int | None = None
 
     def __post_init__(self):
+        _check_label(self.label)
         self.times = np.asarray(self.times, dtype=np.float64)
         self.directions = np.asarray(self.directions, dtype=np.int8)
         self.sizes = np.asarray(self.sizes, dtype=np.int64)
@@ -388,7 +396,7 @@ def load_ttrace(path) -> list[TimedTrace]:
                     sizes=np.array([c[2] for c in cells], dtype=np.int64),
                     label=label,
                 )
-            except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise TraceFormatError(str(exc), line_no) from exc
             traces.append(trace)
     return traces

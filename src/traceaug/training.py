@@ -1,10 +1,18 @@
 """Training phases: contrastive pre-training, fine-tuning, supervised
 baseline, and the pseudo-labeling semi-supervised loop.
 
-Every phase runs on one driver, ``_fit`` (optimizer, shuffling, epoch
-loop, non-finite loss and gradient guard, per-epoch mean loss), and
-supplies only its step: a closure from a batch of row indices to (loss,
-gradients). Weights, gradients and optimizer state are float32.
+Every phase runs on one driver, ``_fit`` (optimizer, epoch loop,
+non-finite loss and gradient guard, per-epoch mean loss), and supplies
+only its step: a closure from a batch of row indices to (loss,
+gradients). Every epoch's row order is drawn before the first step
+(``_epoch_orders``). Weights, gradients and optimizer state are float32.
+Pre-training's views depend only on the corpus, those orders and the
+augmentation stream, never on the weights, and every step's first draw
+is known ahead, so a forked child process makes them ahead of the steps
+(``_ViewsAhead``), many steps to a burst augmentation call, and the parent
+makes any step the child has not made yet; the bytes are those of making
+them inline one step at a time, and where ``os.fork`` is missing they are
+made inline.
 All randomness comes from streams spawned off the run seed, so a (seed,
 data, config) triple reproduces the parameter trajectory bit for bit on
 the same numpy/BLAS build at the same BLAS thread count. Another thread
@@ -22,7 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentConfig, check_net_inputs, flip_augment_batch, net_augment_batch
+from .augment import (
+    AugmentConfig,
+    check_net_inputs,
+    flip_augment_batch,
+    flip_draw_counts,
+    net_augment_batch,
+    net_draw_counts,
+)
 from .augment import flip_augment, net_augment  # noqa: F401  perfbench/tracing.py wraps these
 from .losses import SslConfig
 from .models import (
@@ -54,6 +69,10 @@ class MissingClass(ValueError):
 class NonFiniteLoss(ValueError):
     """A training step's loss or gradient is NaN or infinite, so the run is
     stopped before the step updates any weight."""
+
+
+class ViewWorkerError(RuntimeError):
+    """The child process that makes a pre-training's views failed or died."""
 
 
 #: float32's smallest subnormal. Adam adds eps to float32 arrays, where an
@@ -225,6 +244,192 @@ class _CyclingPool:
         return out
 
 
+#: Size of the shared ring of step slots that the view worker fills; it
+#: holds at least two slots, and at most _MAX_SLOTS, so that a slot index
+#: is one byte and _FAILED is none.
+_RING_BYTES = 1 << 20
+_MAX_SLOTS = 255
+_FAILED = b"\xff"
+#: Most cells of views the parent makes in one call when the child is late:
+#: the call's temporaries, several times its views, are the parent's memory.
+_OWN_CELLS = 1 << 18
+
+
+def _ring_slots(block_bytes: int) -> int:
+    """Slots of the ring for blocks of ``block_bytes``."""
+    return max(2, min(_MAX_SLOTS, _RING_BYTES // block_bytes))
+
+
+class _ViewsAhead:
+    """Iterator over a pre-training's views: one int8 block of ``shape`` for
+    each of ``steps`` steps, where ``make(first, stop)`` makes the blocks of
+    steps first to stop - 1 as one array, from nothing but those numbers.
+
+    Entered as a context manager, it forks a child process that makes the
+    steps ahead of their use, in calls of up to ``call`` steps, and puts
+    them in order into a ring of ``slots`` slots in a shared anonymous
+    mapping. Slot indices go back and forth as single bytes over two pipes:
+    the parent hands the child a free slot, and the child hands it back
+    filled, or sends _FAILED and its error instead. The ring's header holds
+    the step in each slot. A block the parent returns is a view of its slot,
+    valid until the next block is asked for, which frees the slot.
+
+    The parent never waits for the child: when the step it needs is not in
+    the ring, it makes that step itself, and more steps to a call while the
+    child stays late, and records the last of them in the header; the child
+    skips the steps the parent has made. The child runs at the lowest
+    priority, so on a busy machine it takes only idle CPU time, and the
+    parent's speed is at worst that of making every view itself.
+    The child leaves through os._exit when its steps are made or the
+    parent's pipe is closed; on exit, however it is left, the parent kills
+    and reaps it. Where os.fork is missing, the parent makes every step,
+    ``call`` at a time.
+    """
+
+    def __init__(self, make, steps: int, shape: tuple[int, int], call: int, slots: int):
+        self.make, self.steps, self.shape, self.call, self.slots = make, steps, shape, call, slots
+        self.step = 0  # the step asked for next
+        self.own, self.own_first = np.empty((0, *shape), np.int8), 0  # steps made here
+        self.own_call, self.own_max = 1, min(call, max(1, _OWN_CELLS // math.prod(shape)))
+        self.pid = self.held = None
+        self.fds = ()
+
+    def __enter__(self):
+        import mmap
+        import os
+
+        if not hasattr(os, "fork"):
+            return self
+        header = -(-8 * (self.slots + 1) // 64) * 64
+        ring = mmap.mmap(-1, header + self.slots * math.prod(self.shape))
+        # made[0] is the last step the parent has made, made[1 + s] the step in slot s
+        self.made = np.frombuffer(ring, np.int64, self.slots + 1)
+        self.made[0] = -1
+        self.blocks = np.frombuffer(ring, np.int8, offset=header).reshape(self.slots, *self.shape)
+        free_r, self.free_w = os.pipe()
+        self.ready_r, ready_w = os.pipe()
+        self.fds = (self.free_w, self.ready_r)
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                self._serve(free_r, ready_w)
+            os.set_blocking(self.ready_r, False)
+            os.write(self.free_w, bytes(range(self.slots)))
+        except BaseException:
+            self.__exit__()
+            raise
+        finally:
+            os.close(free_r)
+            os.close(ready_w)
+        return self
+
+    def _serve(self, free_r: int, ready_w: int):
+        """The child: fill each slot the parent frees with the next step."""
+        import gc
+        import os
+
+        status = 1
+        try:
+            gc.disable()  # run no finalizer of the parent's objects here
+            os.nice(19)
+            os.close(self.free_w)
+            os.close(self.ready_r)
+            self._fill(free_r, ready_w)
+            status = 0
+        except BaseException as exc:  # the child's boundary: report, then exit
+            try:
+                os.write(ready_w, _FAILED + f"{type(exc).__name__}: {exc}".encode())
+            except BaseException:
+                pass
+        finally:
+            os._exit(status)
+
+    def _fill(self, free_r: int, ready_w: int):
+        import os
+
+        # the first calls are short, so that the ring has steps in it soon
+        first, call = 0, 1
+        while (first := max(first, int(self.made[0]) + 1)) < self.steps:
+            stop = min(first + call, self.steps)
+            views = self.make(first, stop).reshape(stop - first, *self.shape)
+            for k in range(first, stop):
+                if k <= self.made[0]:  # the parent has made it
+                    continue
+                token = os.read(free_r, 1)
+                if not token:  # the parent is done
+                    return
+                self.made[1 + token[0]] = k
+                self.blocks[token[0]] = views[k - first]
+                os.write(ready_w, token)
+            first, call = stop, min(2 * call, self.call)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        import os
+
+        k = self.step
+        self.step += 1
+        if self.held is not None:  # the caller is done with the last block
+            self._free(self.held)
+            self.held = None
+        if self.own_first <= k < self.own_first + len(self.own):
+            return self.own[k - self.own_first]
+        while self.pid:
+            try:
+                token = os.read(self.ready_r, 1)
+            except BlockingIOError:  # the child has not made it yet
+                break
+            if token in (b"", _FAILED):
+                self._raise_failure()
+            if self.made[1 + token[0]] == k:
+                self.held, self.own_call = token, 1
+                return self.blocks[token[0]]
+            self._free(token)  # a step made here
+        # the child is late: the longer it stays late, the more steps the
+        # parent makes to a call, as a call of many steps is cheaper per step
+        n = self.call
+        if self.pid:
+            n, self.own_call = self.own_call, min(2 * self.own_call, self.own_max)
+        stop = min(k + n, self.steps)
+        self.own = self.make(k, stop).reshape(stop - k, *self.shape)
+        self.own_first = k
+        if self.pid:
+            self.made[0] = stop - 1
+        return self.own[0]
+
+    def _free(self, token: bytes):
+        import os
+
+        try:
+            os.write(self.free_w, token)
+        except BrokenPipeError:  # the child has made its last step and left
+            pass
+
+    def _raise_failure(self):
+        import os
+
+        os.set_blocking(self.ready_r, True)
+        error = b"".join(iter(lambda: os.read(self.ready_r, 1 << 16), b"")).decode(
+            errors="replace"
+        )
+        raise ViewWorkerError(
+            f"the pre-training view worker failed: {error}" if error
+            else "the pre-training view worker exited before making every view"
+        )
+
+    def __exit__(self, *exc_info):
+        import os
+        import signal
+
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        for fd in self.fds:
+            os.close(fd)
+
+
 def strip_labels(traces: list[DirectionTrace]) -> list[DirectionTrace]:
     """Label-free copies for the pre-training phase."""
     return [DirectionTrace(t.cells.copy(), label=None) for t in traces]
@@ -255,12 +460,19 @@ def _check_finite(loss: float, grads, phase: str, epoch: int, step: int) -> None
             raise NonFiniteLoss(f"{phase}: gradient of array {i} is not finite {where}")
 
 
-def _epoch_batches(n: int, batch_size: int, rng: RandomSource, drop_last: bool):
-    order = list(range(n))
-    rng.shuffle(order)
-    stop = n - (n % batch_size) if drop_last else n
-    for start in range(0, stop, batch_size):
-        yield order[start : start + batch_size]
+def _epoch_orders(n: int, cfg: TrainConfig, drop_last: bool) -> list[np.ndarray]:
+    """Every epoch's row order, drawn before the first step from the
+    shuffling stream and cut to the rows its batches take: the first
+    n - n % B when partial batches are dropped. Batch i of an epoch is rows
+    i*B to (i+1)*B of its order."""
+    rng = RandomSource(cfg.seed).spawn(_S_SHUFFLE)
+    stop = n - n % cfg.batch_size if drop_last else n
+    orders = []
+    for _ in range(cfg.epochs):
+        order = list(range(n))
+        rng.shuffle(order)
+        orders.append(np.array(order[:stop]))
+    return orders
 
 
 def _labeled_arrays(traces: list[DirectionTrace]):
@@ -277,24 +489,22 @@ def _labeled_arrays(traces: list[DirectionTrace]):
     return cells, y, n_classes
 
 
-def _fit(phase: str, params, head: str, cfg: TrainConfig, n: int, drop_last: bool, step):
-    """Train ``head`` and the encoder for cfg.epochs shuffled passes over n rows.
+def _fit(phase: str, params, head: str, cfg: TrainConfig, orders, step):
+    """Train ``head`` and the encoder for one pass per epoch order (see
+    _epoch_orders), in batches of B consecutive rows of the order.
 
-    ``step(batch)`` maps a list of row indices to (loss, gradients), the
+    ``step(batch)`` maps an array of row indices to (loss, gradients), the
     gradients in trainable_arrays order; a non-finite loss or gradient
     stops the run before the optimizer step. The cosine schedule spans
-    exactly the steps taken: n // B per epoch when partial batches are
-    dropped, ceil(n / B) when they are kept. Records the per-epoch mean
-    loss.
+    exactly the steps taken. Records the per-epoch mean loss.
     """
-    steps_per_epoch = n // cfg.batch_size if drop_last else math.ceil(n / cfg.batch_size)
-    opt = _Optimizer(trainable_arrays(params, head), cfg, cfg.epochs * steps_per_epoch)
-    rng_shuffle = RandomSource(cfg.seed).spawn(_S_SHUFFLE)
+    B = cfg.batch_size
+    opt = _Optimizer(trainable_arrays(params, head), cfg, sum(-(-len(o) // B) for o in orders))
     result = TrainResult(params=params)
-    for epoch in range(cfg.epochs):
+    for epoch, order in enumerate(orders):
         epoch_losses = []
-        for i, batch in enumerate(_epoch_batches(n, cfg.batch_size, rng_shuffle, drop_last)):
-            loss, grads = step(batch)
+        for i, start in enumerate(range(0, len(order), B)):
+            loss, grads = step(order[start : start + B])
             _check_finite(loss, grads, phase, epoch, i)
             opt.step(grads)
             epoch_losses.append(loss)
@@ -336,18 +546,39 @@ def pretrain(
     root = RandomSource(cfg.seed)
     params = init_params(dims, root.spawn(_S_INIT))
     rng_aug = root.spawn(_S_AUG)
+    orders = _epoch_orders(len(unlabeled), cfg, drop_last=True)
+    # every step's traces; each takes two consecutive views, as rows 2i and
+    # 2i+1. A row's augmentation draws depend on its cells alone, so every
+    # step's first draw is known ahead, and any run of steps can be made on
+    # its own in one call, with the bytes of making every step in order.
+    batches = np.concatenate(orders).reshape(-1, cfg.batch_size)
+    if augmenter == "net":
+        draws = net_draw_counts(corpus, aug)
+    else:
+        draws = flip_draw_counts(corpus)
+    first_draw = np.concatenate(([0], np.cumsum(2 * draws[batches].sum(axis=1))))
 
-    def step(batch):
-        # two consecutive views of each trace, as rows 2i and 2i+1
-        rows = corpus[np.repeat(batch, 2)]
+    def make(first, stop):
+        cells = corpus[np.repeat(batches[first:stop].ravel(), 2)]
+        rng = rng_aug.at(int(first_draw[first]))
         if augmenter == "net":
-            views = net_augment_batch(rows, aug, dist, rng_aug)
-        else:
-            views = flip_augment_batch(rows, aug.p_flip, rng_aug)
-        loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(views, params, ssl.tau_s)
-        return loss, _flat_grads(enc_grads, d_w1, d_w2)
+            return net_augment_batch(cells, aug, dist, rng)
+        return flip_augment_batch(cells, aug.p_flip, rng)
 
-    return _fit("pretrain", params, "projection", cfg, len(unlabeled), True, step)
+    shape = (2 * cfg.batch_size, corpus.shape[1])
+    slots = _ring_slots(math.prod(shape))
+    # a net call of many steps costs less per step than many calls of one;
+    # one as long as the ring lets the child fill the ring after each call
+    call = slots if augmenter == "net" else 1
+    with _ViewsAhead(make, len(batches), shape, call, slots) as views:
+        def step(batch):
+            # views are made from the same orders as the batches, in order
+            loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(
+                next(views), params, ssl.tau_s
+            )
+            return loss, _flat_grads(enc_grads, d_w1, d_w2)
+
+        return _fit("pretrain", params, "projection", cfg, orders, step)
 
 
 def finetune(
@@ -367,7 +598,8 @@ def finetune(
         loss, enc_grads, d_w, d_b = supervised_forward_backward(cells[batch], y[batch], params)
         return loss, _flat_grads(enc_grads, d_w, d_b)
 
-    return _fit("finetune", params, "classifier", cfg, len(labeled), False, step)
+    orders = _epoch_orders(len(labeled), cfg, False)
+    return _fit("finetune", params, "classifier", cfg, orders, step)
 
 
 def train_supervised(
@@ -453,6 +685,7 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         return loss_s + ssl.lambda_u * loss_u, grads
 
     phase = "supervised" if unlabeled is None else "netfm"
-    result = _fit(phase, params, "classifier", cfg, len(labeled), False, step)
+    orders = _epoch_orders(len(labeled), cfg, False)
+    result = _fit(phase, params, "classifier", cfg, orders, step)
     result.retained_history = retained
     return result

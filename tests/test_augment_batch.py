@@ -21,7 +21,9 @@ from traceaug.augment import (
     EmptyDistribution,
     TraceTooShort,
     flip_augment_batch,
+    flip_draw_counts,
     net_augment_batch,
+    net_draw_counts,
 )
 from traceaug.bursts import extract_bursts
 from traceaug.distributions import BurstSizeDistribution
@@ -138,6 +140,7 @@ def test_each_row_takes_a_fixed_block_of_draws(case, seed):
         net_augment_batch(row[None], cfg, dist, rng)
         per_row.append(rng._count)
     assert per_row == expected.tolist()
+    assert net_draw_counts(cells, cfg).tolist() == per_row
     shared = RandomSource(seed)
     net_augment_batch(cells, cfg, dist, shared)
     assert shared._count == expected.sum()
@@ -165,6 +168,20 @@ def test_flip_batch_matches_per_trace(cells, p_flip, seed, chunk):
     got = chunked(lambda c, r: flip_augment_batch(c, p_flip, r), cells, batch, chunk)
     np.testing.assert_array_equal(got, expected)
     assert batch._count == ref._count
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=net_cases(), p_flip=unit, seed=st.integers(0, 2**32), row=st.integers(0, 11))
+def test_later_rows_made_on_their_own_from_their_first_draw(case, p_flip, seed, row):
+    cells, cfg, dist = case
+    row %= len(cells)
+    for augment, counts in (
+        (lambda c, r: net_augment_batch(c, cfg, dist, r), net_draw_counts(cells, cfg)),
+        (lambda c, r: flip_augment_batch(c, p_flip, r), flip_draw_counts(cells)),
+    ):
+        whole = augment(cells, RandomSource(seed))
+        rest = augment(cells[row:], RandomSource(seed).at(int(counts[:row].sum())))
+        np.testing.assert_array_equal(rest, whole[row:])
 
 
 def test_rests_without_eligible_bursts():

@@ -46,3 +46,21 @@ def test_trace_data_timings_accumulate_per_label(tmp_path):
     }
     with pytest.raises(SystemExit):
         bench.main(["--classes", "3", "--repeats", "1", "--out", out])
+
+
+def test_pretraining_timings_accumulate_per_label(tmp_path):
+    bench = load_tool("bench_train")
+    out = str(tmp_path / "bench.json")
+    small = ["--classes", "2", "--per-class", "64", "--epochs", "1", "--out", out]
+    assert bench.main(small + ["--label", "parent"]) == 0
+    assert bench.main(small) == 0
+    doc = json.loads(Path(out).read_text())
+    assert doc["median"].keys() == {"parent", "change"}
+    [run] = doc["runs"]["change"]
+    assert set(run) == {"net_pretrain_s", "flip_pretrain_s", "net_over_flip"}
+    assert run["net_over_flip"] == pytest.approx(run["net_pretrain_s"] / run["flip_pretrain_s"],
+                                                 rel=1e-2)
+    with pytest.raises(SystemExit):
+        bench.main(["--classes", "2", "--per-class", "64", "--epochs", "2", "--out", out])
+    with pytest.raises(SystemExit):  # fewer visits than two batches
+        bench.main(["--classes", "1", "--per-class", "10", "--out", str(tmp_path / "x.json")])

@@ -116,6 +116,16 @@ class TestNcmSplit:
         assert run("ncm-split", "--in", bad, "--out", tmp_path / "out") == 1
         assert "line 1: label must be an integer or null" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        '{"label":0,"cells":[[0.0,-1,512],[2.0,-1,100000000000000000000000]]}',
+        '{"label":100000000000000000000000,"cells":[[0.0,-1,512],[2.0,-1,512]]}',
+    ])
+    def test_oversized_integer_exits_1_with_line_number(self, tmp_path, capsys, record):
+        bad = tmp_path / "bad.ttrace"
+        bad.write_text('{"label":0,"cells":[[0.0,-1,512],[2.0,-1,512]]}\n' + record + "\n")
+        assert run("ncm-split", "--in", bad, "--out", tmp_path / "out") == 1
+        assert "error: line 2: " in capsys.readouterr().err
+
     def test_degenerate_traces_warned_and_skipped(self, tmp_path, capsys):
         path = tmp_path / "degen.ttrace"
         path.write_text(
@@ -221,6 +231,12 @@ class TestStats:
         label, mean, std = lines[0].split()
         float(mean), float(std)
 
+    def test_label_past_int64_exits_1_with_line_number(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dtrace"
+        bad.write_text("0\t1 -1\n100000000000000000000000\t1 -1\n")
+        assert run("stats", "--in", bad, "--out", tmp_path / "out") == 1
+        assert "error: line 2: label " in capsys.readouterr().err
+
 
 class TestSteadyMemory:
     @pytest.mark.parametrize("outcome", [0, "raise"])
@@ -244,6 +260,32 @@ class TestSteadyMemory:
             cli._set_madvise_hugepage(previous)
         assert calls == [(cli._M_MMAP_THRESHOLD, 1 << 20), ("command", False), ("trim", 0)]
         assert code == (1 if outcome == "raise" else 0)
+
+    def test_cli_imports_and_runs_without_numpys_private_advice(self, tmp_path):
+        # neither import path of _set_madvise_hugepage works in this child
+        script = """
+import builtins
+import sys
+real_import = builtins.__import__
+
+def no_advice(name, globals=None, locals=None, fromlist=(), level=0):
+    if (globals or {}).get("__name__") == "traceaug.cli" and name.endswith("core.multiarray"):
+        raise ImportError("no _set_madvise_hugepage")
+    return real_import(name, globals, locals, fromlist, level)
+
+builtins.__import__ = no_advice
+from traceaug import cli
+assert cli._set_madvise_hugepage is None
+raise SystemExit(cli.main(["stats", "--in", sys.argv[1], "--out", sys.argv[2]]))
+"""
+        save_dtrace(tmp_path / "c.dtrace", [DirectionTrace(np.array([1, -1, -1, 1]), label=0)])
+        env = {**os.environ, "PYTHONPATH": str(Path(traceaug.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "c.dtrace"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "manifest.json").is_file()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
     def test_glibc_functions_are_found(self):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from traceaug import models
 from traceaug.gradcheck import run_gradient_checks
 from traceaug.models import (
     ModelDims,
@@ -238,6 +241,53 @@ class TestInit:
     def test_hidden_widths_must_be_positive(self, hidden):
         with pytest.raises(ValueError, match="hidden"):
             ModelDims(hidden=hidden)
+
+    def test_block_draws_equal_one_draw(self, monkeypatch):
+        monkeypatch.setattr(models, "_BLOCK", 7)
+        rng = RandomSource(4)
+        w = models._glorot_uniform(rng, 5, 9)  # 45 values: six blocks and a part
+        ref = RandomSource(4)
+        expected = (ref.uniforms(45) * 2.0 - 1.0).reshape(5, 9) * np.sqrt(6.0 / 14)
+        assert w.dtype == np.float32
+        assert w.tobytes() == expected.astype(np.float32).tobytes()
+        assert rng.uniform() == ref.uniform()  # the stream is left where one draw leaves it
+
+
+class TestLargeModelMemory:
+    """A 5,000-cell first layer (1.28M weights) is drawn, saved and loaded a
+    block at a time: no float64 copy of a whole matrix is made."""
+
+    def test_peaks_stay_near_the_weights(self, tmp_path):
+        mb = 1 << 20
+        tracemalloc.start()
+        try:
+            params = init_params(ModelDims(5000, (256, 128), 64), RandomSource(0))
+            weights, init_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            save_params(tmp_path / "m.ckpt", params)
+            save_peak = tracemalloc.get_traced_memory()[1] - weights
+            del params
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            load_params(tmp_path / "m.ckpt")
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # whole-matrix float64 work peaked 25 MB, 20 MB and 10 MB above these
+        assert weights > 5 * mb
+        assert init_peak < weights + 4 * mb
+        assert save_peak < 2 * mb
+        assert load_peak < weights + 2 * mb
+
+    def test_block_boundaries_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(models, "_BLOCK", 5)
+        params = tiny_params(12)
+        save_params(tmp_path / "a.ckpt", params)
+        loaded = load_params(tmp_path / "a.ckpt")
+        monkeypatch.setattr(models, "_BLOCK", 1 << 16)
+        save_params(tmp_path / "b.ckpt", loaded)
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert np.array_equal(loaded.encoder[0][0], params.encoder[0][0])
 
 
 class TestCheckpoint:

@@ -26,6 +26,16 @@ def test_interleaved_calls_continue_one_stream():
     assert mixed == list(b.uniforms(6))
 
 
+def test_at_starts_after_the_given_draws():
+    a = RandomSource(7)
+    a.uniforms(5)
+    b = RandomSource(7).at(5)
+    assert b._count == 5
+    assert np.array_equal(b.uniforms(4), a.uniforms(4))
+    with pytest.raises(ValueError):
+        RandomSource(7).at(-1)
+
+
 def test_rewind_gives_back_the_unused_end_of_a_block():
     a = RandomSource(7)
     b = RandomSource(7)

@@ -365,6 +365,19 @@ class TestDtraceCodec:
             load_dtrace(path)
         assert info.value.line_no == 3
 
+    @pytest.mark.parametrize("line", [
+        b"100000000000000000000000\t1 -1",    # canonical cells
+        b"100000000000000000000000\t+1 -1",   # per-token parse
+        b"9223372036854775808\t1 -1",
+        b"-9223372036854775809\t1 -1",
+    ])
+    def test_label_past_int64_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.dtrace"
+        path.write_bytes(b"0\t1 -1\n" + line + b"\n")
+        with pytest.raises(TraceFormatError, match="64-bit") as info:
+            load_dtrace(path)
+        assert info.value.line_no == 2
+
     @pytest.mark.parametrize("line", [b"x\t1 -1", b"\xff\t1 -1", b"1 -1", b"0\t1 0 -1"])
     def test_bad_label_layout_or_order_names_its_line(self, tmp_path, line):
         path = tmp_path / "bad.dtrace"
@@ -480,6 +493,39 @@ class TestTtraceFormat:
         path = tmp_path / "corpus.ttrace"
         path.write_text(f'{{"label":{label},"cells":[[0.0,-1,512],[1.0,-1,512]]}}\n')
         assert load_ttrace(path)[0].label == expected
+
+    @pytest.mark.parametrize("cells", [
+        "[[0.0,-1,512],[1.0,-1,100000000000000000000000]]",  # size past int64
+        "[[0.0,-1,512],[1.0,300,512]]",                       # direction past int8
+    ])
+    def test_oversized_integer_reports_line(self, tmp_path, cells):
+        path = tmp_path / "bad.ttrace"
+        path.write_text(
+            '{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}\n'
+            f'{{"label":1,"cells":{cells}}}\n'
+        )
+        with pytest.raises(TraceFormatError) as info:
+            load_ttrace(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("label", [str(10**23), str(2**63), str(-(2**63) - 1)])
+    def test_label_past_int64_reports_line(self, tmp_path, label):
+        path = tmp_path / "bad.ttrace"
+        path.write_text(
+            '{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}\n'
+            f'{{"label":{label},"cells":[[0.0,-1,512],[1.0,-1,512]]}}\n'
+        )
+        with pytest.raises(TraceFormatError, match="64-bit") as info:
+            load_ttrace(path)
+        assert info.value.line_no == 2
+
+    def test_int64_extreme_labels_load(self, tmp_path):
+        path = tmp_path / "corpus.ttrace"
+        path.write_text("".join(
+            f'{{"label":{label},"cells":[[0.0,-1,512],[1.0,-1,512]]}}\n'
+            for label in (2**63 - 1, -(2**63))
+        ))
+        assert [t.label for t in load_ttrace(path)] == [2**63 - 1, -(2**63)]
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.ttrace"

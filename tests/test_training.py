@@ -1,4 +1,6 @@
 import copy
+import os
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from traceaug import training
 from traceaug.augment import AugmentConfig, EmptyDistribution, TraceTooShort
 from traceaug.distributions import build_distribution
 from traceaug.losses import SslConfig
-from traceaug.models import ModelDims, init_params, pack_params, predict_batch
+from traceaug.models import ModelDims, init_params, pack_params, predict_batch, save_params
 from traceaug.rng import RandomSource
 from traceaug.traces import DirectionTrace, MissingLabel, fit_length
 from traceaug.training import (
@@ -17,6 +19,7 @@ from traceaug.training import (
     MissingClass,
     NonFiniteLoss,
     TrainConfig,
+    ViewWorkerError,
     finetune,
     pretrain,
     strip_labels,
@@ -336,6 +339,104 @@ class TestNonFiniteLoss:
             )
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestViewWorker:
+    """Pre-training makes its views in a forked child; the bytes are those of
+    making them inline, and no child outlives the call."""
+
+    def setup_method(self):
+        self.unlabeled = strip_labels(make_corpus(40, np.random.default_rng(8)))
+        self.dist = build_distribution(self.unlabeled)
+
+    def run(self, augmenter, **cfg):
+        return pretrain(self.unlabeled, fast_cfg(**{"epochs": 3, **cfg}), AugmentConfig(),
+                        self.dist, SslConfig(), dims=DIMS, augmenter=augmenter)
+
+    @pytest.mark.parametrize("augmenter", ["net", "flip"])
+    def test_checkpoint_equals_the_inline_one(self, augmenter, monkeypatch, tmp_path):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        save_params(tmp_path / "forked.ckpt", self.run(augmenter).params)
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        save_params(tmp_path / "inline.ckpt", self.run(augmenter).params)
+        assert (tmp_path / "forked.ckpt").read_bytes() == (tmp_path / "inline.ckpt").read_bytes()
+
+    def test_ring_size_leaves_the_bytes(self, monkeypatch, tmp_path):
+        save_params(tmp_path / "one-call.ckpt", self.run("net").params)  # an epoch a call
+        monkeypatch.setattr(training, "_RING_BYTES", 1)  # two slots: calls of 2, 2 and 1 steps
+        save_params(tmp_path / "ring-calls.ckpt", self.run("net").params)
+        assert (tmp_path / "one-call.ckpt").read_bytes() == (tmp_path / "ring-calls.ckpt").read_bytes()
+
+    def test_no_child_left_after_return(self):
+        self.run("net")
+        assert_no_child_left()
+
+    def test_no_child_left_after_non_finite_loss(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
+            self.run("net", **TestNonFiniteLoss.HUGE)
+        assert_no_child_left()
+
+    def fork_recorded(self, monkeypatch):
+        """os.fork that records its result: [0] in the child, [pid] in the parent."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+        return forks
+
+    def test_steps_made_by_the_parent_leave_the_bytes(self, monkeypatch, tmp_path):
+        save_params(tmp_path / "forked.ckpt", self.run("net").params)
+        forks, net = self.fork_recorded(monkeypatch), training.net_augment_batch
+        made_here = []
+
+        def slow_child(cells, cfg, dist, rng):
+            if forks == [0]:
+                time.sleep(0.02)
+            else:
+                made_here.append(len(cells))
+            return net(cells, cfg, dist, rng)
+
+        monkeypatch.setattr(training, "net_augment_batch", slow_child)
+        save_params(tmp_path / "slow-child.ckpt", self.run("net").params)
+        assert made_here  # the parent made the steps the child was late with
+        forked, slow = (tmp_path / f"{n}.ckpt" for n in ("forked", "slow-child"))
+        assert forked.read_bytes() == slow.read_bytes()
+
+    def test_worker_error_names_the_worker(self, monkeypatch):
+        forks, flip = self.fork_recorded(monkeypatch), training.flip_augment_batch
+
+        def failing(cells, p_flip, rng):
+            if forks == [0]:
+                raise ValueError("no views today")
+            # the parent goes on once the child has failed and left
+            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            return flip(cells, p_flip, rng)
+
+        monkeypatch.setattr(training, "flip_augment_batch", failing)
+        with pytest.raises(ViewWorkerError, match="view worker failed: ValueError: no views today"):
+            self.run("flip")
+        assert_no_child_left()
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch):
+        forks, net = self.fork_recorded(monkeypatch), training.net_augment_batch
+
+        def dying(cells, cfg, dist, rng):
+            if forks == [0]:
+                os._exit(3)
+            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            return net(cells, cfg, dist, rng)
+
+        monkeypatch.setattr(training, "net_augment_batch", dying)
+        with pytest.raises(ViewWorkerError, match="exited before making every view"):
+            self.run("net")
+        assert_no_child_left()
+
+
 class TestNonFiniteGradient:
     """A finite loss with a NaN or infinite gradient stops the run before
     the optimizer step, naming the phase, epoch, step and array."""
@@ -355,6 +456,7 @@ class TestNonFiniteGradient:
             return 0.5, grads
 
         steps = []
+        cfg = fast_cfg(batch_size=4, epochs=1)
         opt_step = training._Optimizer.step
         monkeypatch.setattr(training._Optimizer, "step",
                             lambda opt, grads: steps.append(opt_step(opt, grads)))
@@ -362,8 +464,8 @@ class TestNonFiniteGradient:
             NonFiniteLoss,
             match=r"^pretrain: gradient of array 3 is not finite at epoch 1, step 2;",
         ):
-            training._fit("pretrain", params, "projection", fast_cfg(batch_size=4, epochs=1),
-                          16, True, step)
+            training._fit("pretrain", params, "projection", cfg,
+                          training._epoch_orders(16, cfg, True), step)
         # one Adam step ran; the failing step left the weights as it found them
         assert len(steps) == 1
         assert np.array_equal(weights(params), seen[1])
