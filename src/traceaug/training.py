@@ -11,8 +11,9 @@ augmentation stream, never on the weights, and every step's first draw
 is known ahead, so a forked child process makes them ahead of the steps
 (``_ViewsAhead``), many steps to a burst augmentation call, and the parent
 makes any step the child has not made yet; the bytes are those of making
-them inline one step at a time, and where ``os.fork`` is missing they are
-made inline.
+them inline one step at a time. The child only saves work: where
+``os.fork`` is missing, and after the child fails or dies, the parent
+makes every step itself.
 All randomness comes from streams spawned off the run seed, so a (seed,
 data, config) triple reproduces the parameter trajectory bit for bit on
 the same numpy/BLAS build at the same BLAS thread count. Another thread
@@ -71,17 +72,10 @@ class NonFiniteLoss(ValueError):
     stopped before the step updates any weight."""
 
 
-class ViewWorkerError(RuntimeError):
-    """The child process that makes a pre-training's views failed or died."""
-
-
-#: float32's smallest subnormal. Adam adds eps to float32 arrays, where an
-#: eps of half this or less is 0, and 0/0 then turns untouched weights NaN.
-_EPS_MIN = float(np.finfo(np.float32).smallest_subnormal)
-
-
 #: TrainConfig's optimizer names.
 OPTIMIZERS = ("adam", "sgd")
+#: Adam's decay rates and the eps added to its denominator.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,26 +87,15 @@ class TrainConfig:
     learning_rate: float = 3e-4
     optimizer: str = "adam"
     momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     cosine_decay: bool = False
     seed: int = 0
     mu: int = 19
 
     def __post_init__(self):
         # the range checks also reject NaN; Adam's skipped columns are exact
-        # only when lr is finite, eps > 0 and beta1 < 1
+        # only when lr is finite
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
-        if not _EPS_MIN / 2 < self.eps < np.inf:
-            raise ValueError(
-                f"eps must be finite and nonzero in float32 (whose smallest is "
-                f"{_EPS_MIN:.3g}), got {self.eps!r}"
-            )
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if not 0 <= self.momentum < np.inf:
             raise ValueError(f"momentum must be finite and >= 0, got {self.momentum!r}")
         if self.batch_size < 1:
@@ -183,8 +166,8 @@ class _Optimizer:
         lr = self._lr()
         cfg = self.cfg
         if cfg.optimizer == "adam":
-            bc1 = 1.0 - cfg.beta1 ** self.t
-            bc2 = 1.0 - cfg.beta2 ** self.t
+            bc1 = 1.0 - _BETA1 ** self.t
+            bc2 = 1.0 - _BETA2 ** self.t
             # in place, but the same operations in the same order as
             # a -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match
             for i, (a, g, m, v) in enumerate(zip(self.arrays, grads, self.m, self.v)):
@@ -192,14 +175,14 @@ class _Optimizer:
                 k = self._prefix(i, w)
                 a, m, v = a[..., :k], m[..., :k], v[..., :k]
                 sg = self._scratch[0][: g.size].reshape(g.shape)
-                m *= cfg.beta1
+                m *= _BETA1
                 # the padded update adds (1 - beta1) * +0.0 right of the
                 # gradient, which turns -0.0 into +0.0; v is never -0.0
                 m[..., w:] += 0.0
-                np.multiply(g, 1.0 - cfg.beta1, out=sg)
+                np.multiply(g, 1.0 - _BETA1, out=sg)
                 m[..., :w] += sg
-                v *= cfg.beta2
-                np.multiply(g, 1.0 - cfg.beta2, out=sg)
+                v *= _BETA2
+                np.multiply(g, 1.0 - _BETA2, out=sg)
                 sg *= g
                 v[..., :w] += sg
                 s1, s2 = (buf[: a.size].reshape(a.shape) for buf in self._scratch)
@@ -207,7 +190,7 @@ class _Optimizer:
                 s1 *= lr
                 np.divide(v, bc2, out=s2)
                 np.sqrt(s2, out=s2)
-                s2 += cfg.eps
+                s2 += _EPS
                 s1 /= s2
                 a -= s1
         elif cfg.momentum > 0:
@@ -245,11 +228,8 @@ class _CyclingPool:
 
 
 #: Size of the shared ring of step slots that the view worker fills; it
-#: holds at least two slots, and at most _MAX_SLOTS, so that a slot index
-#: is one byte and _FAILED is none.
+#: holds at least two slots, and at most 256, so that a slot index is one byte.
 _RING_BYTES = 1 << 20
-_MAX_SLOTS = 255
-_FAILED = b"\xff"
 #: Most cells of views the parent makes in one call when the child is late:
 #: the call's temporaries, several times its views, are the parent's memory.
 _OWN_CELLS = 1 << 18
@@ -257,7 +237,7 @@ _OWN_CELLS = 1 << 18
 
 def _ring_slots(block_bytes: int) -> int:
     """Slots of the ring for blocks of ``block_bytes``."""
-    return max(2, min(_MAX_SLOTS, _RING_BYTES // block_bytes))
+    return max(2, min(256, _RING_BYTES // block_bytes))
 
 
 class _ViewsAhead:
@@ -270,20 +250,25 @@ class _ViewsAhead:
     them in order into a ring of ``slots`` slots in a shared anonymous
     mapping. Slot indices go back and forth as single bytes over two pipes:
     the parent hands the child a free slot, and the child hands it back
-    filled, or sends _FAILED and its error instead. The ring's header holds
-    the step in each slot. A block the parent returns is a view of its slot,
-    valid until the next block is asked for, which frees the slot.
+    filled. The ring's header holds the step in each slot. A block the
+    parent returns is a view of its slot, valid until the next block is
+    asked for, which frees the slot.
 
-    The parent never waits for the child: when the step it needs is not in
-    the ring, it makes that step itself, and more steps to a call while the
-    child stays late, and records the last of them in the header; the child
-    skips the steps the parent has made. The child runs at the lowest
-    priority, so on a busy machine it takes only idle CPU time, and the
-    parent's speed is at worst that of making every view itself.
-    The child leaves through os._exit when its steps are made or the
-    parent's pipe is closed; on exit, however it is left, the parent kills
-    and reaps it. Where os.fork is missing, the parent makes every step,
-    ``call`` at a time.
+    The child only saves the parent work. The parent never waits for it:
+    when the step it needs is not in the ring, it makes that step itself,
+    and more steps to a call while the child stays late, and records the
+    last of them in the header; the child skips the steps the parent has
+    made. The child runs at the lowest priority, so on a busy machine it
+    takes only idle CPU time, and the parent's speed is at worst that of
+    making every view itself. The child leaves through os._exit when its
+    steps are made, when the parent's pipe is closed, or when anything in it
+    raises. Any end of the child ends its help: once the ready pipe reads
+    end-of-file, after the last step the child made, the parent kills and
+    reaps it, closes the pipes and makes every step left itself, ``call``
+    at a time, as where os.fork is missing or fails (``pid`` is None). A
+    ``make`` that raises in the child thus raises again in the parent's own
+    call. On exit the parent kills and reaps the child, however the block
+    is left.
     """
 
     def __init__(self, make, steps: int, shape: tuple[int, int], call: int, slots: int):
@@ -314,7 +299,9 @@ class _ViewsAhead:
             if self.pid == 0:
                 self._serve(free_r, ready_w)
             os.set_blocking(self.ready_r, False)
-            os.write(self.free_w, bytes(range(self.slots)))
+            self._free(bytes(range(self.slots)))
+        except OSError:  # no child, as when the fork is refused: every step is made here
+            self.__exit__()
         except BaseException:
             self.__exit__()
             raise
@@ -328,40 +315,28 @@ class _ViewsAhead:
         import gc
         import os
 
-        status = 1
         try:
             gc.disable()  # run no finalizer of the parent's objects here
             os.nice(19)
             os.close(self.free_w)
             os.close(self.ready_r)
-            self._fill(free_r, ready_w)
-            status = 0
-        except BaseException as exc:  # the child's boundary: report, then exit
-            try:
-                os.write(ready_w, _FAILED + f"{type(exc).__name__}: {exc}".encode())
-            except BaseException:
-                pass
-        finally:
-            os._exit(status)
-
-    def _fill(self, free_r: int, ready_w: int):
-        import os
-
-        # the first calls are short, so that the ring has steps in it soon
-        first, call = 0, 1
-        while (first := max(first, int(self.made[0]) + 1)) < self.steps:
-            stop = min(first + call, self.steps)
-            views = self.make(first, stop).reshape(stop - first, *self.shape)
-            for k in range(first, stop):
-                if k <= self.made[0]:  # the parent has made it
-                    continue
-                token = os.read(free_r, 1)
-                if not token:  # the parent is done
-                    return
-                self.made[1 + token[0]] = k
-                self.blocks[token[0]] = views[k - first]
-                os.write(ready_w, token)
-            first, call = stop, min(2 * call, self.call)
+            # the first calls are short, so that the ring has steps in it soon
+            first, call = 0, 1
+            while (first := max(first, int(self.made[0]) + 1)) < self.steps:
+                stop = min(first + call, self.steps)
+                views = self.make(first, stop).reshape(stop - first, *self.shape)
+                for k in range(first, stop):
+                    if k <= self.made[0]:  # the parent has made it
+                        continue
+                    token = os.read(free_r, 1)
+                    if not token:  # the parent is done
+                        return
+                    self.made[1 + token[0]] = k
+                    self.blocks[token[0]] = views[k - first]
+                    os.write(ready_w, token)
+                first, call = stop, min(2 * call, self.call)
+        finally:  # whatever ended the child: the parent makes what is left
+            os._exit(0)
 
     def __iter__(self):
         return self
@@ -376,58 +351,49 @@ class _ViewsAhead:
             self.held = None
         if self.own_first <= k < self.own_first + len(self.own):
             return self.own[k - self.own_first]
-        while self.pid:
+        while self.pid is not None:
             try:
                 token = os.read(self.ready_r, 1)
             except BlockingIOError:  # the child has not made it yet
                 break
-            if token in (b"", _FAILED):
-                self._raise_failure()
-            if self.made[1 + token[0]] == k:
+            if not token:  # the child is gone, and every step it made was read
+                self.__exit__()
+            elif self.made[1 + token[0]] == k:
                 self.held, self.own_call = token, 1
                 return self.blocks[token[0]]
-            self._free(token)  # a step made here
-        # the child is late: the longer it stays late, the more steps the
-        # parent makes to a call, as a call of many steps is cheaper per step
+            else:
+                self._free(token)  # a step made here
+        # the child is late, or there is none: the longer it stays late, the
+        # more steps the parent makes to a call, as a call of many steps is
+        # cheaper per step; with no child, ``call`` steps to a call
         n = self.call
-        if self.pid:
+        if self.pid is not None:
             n, self.own_call = self.own_call, min(2 * self.own_call, self.own_max)
         stop = min(k + n, self.steps)
         self.own = self.make(k, stop).reshape(stop - k, *self.shape)
         self.own_first = k
-        if self.pid:
+        if self.pid is not None:
             self.made[0] = stop - 1
         return self.own[0]
 
-    def _free(self, token: bytes):
+    def _free(self, tokens: bytes):
         import os
 
         try:
-            os.write(self.free_w, token)
-        except BrokenPipeError:  # the child has made its last step and left
+            os.write(self.free_w, tokens)
+        except BrokenPipeError:  # the child has left; what it made is still read
             pass
-
-    def _raise_failure(self):
-        import os
-
-        os.set_blocking(self.ready_r, True)
-        error = b"".join(iter(lambda: os.read(self.ready_r, 1 << 16), b"")).decode(
-            errors="replace"
-        )
-        raise ViewWorkerError(
-            f"the pre-training view worker failed: {error}" if error
-            else "the pre-training view worker exited before making every view"
-        )
 
     def __exit__(self, *exc_info):
         import os
         import signal
 
-        if self.pid:
+        if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
         for fd in self.fds:
             os.close(fd)
+        self.pid, self.fds = None, ()
 
 
 def strip_labels(traces: list[DirectionTrace]) -> list[DirectionTrace]:
@@ -482,10 +448,15 @@ def _labeled_arrays(traces: list[DirectionTrace]):
             raise MissingLabel("training requires non-negative labels on every trace")
     cells = np.stack([t.cells for t in traces])
     y = np.array([t.label for t in traces], dtype=np.int64)
-    n_classes = int(y.max()) + 1
-    missing = sorted(set(range(n_classes)) - set(np.unique(y).tolist()))
-    if missing:
-        raise MissingClass(f"no labeled sample for class(es) {missing}")
+    present = np.unique(y)
+    n_classes = int(present[-1]) + 1
+    if len(present) < n_classes:
+        # at most len(present) of the first len(present) + 5 classes are present
+        first = np.setdiff1d(np.arange(min(n_classes, len(present) + 5)), present)[:5]
+        raise MissingClass(
+            f"no labeled sample for {n_classes - len(present)} of classes 0..{n_classes - 1},"
+            f" starting with {first.tolist()}"
+        )
     return cells, y, n_classes
 
 
