@@ -10,7 +10,6 @@ returned, so a command that fails leaves none. Exit codes: 0 success,
 """
 
 import argparse
-import contextlib
 import ctypes
 import sys
 import time
@@ -24,20 +23,10 @@ from .manifest import write_manifest
 from .rng import RandomSource
 
 try:
-    from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy < 2
-    try:
-        from numpy.core.multiarray import _set_madvise_hugepage
-    except ImportError:  # a numpy without the private name: its advice stays as is
-        _set_madvise_hugepage = None
-
-try:
-    _libc = ctypes.CDLL(None)
-    _mallopt, _malloc_trim = _libc.mallopt, _libc.malloc_trim
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):  # not glibc
-    _mallopt = _malloc_trim = None
-#: mallopt parameter: the size from which an allocation gets its own mapping.
-_M_MMAP_THRESHOLD = -3
+    _malloc_trim = None
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -614,43 +603,6 @@ def _apply_config_file(commands, argv):
         command.set_defaults(**values)
 
 
-@contextlib.contextmanager
-def _steady_memory():
-    """Run a command so that its resident size does not depend on what the
-    process ran before it.
-
-    glibc serves an allocation from its heap unless it is larger than a
-    threshold, which it raises each time a larger mapped block is freed, and
-    it keeps freed heap resident. A command run in-process after others then
-    placed its arrays among their leftovers, and the peak of the README chain
-    at 5,000 cells moved by 7-10 MB from one run to the next. With the
-    threshold fixed at 1 MiB, corpora, weights and optimizer state get
-    mappings of their own that are returned when freed, and the trim after
-    the command returns the heap's free pages. The price is page faults per
-    command, not per training step: no step of that chain allocates 1 MiB
-    or more (each makes 2-4 allocations of 128 KiB-1 MiB), yet a pass
-    faults about 26k times in ``pretrain`` against 10k with glibc's dynamic
-    threshold, 8k against 3k in ``augment`` and 12k against 8k in
-    ``finetune``; a 64 MiB trim threshold does not remove them. The chain's
-    training throughput read 6,202 -> 5,606 samples/s when this was added.
-    The threshold stays fixed for the rest of the process.
-    numpy's advice to back arrays of 4 MB or more with transparent huge pages
-    is off during the command: whether the kernel grants 2 MB pages depends
-    on the host's free memory.
-    """
-    if _mallopt is not None:
-        _mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-    if _set_madvise_hugepage is not None:
-        huge_pages = _set_madvise_hugepage(False)
-    try:
-        yield
-    finally:
-        if _set_madvise_hugepage is not None:
-            _set_madvise_hugepage(huge_pages)
-        if _malloc_trim is not None:
-            _malloc_trim(0)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
@@ -664,19 +616,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.time()
     try:
-        with _steady_memory():
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            inputs, outputs, *code = args.func(args, out)
-            write_manifest(
-                out / "manifest.json",
-                command=args.command,
-                config=_config_snapshot(args),
-                seed=args.seed,
-                inputs=inputs,
-                outputs=outputs,
-                started=started,
-            )
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs, outputs, *code = args.func(args, out)
+        write_manifest(
+            out / "manifest.json",
+            command=args.command,
+            config=_config_snapshot(args),
+            seed=args.seed,
+            inputs=inputs,
+            outputs=outputs,
+            started=started,
+        )
         return code[0] if code else EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -684,6 +635,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        # glibc keeps freed heap pages resident, so a command run in-process
+        # after others would otherwise start from their leftovers
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 def entry() -> None:

@@ -36,8 +36,8 @@ class SiteTemplate:
     def __post_init__(self):
         if any(b == 0 for b in self.base_bursts):
             raise ValueError("template bursts must be nonzero")
-        if self.noise_scale < 0:
-            raise ValueError("noise scale must be >= 0")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError("noise scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)

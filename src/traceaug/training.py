@@ -123,11 +123,12 @@ class _Optimizer:
     only the batch's live column prefix); its missing columns are exact
     zeros, and every step gives the same bytes as the textbook update on
     the gradient zero-padded to full width. Plain SGD updates the
-    gradient's columns only. Adam and momentum update the live prefix of
-    each array, as wide as the widest gradient so far: columns right of it
-    have only ever seen zero gradients, so their state is +0 and they would
-    move by exactly +0. Inside the prefix, columns right of this step's
-    gradient only decay their state.
+    gradient's columns only. Adam's and momentum's state is held for each
+    array's live prefix only, as wide as the widest gradient so far, and
+    widens with zeros when a wider gradient arrives; they update that
+    prefix. Columns right of it have only ever seen zero gradients, so
+    their state would be +0 and they would move by exactly +0. Inside the
+    prefix, columns right of this step's gradient only decay their state.
     """
 
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig, total_steps: int):
@@ -135,20 +136,17 @@ class _Optimizer:
         self.cfg = cfg
         self.total_steps = max(1, total_steps)
         self.t = 0
-        # live column count per array: the widest gradient so far
-        self._live = [0] * len(arrays)
+        # state starts zero columns wide; _widened replaces, never writes, it
+        narrow = [np.zeros(a.shape[:-1] + (0,), a.dtype) for a in arrays]
         if cfg.optimizer == "adam":
-            # np.zeros, unlike zeros_like, leaves the pages of the never-live
-            # tail of m and v uncommitted
-            self.m = [np.zeros(a.shape, a.dtype) for a in arrays]
-            self.v = [np.zeros(a.shape, a.dtype) for a in arrays]
+            self.m, self.v = list(narrow), list(narrow)
             # two scratch buffers shared by all arrays keep the step free of
             # per-operation temporaries
             largest = max(a.size for a in arrays)
             dtype = np.result_type(*arrays)
             self._scratch = (np.empty(largest, dtype), np.empty(largest, dtype))
         elif cfg.momentum > 0:
-            self.vel = [np.zeros(a.shape, a.dtype) for a in arrays]
+            self.vel = narrow
 
     def _lr(self) -> float:
         # a Python float, so that it scales float32 arrays in float32
@@ -156,10 +154,6 @@ class _Optimizer:
             return self.cfg.learning_rate
         frac = (self.t - 1) / self.total_steps
         return float(self.cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * frac)))
-
-    def _prefix(self, i: int, width: int) -> int:
-        self._live[i] = max(self._live[i], width)
-        return self._live[i]
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
@@ -170,10 +164,11 @@ class _Optimizer:
             bc2 = 1.0 - _BETA2 ** self.t
             # in place, but the same operations in the same order as
             # a -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bytes match
-            for i, (a, g, m, v) in enumerate(zip(self.arrays, grads, self.m, self.v)):
+            for i, (a, g) in enumerate(zip(self.arrays, grads)):
                 w = g.shape[-1]
-                k = self._prefix(i, w)
-                a, m, v = a[..., :k], m[..., :k], v[..., :k]
+                m = self.m[i] = _widened(self.m[i], w)
+                v = self.v[i] = _widened(self.v[i], w)
+                a = a[..., : m.shape[-1]]
                 sg = self._scratch[0][: g.size].reshape(g.shape)
                 m *= _BETA1
                 # the padded update adds (1 - beta1) * +0.0 right of the
@@ -194,10 +189,10 @@ class _Optimizer:
                 s1 /= s2
                 a -= s1
         elif cfg.momentum > 0:
-            for i, (a, g, vel) in enumerate(zip(self.arrays, grads, self.vel)):
+            for i, (a, g) in enumerate(zip(self.arrays, grads)):
                 w = g.shape[-1]
-                k = self._prefix(i, w)
-                a, vel = a[..., :k], vel[..., :k]
+                vel = self.vel[i] = _widened(self.vel[i], w)
+                a = a[..., : vel.shape[-1]]
                 vel *= cfg.momentum
                 vel[..., w:] += 0.0  # as for Adam's m
                 vel[..., :w] += g
@@ -205,6 +200,16 @@ class _Optimizer:
         else:
             for a, g in zip(self.arrays, grads):
                 a[..., : g.shape[-1]] -= lr * g
+
+
+def _widened(state: np.ndarray, width: int) -> np.ndarray:
+    """``state``, or a zero-filled copy ``width`` columns wide when that is
+    wider."""
+    if width <= state.shape[-1]:
+        return state
+    wide = np.zeros(state.shape[:-1] + (width,), state.dtype)
+    wide[..., : state.shape[-1]] = state
+    return wide
 
 
 class _CyclingPool:
@@ -443,6 +448,8 @@ def _epoch_orders(n: int, cfg: TrainConfig, drop_last: bool) -> list[np.ndarray]
 
 def _labeled_arrays(traces: list[DirectionTrace]):
     """(int8 cell matrix, int64 labels, class count) of a fully labeled corpus."""
+    if not traces:
+        raise InsufficientData("no labeled traces")
     for t in traces:
         if t.label is None or t.label < 0:
             raise MissingLabel("training requires non-negative labels on every trace")

@@ -57,10 +57,22 @@ def test_pretraining_timings_accumulate_per_label(tmp_path):
     doc = json.loads(Path(out).read_text())
     assert doc["median"].keys() == {"parent", "change"}
     [run] = doc["runs"]["change"]
-    assert set(run) == {"net_pretrain_s", "flip_pretrain_s", "net_over_flip"}
+    assert set(run) == {"net_pretrain_s", "flip_pretrain_s", "net_over_flip",
+                        "adam_us_per_step_c7", "adam_us_per_step_cli"}
     assert run["net_over_flip"] == pytest.approx(run["net_pretrain_s"] / run["flip_pretrain_s"],
                                                  rel=1e-2)
     with pytest.raises(SystemExit):
         bench.main(["--classes", "2", "--per-class", "64", "--epochs", "2", "--out", out])
     with pytest.raises(SystemExit):  # fewer visits than two batches
         bench.main(["--classes", "1", "--per-class", "10", "--out", str(tmp_path / "x.json")])
+
+
+def test_median_covers_runs_that_hold_the_figure(tmp_path):
+    benchfile = load_tool("benchfile")
+    ap = benchfile.parser("test", str(tmp_path / "bench.json"))
+    args = ap.parse_args([])
+    benchfile.record(ap, args, {}, lambda: {"a": 1.0})  # a run before "b" was added
+    benchfile.record(ap, args, {}, lambda: {"a": 3.0, "b": 10.0})
+    benchfile.record(ap, args, {}, lambda: {"a": 5.0, "b": 20.0})
+    doc = json.loads((tmp_path / "bench.json").read_text())
+    assert doc["median"]["change"] == {"a": 3.0, "b": 15.0}

@@ -238,58 +238,26 @@ class TestStats:
         assert "error: line 2: label " in capsys.readouterr().err
 
 
-class TestSteadyMemory:
+class TestHeapTrim:
     @pytest.mark.parametrize("outcome", [0, "raise"])
-    def test_command_runs_between_threshold_and_trim(self, tmp_path, monkeypatch, outcome):
+    def test_heap_is_trimmed_after_the_command(self, tmp_path, monkeypatch, outcome):
         calls = []
 
         def command(args, out):
-            calls.append(("command", cli._set_madvise_hugepage(False)))
+            calls.append("command")
             if outcome == "raise":
                 raise OSError("disk full")
             return [], []
 
         monkeypatch.setattr(cli, "cmd_stats", command)
-        monkeypatch.setattr(cli, "_mallopt", lambda param, value: calls.append((param, value)))
         monkeypatch.setattr(cli, "_malloc_trim", lambda pad: calls.append(("trim", pad)))
-        previous = cli._set_madvise_hugepage(True)
-        try:
-            code = run("stats", "--in", tmp_path / "x.dtrace", "--out", tmp_path / "out")
-            assert cli._set_madvise_hugepage(previous) is True
-        finally:
-            cli._set_madvise_hugepage(previous)
-        assert calls == [(cli._M_MMAP_THRESHOLD, 1 << 20), ("command", False), ("trim", 0)]
+        code = run("stats", "--in", tmp_path / "x.dtrace", "--out", tmp_path / "out")
+        assert calls == ["command", ("trim", 0)]
         assert code == (1 if outcome == "raise" else 0)
 
-    def test_cli_imports_and_runs_without_numpys_private_advice(self, tmp_path):
-        # neither import path of _set_madvise_hugepage works in this child
-        script = """
-import builtins
-import sys
-real_import = builtins.__import__
-
-def no_advice(name, globals=None, locals=None, fromlist=(), level=0):
-    if (globals or {}).get("__name__") == "traceaug.cli" and name.endswith("core.multiarray"):
-        raise ImportError("no _set_madvise_hugepage")
-    return real_import(name, globals, locals, fromlist, level)
-
-builtins.__import__ = no_advice
-from traceaug import cli
-assert cli._set_madvise_hugepage is None
-raise SystemExit(cli.main(["stats", "--in", sys.argv[1], "--out", sys.argv[2]]))
-"""
-        save_dtrace(tmp_path / "c.dtrace", [DirectionTrace(np.array([1, -1, -1, 1]), label=0)])
-        env = {**os.environ, "PYTHONPATH": str(Path(traceaug.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "c.dtrace"), str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "manifest.json").is_file()
-
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
-    def test_glibc_functions_are_found(self):
-        assert cli._mallopt is not None and cli._malloc_trim is not None
+    def test_glibc_trim_is_found(self):
+        assert cli._malloc_trim is not None
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +278,14 @@ def trained(corpus, tmp_path_factory):
 
 
 class TestTrainingCommands:
+    def test_finetune_on_no_traces_exits_1(self, trained, tmp_path, capsys):
+        empty = tmp_path / "empty.dtrace"
+        empty.write_text("")
+        assert run("finetune", "--model", trained / "pt" / "model.ckpt", "--in", empty,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: no labeled traces\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_pretrain_outputs(self, trained):
         assert (trained / "pt" / "model.ckpt").exists()
         history = (trained / "pt" / "loss_history.txt").read_text().splitlines()

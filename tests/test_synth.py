@@ -44,6 +44,11 @@ class TestTemplates:
         with pytest.raises(ValueError):
             make_templates(1, RandomSource(0))
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.5])
+    def test_bad_noise_scale_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
+            make_templates(2, RandomSource(0), noise_scale=noise)
+
 
 class TestRenderVisit:
     def test_noiseless_render_matches_template_expansion(self):

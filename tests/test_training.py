@@ -212,6 +212,14 @@ class TestFinetune:
         with pytest.raises(MissingClass, match=rf"^no labeled sample for {2**62 - 1} of classes "):
             finetune(copy.deepcopy(self.params), far, fast_cfg())
 
+    @pytest.mark.parametrize("train", [
+        lambda params: finetune(params, [], fast_cfg()),
+        lambda params: train_supervised([], fast_cfg(), dims=DIMS),
+    ], ids=["finetune", "train_supervised"])
+    def test_empty_corpus_rejected(self, train):
+        with pytest.raises(InsufficientData, match="^no labeled traces$"):
+            train(copy.deepcopy(self.params))
+
     def test_missing_label_rejected(self):
         bad = self.labeled[:4] + make_corpus(1, np.random.default_rng(0))
         with pytest.raises(MissingLabel):
@@ -609,13 +617,13 @@ class TestOptimizers:
                 vv *= beta2
                 vv += (1.0 - beta2) * g * g
                 a -= step_lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
-            for got, want in zip(arrays + opt.m + opt.v, ref + m + v):
-                assert nan_blind_bytes(got) == nan_blind_bytes(want)
+            # state is held for array 0's live columns only
             live = max(widths[:t])
-            assert opt._live[0] == live
-            # the never-live tail of m and v was never written: still +0.0
-            for state in (opt.m[0], opt.v[0]):
-                assert state[:, live:].tobytes() == bytes(8 * rows * (width - live))
+            want_m = [m[0][:, :live]] + m[1:]
+            want_v = [v[0][:, :live]] + v[1:]
+            for got, want in zip(arrays + opt.m + opt.v, ref + want_m + want_v):
+                assert nan_blind_bytes(got) == nan_blind_bytes(want)
+            assert opt.m[0].shape == opt.v[0].shape == (rows, live)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -650,10 +658,24 @@ class TestOptimizers:
             for got, want in zip(arrays, ref):
                 assert nan_blind_bytes(got) == nan_blind_bytes(want)
             if momentum > 0:
-                for got, want in zip(opt.vel, vel):
-                    assert nan_blind_bytes(got) == nan_blind_bytes(want)
                 live = max(widths[:t])
-                assert opt.vel[0][:, live:].tobytes() == bytes(8 * rows * (width - live))
+                for got, want in zip(opt.vel, [vel[0][:, :live]] + vel[1:]):
+                    assert nan_blind_bytes(got) == nan_blind_bytes(want)
+                assert opt.vel[0].shape == (rows, live)
+
+    @pytest.mark.parametrize("optimizer,momentum", [("adam", 0.0), ("sgd", 0.9)])
+    def test_state_only_as_wide_as_the_live_prefix(self, optimizer, momentum):
+        """Gradients at most 570 columns wide on a (256, 5000) first layer,
+        the shapes of the CLI chain at 5,000 cells, leave its state 570
+        columns wide; a full-width 1-D array's state is full width."""
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal((256, 5000), np.float32), np.zeros(256, np.float32)]
+        cfg = fast_cfg(optimizer=optimizer, momentum=momentum)
+        opt = training._Optimizer(arrays, cfg, total_steps=4)
+        for cols in (300, 570, 120, 0):
+            opt.step([rng.standard_normal((256, cols), np.float32), np.ones(256, np.float32)])
+        states = opt.m + opt.v if optimizer == "adam" else opt.vel
+        assert [s.shape for s in states] == [(256, 570), (256,)] * (len(states) // 2)
 
 
 class TestTrainConfigValidation:

@@ -6,6 +6,11 @@ superior-profile visits at 500 cells; hidden 256,128, embedding 128, batch
 64, 30 epochs, Adam with cosine decay), in seconds, and their ratio, the
 measure of how much the burst views cost over the flip views. An untimed
 one-epoch run of each at two batches pays first-call costs beforehand.
+It also times one Adam step of pre-training, in microseconds, at the
+criterion-7 shapes (198k parameters, first-layer gradient full width) and
+at the shapes of the CLI chain at 5,000 cells (1.33M parameters, embedding
+64, first-layer gradient 570 columns wide, about a batch's live prefix):
+the mean over ``ADAM_STEPS`` steps after one untimed step.
 BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
@@ -37,6 +42,12 @@ HIDDEN = (256, 128)
 EMBED = 128
 BATCH = 64
 SEED = 41  # corpus and training seed
+ADAM_STEPS = 200
+#: figure name -> (trace length, embedding width, first-layer gradient columns)
+ADAM_SHAPES = {
+    "adam_us_per_step_c7": (TRACE_LEN, EMBED, TRACE_LEN),
+    "adam_us_per_step_cli": (5000, 64, 570),
+}
 
 
 def measure(classes: int, per_class: int, epochs: int) -> dict:
@@ -69,7 +80,27 @@ def measure(classes: int, per_class: int, epochs: int) -> dict:
         "net_pretrain_s": round(net_s, 4),
         "flip_pretrain_s": round(flip_s, 4),
         "net_over_flip": round(net_s / flip_s, 4),
+        **{name: round(adam_us_per_step(*shape), 2) for name, shape in ADAM_SHAPES.items()},
     }
+
+
+def adam_us_per_step(trace_len: int, embed: int, live: int) -> float:
+    import numpy as np
+
+    from traceaug import models, training
+    from traceaug.rng import RandomSource
+
+    dims = models.ModelDims(trace_len=trace_len, hidden=HIDDEN, embed_dim=embed)
+    arrays = models.trainable_arrays(models.init_params(dims, RandomSource(SEED)), "projection")
+    rng = np.random.default_rng(SEED)
+    grads = [rng.standard_normal(a.shape, np.float32) for a in arrays]
+    grads[0] = np.ascontiguousarray(grads[0][:, :live])
+    opt = training._Optimizer(arrays, training.TrainConfig(), ADAM_STEPS + 1)
+    opt.step(grads)
+    start = time.perf_counter()
+    for _ in range(ADAM_STEPS):
+        opt.step(grads)
+    return (time.perf_counter() - start) / ADAM_STEPS * 1e6
 
 
 def main(argv=None) -> int:

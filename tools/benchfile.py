@@ -2,7 +2,8 @@
 
 Each script measures a dictionary of figures and hands it to ``record``,
 which appends it to the runs of ``--label`` in a JSON file and stores, per
-label, the median of each figure over that label's runs. Other labels are
+label, the median of each figure over that label's runs that hold it (a
+figure added to a script is missing from its older runs). Other labels are
 kept, so two checkouts can be compared side by side. A file holds runs of
 one setup: an invocation whose setup (sizes, repeats, versions, machine)
 differs from the file's is refused before anything is measured.
@@ -48,8 +49,9 @@ def record(ap: argparse.ArgumentParser, args, setup: dict, measure) -> dict:
     timings = measure()
     runs = doc.setdefault("runs", {}).setdefault(args.label, [])
     runs.append(timings)
+    figures = dict.fromkeys(key for run in runs for key in run)
     doc.setdefault("median", {})[args.label] = {
-        key: statistics.median(run[key] for run in runs) for key in timings
+        key: statistics.median(run[key] for run in runs if key in run) for key in figures
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps({args.label: timings}, indent=2))
