@@ -287,11 +287,17 @@ def _load_dist(args, corpus) -> distributions.BurstSizeDistribution:
 def _load_model(args, classifier=False):
     """The ``--model`` checkpoint and the ``--in`` corpus at its trace
     length. With ``classifier``, a checkpoint that has none is refused
-    before the corpus is read."""
+    before the corpus is read, and a corpus with a label past its classes
+    is refused too."""
     params = models.load_params(args.model)
     if classifier and params.n_classes is None:
         raise ValueError(f"{args.model} has no classifier; fine-tune it first")
-    return params, traces.load_dtrace(args.input, trace_len=params.trace_len)
+    corpus = traces.load_dtrace(args.input, trace_len=params.trace_len)
+    top = max((t.label for t in corpus if t.label is not None), default=-1)
+    if classifier and top >= params.n_classes:
+        raise ValueError(f"label {top} has no class in {args.model}, which has"
+                         f" {params.n_classes} classes")
+    return params, corpus
 
 
 def _save_model(out, params, **histories) -> list[Path]:

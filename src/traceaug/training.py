@@ -2,14 +2,17 @@
 baseline, and the pseudo-labeling semi-supervised loop.
 
 Every phase runs on one driver, ``_fit`` (optimizer, epoch loop,
-non-finite loss and gradient guard, per-epoch mean loss), and supplies
-only its step: a closure from a batch of row indices to (loss,
-gradients). Every epoch's row order is drawn before the first step
-(``_epoch_orders``). Weights, gradients and optimizer state are float32.
-Pre-training's views depend only on the corpus, those orders and the
-augmentation stream, never on the weights, and every step's first draw
-is known ahead, so a forked child process makes them ahead of the steps
-(``_ViewsAhead``), many steps to a burst augmentation call, and the parent
+non-finite loss and gradient guard, per-epoch mean loss, and the view
+path), and supplies its step: a closure from a batch of row indices and
+the step's views to (loss, gradients), which only runs the model. Every
+epoch's row order is drawn before the first step (``_epoch_orders``).
+Weights, gradients and optimizer state are float32. Each augmented phase
+(pre-training, the supervised baseline, ``netfm``) also supplies a maker of
+its steps' views. Those depend only on the corpus, the row orders (and, for
+``netfm``, the unlabeled rows, also drawn before the first step) and the
+augmentation streams, never on the weights, and every step's first draw is
+known ahead, so a forked child process makes them ahead of the steps
+(``_ViewsAhead``), many steps to a burst pre-training call, and the parent
 makes any step the child has not made yet; the bytes are those of making
 them inline one step at a time. The child only saves work: where
 ``os.fork`` is missing, and after the child fails or dies, the parent
@@ -26,7 +29,9 @@ the plain supervised loop, which makes the two trajectories identical
 when the unlabeled weight is zero.
 """
 
+import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,52 +217,30 @@ def _widened(state: np.ndarray, width: int) -> np.ndarray:
     return wide
 
 
-class _CyclingPool:
-    """Deterministic sampler over a shuffled index pool; reshuffles when a
-    request would run past the end, so draws within a step never repeat."""
-
-    def __init__(self, n: int, rng: RandomSource):
-        self.n = n
-        self.rng = rng
-        self.order: list[int] = []
-        self.cursor = 0
-
-    def take(self, k: int) -> list[int]:
-        if self.cursor + k > len(self.order):
-            self.order = list(range(self.n))
-            self.rng.shuffle(self.order)
-            self.cursor = 0
-        out = self.order[self.cursor : self.cursor + k]
-        self.cursor += k
-        return out
-
-
-#: Size of the shared ring of step slots that the view worker fills; it
-#: holds at least two slots, and at most 256, so that a slot index is one byte.
+#: Size of the shared ring of step slots that the view worker fills.
 _RING_BYTES = 1 << 20
 #: Most cells of views the parent makes in one call when the child is late:
 #: the call's temporaries, several times its views, are the parent's memory.
 _OWN_CELLS = 1 << 18
 
 
-def _ring_slots(block_bytes: int) -> int:
-    """Slots of the ring for blocks of ``block_bytes``."""
-    return max(2, min(256, _RING_BYTES // block_bytes))
-
-
 class _ViewsAhead:
-    """Iterator over a pre-training's views: one int8 block of ``shape`` for
-    each of ``steps`` steps, where ``make(first, stop)`` makes the blocks of
-    steps first to stop - 1 as one array, from nothing but those numbers.
+    """Iterator over a phase's views: one int8 block for each of ``steps``
+    steps, where ``make(first, stop)`` makes the blocks of steps first to
+    stop - 1, one after another as the rows of one array, from nothing but
+    those numbers. Step 0 is made on construction, before any fork, and its
+    block sets the shape of every block and the ring's slots: as many as
+    _RING_BYTES holds, at least two and at most 256, so that a slot index is
+    one byte. No call makes more steps than the ring has slots.
 
     Entered as a context manager, it forks a child process that makes the
     steps ahead of their use, in calls of up to ``call`` steps, and puts
-    them in order into a ring of ``slots`` slots in a shared anonymous
-    mapping. Slot indices go back and forth as single bytes over two pipes:
-    the parent hands the child a free slot, and the child hands it back
-    filled. The ring's header holds the step in each slot. A block the
-    parent returns is a view of its slot, valid until the next block is
-    asked for, which frees the slot.
+    them in order into the ring, in a shared anonymous mapping. Slot
+    indices go back and forth as single bytes over two pipes: the parent
+    hands the child a free slot, and the child hands it back filled. The
+    ring's header holds the step in each slot. A block the parent returns
+    is a view of its slot, valid until the next block is asked for, which
+    frees the slot.
 
     The child only saves the parent work. The parent never waits for it:
     when the step it needs is not in the ring, it makes that step itself,
@@ -276,11 +259,14 @@ class _ViewsAhead:
     is left.
     """
 
-    def __init__(self, make, steps: int, shape: tuple[int, int], call: int, slots: int):
-        self.make, self.steps, self.shape, self.call, self.slots = make, steps, shape, call, slots
+    def __init__(self, make, steps: int, call: int):
+        self.make, self.steps = make, steps
         self.step = 0  # the step asked for next
-        self.own, self.own_first = np.empty((0, *shape), np.int8), 0  # steps made here
-        self.own_call, self.own_max = 1, min(call, max(1, _OWN_CELLS // math.prod(shape)))
+        self.own, self.own_first = make(0, 1)[None], 0  # steps made here
+        self.shape = self.own.shape[1:]
+        self.slots = max(2, min(256, _RING_BYTES // self.own.nbytes))
+        self.call = min(call, self.slots)
+        self.own_call, self.own_max = 1, min(self.call, max(1, _OWN_CELLS // self.own.nbytes))
         self.pid = self.held = None
         self.fds = ()
 
@@ -294,7 +280,7 @@ class _ViewsAhead:
         ring = mmap.mmap(-1, header + self.slots * math.prod(self.shape))
         # made[0] is the last step the parent has made, made[1 + s] the step in slot s
         self.made = np.frombuffer(ring, np.int64, self.slots + 1)
-        self.made[0] = -1
+        self.made[0] = 0
         self.blocks = np.frombuffer(ring, np.int8, offset=header).reshape(self.slots, *self.shape)
         free_r, self.free_w = os.pipe()
         self.ready_r, ready_w = os.pipe()
@@ -467,26 +453,51 @@ def _labeled_arrays(traces: list[DirectionTrace]):
     return cells, y, n_classes
 
 
-def _fit(phase: str, params, head: str, cfg: TrainConfig, orders, step):
+def _first_draws(draws, steps) -> list[int]:
+    """Each step's first draw on a stream that every step draws from in
+    turn, ``draws[r]`` draws for each row r of its row array in ``steps``."""
+    return [0, *itertools.accumulate(int(draws[rows].sum()) for rows in steps)]
+
+
+def _pool_rows(n: int, sizes, rng: RandomSource):
+    """Yield each step's rows of a pool of n, ``sizes[k]`` of them for step
+    k, taken in turn from a shuffled order of the pool. A fresh order is
+    drawn when a step would run past the end, so a step never repeats a row."""
+    order = []
+    for k in sizes:
+        if len(order) < k:
+            order = list(range(n))
+            rng.shuffle(order)
+        yield np.array(order[:k])
+        order = order[k:]
+
+
+def _fit(phase: str, params, head: str, cfg: TrainConfig, orders, step, make=None, call=1):
     """Train ``head`` and the encoder for one pass per epoch order (see
     _epoch_orders), in batches of B consecutive rows of the order.
 
-    ``step(batch)`` maps an array of row indices to (loss, gradients), the
-    gradients in trainable_arrays order; a non-finite loss or gradient
-    stops the run before the optimizer step. The cosine schedule spans
-    exactly the steps taken. Records the per-epoch mean loss.
+    ``step(batch, views)`` maps an array of row indices and the step's
+    views to (loss, gradients), the gradients in trainable_arrays order; a
+    non-finite loss or gradient stops the run before the optimizer step.
+    With ``make``, each step's views are its block from a _ViewsAhead over
+    ``make`` that makes up to ``call`` steps to a call; without, they are
+    None. The cosine schedule spans exactly the steps taken. Records the
+    per-epoch mean loss.
     """
     B = cfg.batch_size
-    opt = _Optimizer(trainable_arrays(params, head), cfg, sum(-(-len(o) // B) for o in orders))
+    steps = sum(-(-len(o) // B) for o in orders)
+    opt = _Optimizer(trainable_arrays(params, head), cfg, steps)
     result = TrainResult(params=params)
-    for epoch, order in enumerate(orders):
-        epoch_losses = []
-        for i, start in enumerate(range(0, len(order), B)):
-            loss, grads = step(order[start : start + B])
-            _check_finite(loss, grads, phase, epoch, i)
-            opt.step(grads)
-            epoch_losses.append(loss)
-        result.loss_history.append(float(np.mean(epoch_losses)))
+    ahead = nullcontext(itertools.repeat(None)) if make is None else _ViewsAhead(make, steps, call)
+    with ahead as views:
+        for epoch, order in enumerate(orders):
+            epoch_losses = []
+            for i, start in enumerate(range(0, len(order), B)):
+                loss, grads = step(order[start : start + B], next(views))
+                _check_finite(loss, grads, phase, epoch, i)
+                opt.step(grads)
+                epoch_losses.append(loss)
+            result.loss_history.append(float(np.mean(epoch_losses)))
     return result
 
 
@@ -530,33 +541,24 @@ def pretrain(
     # step's first draw is known ahead, and any run of steps can be made on
     # its own in one call, with the bytes of making every step in order.
     batches = np.concatenate(orders).reshape(-1, cfg.batch_size)
-    if augmenter == "net":
-        draws = net_draw_counts(corpus, aug)
-    else:
-        draws = flip_draw_counts(corpus)
-    first_draw = np.concatenate(([0], np.cumsum(2 * draws[batches].sum(axis=1))))
+    draws = net_draw_counts(corpus, aug) if augmenter == "net" else flip_draw_counts(corpus)
+    first_draw = _first_draws(2 * draws, batches)
 
     def make(first, stop):
         cells = corpus[np.repeat(batches[first:stop].ravel(), 2)]
-        rng = rng_aug.at(int(first_draw[first]))
+        rng = rng_aug.at(first_draw[first])
         if augmenter == "net":
             return net_augment_batch(cells, aug, dist, rng)
         return flip_augment_batch(cells, aug.p_flip, rng)
 
-    shape = (2 * cfg.batch_size, corpus.shape[1])
-    slots = _ring_slots(math.prod(shape))
-    # a net call of many steps costs less per step than many calls of one;
-    # one as long as the ring lets the child fill the ring after each call
-    call = slots if augmenter == "net" else 1
-    with _ViewsAhead(make, len(batches), shape, call, slots) as views:
-        def step(batch):
-            # views are made from the same orders as the batches, in order
-            loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(
-                next(views), params, ssl.tau_s
-            )
-            return loss, _flat_grads(enc_grads, d_w1, d_w2)
+    def step(batch, views):
+        # views are made from the same orders as the batches, in order
+        loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(views, params, ssl.tau_s)
+        return loss, _flat_grads(enc_grads, d_w1, d_w2)
 
-        return _fit("pretrain", params, "projection", cfg, orders, step)
+    # a net call of many steps costs less per step than many calls of one
+    return _fit("pretrain", params, "projection", cfg, orders, step, make,
+                call=len(batches) if augmenter == "net" else 1)
 
 
 def finetune(
@@ -572,7 +574,7 @@ def finetune(
     if params.n_classes != n_classes:
         attach_classifier(params, n_classes, RandomSource(cfg.seed).spawn(_S_CLF))
 
-    def step(batch):
+    def step(batch, views):
         loss, enc_grads, d_w, d_b = supervised_forward_backward(cells[batch], y[batch], params)
         return loss, _flat_grads(enc_grads, d_w, d_b)
 
@@ -624,30 +626,60 @@ def train_netfm(
 def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims):
     """Weakly flipped cross-entropy on labeled batches, plus the pseudo-label
     term when ``unlabeled`` is given; ``unlabeled=None`` is the supervised
-    baseline."""
+    baseline.
+
+    A step's views are one block: its labeled rows flipped, then its
+    unlabeled rows flipped and burst-augmented, zero-padded to the rows of
+    step 0, which has the most. The labeled flips draw from their stream in
+    step order, the unlabeled views from theirs, flips then bursts; no view
+    depends on the weights, so every step's rows and first draws are known
+    before the first step.
+    """
     labeled_cells, y, n_classes = _labeled_arrays(labeled)
+    if unlabeled is not None:
+        unlabeled_cells = np.stack([t.cells for t in unlabeled])
+        if unlabeled_cells.shape[1] != labeled_cells.shape[1]:
+            raise ValueError(f"unlabeled traces are {unlabeled_cells.shape[1]} cells long, labeled"
+                             f" traces {labeled_cells.shape[1]}; both must have the same length")
     dims = dims or ModelDims(trace_len=len(labeled[0]))
     root = RandomSource(cfg.seed)
     params = init_params(dims, root.spawn(_S_INIT))
     attach_classifier(params, n_classes, root.spawn(_S_CLF))
+    orders = _epoch_orders(len(labeled), cfg, False)
+    batches = [o[i : i + cfg.batch_size] for o in orders for i in range(0, len(o), cfg.batch_size)]
     rng_weak = root.spawn(_S_AUG)
-    retained: list[int] = []
+    weak_first = _first_draws(flip_draw_counts(labeled_cells), batches)
+    # step 0 has the most rows
+    rows = len(batches[0]) * (1 if unlabeled is None else 1 + 2 * cfg.mu)
     if unlabeled is not None:
-        unlabeled_cells = np.stack([t.cells for t in unlabeled])
-        pool = _CyclingPool(len(unlabeled), root.spawn(_S_UNLAB_SHUFFLE))
+        pool = list(_pool_rows(len(unlabeled), [cfg.mu * len(b) for b in batches],
+                               root.spawn(_S_UNLAB_SHUFFLE)))
         rng_uaug = root.spawn(_S_UNLAB_AUG)
+        draws = flip_draw_counts(unlabeled_cells) + net_draw_counts(unlabeled_cells, aug_strong)
+        pool_first = _first_draws(draws, pool)
 
-    def step(batch):
-        xw = flip_augment_batch(labeled_cells[batch], p_flip_weak, rng_weak)
-        loss_s, enc_grads, d_w, d_b = supervised_forward_backward(xw, y[batch], params)
+    def make(first, stop):
+        out = np.zeros((stop - first, rows, labeled_cells.shape[1]), np.int8)
+        for k in range(first, stop):
+            views = [flip_augment_batch(labeled_cells[batches[k]], p_flip_weak,
+                                        rng_weak.at(weak_first[k]))]
+            if unlabeled is not None:
+                cells, rng = unlabeled_cells[pool[k]], rng_uaug.at(pool_first[k])
+                views += [flip_augment_batch(cells, p_flip_weak, rng),
+                          net_augment_batch(cells, aug_strong, dist, rng)]
+            np.concatenate(views, out=out[k - first, : sum(map(len, views))])
+        return out.reshape(-1, out.shape[-1])
+
+    retained: list[int] = []
+
+    def step(batch, views):
+        n, m = len(batch), cfg.mu * len(batch)
+        loss_s, enc_grads, d_w, d_b = supervised_forward_backward(views[:n], y[batch], params)
         grads = _flat_grads(enc_grads, d_w, d_b)
         if unlabeled is None:
             return loss_s, grads
 
-        ubatch = unlabeled_cells[pool.take(cfg.mu * len(batch))]
-        u_weak = flip_augment_batch(ubatch, p_flip_weak, rng_uaug)
-        u_strong = net_augment_batch(ubatch, aug_strong, dist, rng_uaug)
-        q_weak = classify_batch(u_weak, params)
+        q_weak = classify_batch(views[n : n + m], params)
         pseudo = np.argmax(q_weak, axis=1)
         keep = q_weak.max(axis=1) >= ssl.tau_f
         retained.append(int(keep.sum()))
@@ -655,7 +687,7 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         if keep.any():
             # retained rows summed, divided by the whole unlabeled batch
             loss_u, u_enc, u_w, u_b = supervised_forward_backward(
-                u_strong, pseudo, params, keep, len(ubatch)
+                views[n + m : n + 2 * m], pseudo, params, keep, m
             )
             if ssl.lambda_u != 0.0:
                 grads = [_add_scaled(g, gu, ssl.lambda_u)
@@ -663,7 +695,6 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         return loss_s + ssl.lambda_u * loss_u, grads
 
     phase = "supervised" if unlabeled is None else "netfm"
-    orders = _epoch_orders(len(labeled), cfg, False)
-    result = _fit(phase, params, "classifier", cfg, orders, step)
+    result = _fit(phase, params, "classifier", cfg, orders, step, make)
     result.retained_history = retained
     return result

@@ -338,6 +338,25 @@ class TestTrainingCommands:
         assert err.startswith("error: ") and "has no classifier" in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, label, flags", [
+        ("eval-cw", 5, ()), ("eval-ow", 7, ("--class-correct",)), ("eval-ow", 3, ()),
+    ])
+    def test_eval_refuses_a_label_without_class(
+        self, corpus, trained, tmp_path, capsys, command, label, flags
+    ):
+        # the checkpoint has classes 0..2
+        relabeled = [DirectionTrace(t.cells, label=label)
+                     for t in load_dtrace(corpus / "split" / "inferior.dtrace")]
+        src = tmp_path / "relabeled.dtrace"
+        save_dtrace(src, relabeled)
+        model = trained / "ft" / "model.ckpt"
+        assert run(command, "--model", model, "--in", src, *flags,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"error: label {label} has no class in {model}, which has 3 classes\n"
+        )
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_eval_ow_unsorted_thresholds_usage_error(self, corpus, trained, tmp_path):
         assert run(
             "eval-ow", "--model", trained / "ft" / "model.ckpt",

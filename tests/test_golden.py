@@ -14,8 +14,11 @@ trace plus 3 per burst for net, one per nonzero cell for flip. The five
 checkpoint digests (``pretrain-net``, ``pretrain-flip``, ``finetune-net``,
 ``netfm``, ``short-pretrain-finetune``) were re-recorded when training
 moved from float64 to float32; the checkpoint still stores float64 blocks,
-which hold the float32 weights exactly. They depend on the numpy and BLAS builds,
-whose float32 kernels may round differently; CI prints both.
+which hold the float32 weights exactly. The ``supervised`` digest pins
+the no-pre-training baseline with weak flips and a partial last batch; it
+was recorded while the flips were still made inside the training step.
+They depend on the numpy and BLAS builds, whose float32 kernels may round
+differently; CI prints both.
 
 ``short-pretrain-finetune`` pins the first layer's live-prefix path: its
 traces all end by cell 48 of 64, so every fine-tuning batch and most
@@ -39,7 +42,7 @@ from traceaug.losses import SslConfig
 from traceaug.manifest import content_hash
 from traceaug.models import ModelDims, save_params
 from traceaug.traces import DirectionTrace, fit_length
-from traceaug.training import TrainConfig, finetune, pretrain, train_netfm
+from traceaug.training import TrainConfig, finetune, pretrain, train_netfm, train_supervised
 
 DIMS = ModelDims(trace_len=64, hidden=(32,), embed_dim=16)
 
@@ -56,6 +59,7 @@ GOLDEN = {
     "pretrain-flip": "7a6ae96a09310a267dbf1826dc59afada72ee10c9ffc67823092fef1007e2357",
     "finetune-net": "d6c2fc66752159e94a7ebab6d87c1d5b7d9321864bc986205b6283b2244d6e2d",
     "netfm": "b389900888cd2ea7b85085602ccc36710137f68d216959b07a0f4f9805d89581",
+    "supervised": "2e4a2f289ce7925f90edb8b17e4a637a985e9d9f73e09b866d01454fe4f5970e",
     "cli-augment-net": "b7faa023e5e17ff7f9fc6f6fe2715f0f22cb2a0bd60a62cfe5ca916498288f73",
     "cli-augment-flip": "d1b045409c5e9911c0dcd692fc098ea183aaba5193d9a638d0bd659454494149",
     "short-pretrain-finetune": "109e41aeb52406e10413d4d0d07e3f05d7e6493a7f2a01d5ec86bf8a8e64a049",
@@ -145,6 +149,13 @@ def test_netfm_checkpoint_digest(unlabeled, tmp_path):
     result = train_netfm(labeled, unlabeled, cfg, ssl, NET_CFG, 0.2, dist, dims=DIMS)
     assert sum(result.retained_history) > 0
     assert params_digest(result.params, tmp_path, "netfm") == GOLDEN["netfm"]
+
+
+def test_supervised_checkpoint_digest(tmp_path):
+    labeled = bursty_corpus(14, seed=16, labels=3)  # batches of 4, 4, 4 and 2
+    cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=1e-3, seed=8)
+    result = train_supervised(labeled, cfg, p_flip_weak=0.2, dims=DIMS)
+    assert params_digest(result.params, tmp_path, "supervised") == GOLDEN["supervised"]
 
 
 def test_cli_augment_digests(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import errno
 import os
@@ -325,6 +326,17 @@ class TestNetFm:
                 p_flip_weak=0.1, dist=self.dist, dims=DIMS,
             )
 
+    def test_unlabeled_of_another_length_rejected_before_any_draw(self, monkeypatch):
+        unlabeled = make_corpus(60, np.random.default_rng(6), trace_len=80)
+        monkeypatch.setattr(training, "RandomSource", None)  # any draw would raise TypeError
+        with pytest.raises(ValueError) as info:
+            train_netfm(self.labeled, unlabeled, fast_cfg(batch_size=4, mu=2), SslConfig(),
+                        AugmentConfig(), 0.1, build_distribution(unlabeled), dims=DIMS)
+        assert info.type is ValueError
+        assert str(info.value) == (
+            "unlabeled traces are 80 cells long, labeled traces 64; both must have the same length"
+        )
+
     def test_deterministic(self):
         cfg = fast_cfg(batch_size=4, epochs=1, mu=2)
         ssl = SslConfig(tau_f=0.5)
@@ -381,60 +393,97 @@ def refused_fork():
     raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
+def wait_for_exit(pid):
+    """Return once child ``pid`` has ended, leaving it to be reaped; at once
+    when it has been reaped already."""
+    with contextlib.suppress(ChildProcessError):
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
 def dying_child(forks, augment):
     """``augment`` for a view worker whose child dies on its first call, and
-    the row counts of the parent's calls. The parent's first call returns
-    only once the child is dead, so the parent finds it gone mid-run."""
+    the row counts of the training process's calls. Step 0 is made before
+    the fork; the first call after the fork returns only once the child is
+    dead, so the training process finds it gone mid-run."""
     made_here = []
 
     def dying(cells, *args):
         if forks == [0]:
             os._exit(3)
-        if not made_here:
-            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        if len(made_here) == 1:  # the first call after step 0's
+            wait_for_exit(forks[0])
         made_here.append(len(cells))
         return augment(cells, *args)
 
     return dying, made_here
 
 
+#: each augmented phase -> (the augmentation patched in it, the rows that
+#: augmentation makes in a run, the most calls that make them all in the
+#: training process). A child-free net pre-training makes step 0, maybe
+#: step 1, then every step left in one call; the others make a step a call.
+PHASES = {
+    "net": ("net_augment_batch", 240, 3),  # 3 epochs x 5 steps x 16 views
+    "flip": ("flip_augment_batch", 240, 15),
+    "supervised": ("flip_augment_batch", 36, 6),  # 3 epochs x (8 + 4) labeled rows
+    "netfm": ("net_augment_batch", 72, 6),  # mu = 2 unlabeled rows a labeled one
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestViewWorker:
-    """Pre-training makes its views in a forked child; the bytes are those of
-    making them inline, and no child outlives the call."""
+    """Every augmented phase makes its views in a forked child; the bytes are
+    those of making them inline, and no child outlives the call."""
 
     def setup_method(self):
-        self.unlabeled = strip_labels(make_corpus(40, np.random.default_rng(8)))
+        rng = np.random.default_rng(8)
+        self.unlabeled = strip_labels(make_corpus(40, rng))
+        self.labeled = separable_corpus(4, 3, rng)
         self.dist = build_distribution(self.unlabeled)
 
-    def run(self, augmenter, **cfg):
-        return pretrain(self.unlabeled, fast_cfg(**{"epochs": 3, **cfg}), AugmentConfig(),
-                        self.dist, SslConfig(), dims=DIMS, augmenter=augmenter)
+    def run(self, phase, **cfg):
+        cfg = fast_cfg(**{"epochs": 3, "mu": 2, **cfg})
+        if phase == "supervised":
+            return train_supervised(self.labeled, cfg, p_flip_weak=0.1, dims=DIMS)
+        if phase == "netfm":
+            return train_netfm(self.labeled, self.unlabeled, cfg, SslConfig(tau_f=0.2),
+                               AugmentConfig(), 0.1, self.dist, dims=DIMS)
+        return pretrain(self.unlabeled, cfg, AugmentConfig(), self.dist, SslConfig(),
+                        dims=DIMS, augmenter=phase)
 
-    @pytest.mark.parametrize("augmenter", ["net", "flip"])
-    def test_checkpoint_equals_the_inline_one(self, augmenter, monkeypatch, tmp_path):
+    def patch(self, monkeypatch, phase, make_fake):
+        """Put ``make_fake(real)`` in place of the phase's augmentation."""
+        name = PHASES[phase][0]
+        fake = make_fake(getattr(training, name))
+        monkeypatch.setattr(training, name, fake[0] if isinstance(fake, tuple) else fake)
+        return fake
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_checkpoint_equals_the_inline_one(self, phase, monkeypatch, tmp_path):
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        save_params(tmp_path / "forked.ckpt", self.run(augmenter).params)
+        save_params(tmp_path / "forked.ckpt", self.run(phase).params)
         assert forks == [1]
         monkeypatch.delattr(os, "fork")
-        save_params(tmp_path / "inline.ckpt", self.run(augmenter).params)
+        save_params(tmp_path / "inline.ckpt", self.run(phase).params)
         assert (tmp_path / "forked.ckpt").read_bytes() == (tmp_path / "inline.ckpt").read_bytes()
 
     def test_ring_size_leaves_the_bytes(self, monkeypatch, tmp_path):
         save_params(tmp_path / "one-call.ckpt", self.run("net").params)  # an epoch a call
-        monkeypatch.setattr(training, "_RING_BYTES", 1)  # two slots: calls of 2, 2 and 1 steps
+        monkeypatch.setattr(training, "_RING_BYTES", 1)  # two slots: calls of at most 2 steps
         save_params(tmp_path / "ring-calls.ckpt", self.run("net").params)
         assert (tmp_path / "one-call.ckpt").read_bytes() == (tmp_path / "ring-calls.ckpt").read_bytes()
 
-    def test_no_child_left_after_return(self):
-        self.run("net")
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_no_child_left_after_return(self, phase):
+        self.run(phase)
         assert_no_child_left()
 
-    def test_no_child_left_after_non_finite_loss(self):
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_no_child_left_after_non_finite_loss(self, phase):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
-            self.run("net", **TestNonFiniteLoss.HUGE)
+            self.run(phase, **TestNonFiniteLoss.HUGE)
         assert_no_child_left()
 
     def fork_recorded(self, monkeypatch):
@@ -443,75 +492,86 @@ class TestViewWorker:
         monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
         return forks
 
-    def test_steps_made_by_the_parent_leave_the_bytes(self, monkeypatch, tmp_path):
-        save_params(tmp_path / "forked.ckpt", self.run("net").params)
-        forks, net = self.fork_recorded(monkeypatch), training.net_augment_batch
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_steps_made_by_the_parent_leave_the_bytes(self, phase, monkeypatch, tmp_path):
+        save_params(tmp_path / "forked.ckpt", self.run(phase).params)
+        forks = self.fork_recorded(monkeypatch)
         made_here = []
 
-        def slow_child(cells, cfg, dist, rng):
-            if forks == [0]:
-                time.sleep(0.02)
-            else:
-                made_here.append(len(cells))
-            return net(cells, cfg, dist, rng)
+        def slow_child(real):
+            def slow(cells, *args):
+                if forks == [0]:
+                    time.sleep(0.02)
+                elif forks:
+                    made_here.append(len(cells))
+                return real(cells, *args)
+            return slow
 
-        monkeypatch.setattr(training, "net_augment_batch", slow_child)
-        save_params(tmp_path / "slow-child.ckpt", self.run("net").params)
+        self.patch(monkeypatch, phase, slow_child)
+        save_params(tmp_path / "slow-child.ckpt", self.run(phase).params)
         assert made_here  # the parent made the steps the child was late with
         forked, slow = (tmp_path / f"{n}.ckpt" for n in ("forked", "slow-child"))
         assert forked.read_bytes() == slow.read_bytes()
 
     @pytest.mark.parametrize("death", ["exit", "kill"])
-    def test_child_that_dies_leaves_the_bytes(self, death, monkeypatch, tmp_path):
-        save_params(tmp_path / "forked.ckpt", self.run("net").params)
-        forks, net = self.fork_recorded(monkeypatch), training.net_augment_batch
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_child_that_dies_leaves_the_bytes(self, phase, death, monkeypatch, tmp_path):
+        save_params(tmp_path / "forked.ckpt", self.run(phase).params)
+        forks = self.fork_recorded(monkeypatch)
         if death == "kill":
             monkeypatch.setattr(os, "_exit", lambda status: os.kill(os.getpid(), signal.SIGKILL))
-        dying, made_here = dying_child(forks, net)
-        monkeypatch.setattr(training, "net_augment_batch", dying)
-        save_params(tmp_path / "dead-child.ckpt", self.run("net").params)
-        # every row of the 3 x 5 steps of 16 rows was made here: once it has
-        # found the child gone, the parent makes every step left in one call
-        assert sum(made_here) == 240 and len(made_here) <= 2
+        _, made_here = self.patch(monkeypatch, phase, lambda real: dying_child(forks, real))
+        save_params(tmp_path / "dead-child.ckpt", self.run(phase).params)
+        # every row was made here, and once the parent has found the child
+        # gone, it makes the steps left ``call`` at a time
+        _, rows, calls = PHASES[phase]
+        assert sum(made_here) == rows and len(made_here) <= calls
         forked, dead = (tmp_path / f"{n}.ckpt" for n in ("forked", "dead-child"))
         assert forked.read_bytes() == dead.read_bytes()
         assert_no_child_left()
 
-    def test_make_that_raises_raises_in_the_training_process(self, monkeypatch):
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_make_that_raises_raises_in_the_training_process(self, phase, monkeypatch):
         forks = self.fork_recorded(monkeypatch)
 
-        def failing(cells, p_flip, rng):
-            if forks != [0]:  # the parent's call comes once the child has raised and left
-                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
-            raise ValueError(f"no views in process {os.getpid()}")
+        def failing(real):
+            def fail(cells, *args):
+                if not forks:  # step 0, made before the fork
+                    return real(cells, *args)
+                if forks != [0]:  # the parent's call comes once the child has raised and left
+                    wait_for_exit(forks[0])
+                raise ValueError(f"no views in process {os.getpid()}")
+            return fail
 
-        monkeypatch.setattr(training, "flip_augment_batch", failing)
+        self.patch(monkeypatch, phase, failing)
         with pytest.raises(ValueError) as info:
-            self.run("flip")
+            self.run(phase)
         assert info.type is ValueError
         assert str(info.value) == f"no views in process {os.getpid()}"
         assert_no_child_left()
 
-    def test_refused_fork_leaves_every_step_to_the_parent(self, monkeypatch, tmp_path):
-        save_params(tmp_path / "forked.ckpt", self.run("net").params)
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_refused_fork_leaves_every_step_to_the_parent(self, phase, monkeypatch, tmp_path):
+        save_params(tmp_path / "forked.ckpt", self.run(phase).params)
         monkeypatch.setattr(os, "fork", refused_fork)
-        save_params(tmp_path / "refused.ckpt", self.run("net").params)
+        save_params(tmp_path / "refused.ckpt", self.run(phase).params)
         assert (tmp_path / "forked.ckpt").read_bytes() == (tmp_path / "refused.ckpt").read_bytes()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("end", ["return", "non-finite loss", "dead child", "refused fork"])
-    def test_no_descriptor_left_open(self, end, monkeypatch):
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_no_descriptor_left_open(self, phase, end, monkeypatch):
         before = len(os.listdir("/proc/self/fd"))
         if end == "dead child":
-            dying, _ = dying_child(self.fork_recorded(monkeypatch), training.net_augment_batch)
-            monkeypatch.setattr(training, "net_augment_batch", dying)
+            forks = self.fork_recorded(monkeypatch)
+            self.patch(monkeypatch, phase, lambda real: dying_child(forks, real))
         elif end == "refused fork":
             monkeypatch.setattr(os, "fork", refused_fork)
         if end == "non-finite loss":
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
-                self.run("net", **TestNonFiniteLoss.HUGE)
+                self.run(phase, **TestNonFiniteLoss.HUGE)
         else:
-            self.run("net")
+            self.run(phase)
         assert len(os.listdir("/proc/self/fd")) == before
 
 
@@ -526,7 +586,7 @@ class TestNonFiniteGradient:
         rng = np.random.default_rng(3)
         seen = []
 
-        def step(batch):
+        def step(batch, views):
             seen.append(weights(params))
             grads = [rng.standard_normal(a.shape).astype(a.dtype) for a in arrays]
             if len(seen) == 2:

@@ -1,4 +1,5 @@
-"""Wall time of contrastive pre-training with burst and with flip views.
+"""Wall time of contrastive pre-training with burst and with flip views,
+and of semi-supervised training.
 
 Times one ``pretrain`` with ``augmenter="net"`` and one with
 ``augmenter="flip"`` at the criterion-7 size (20 classes of 100
@@ -6,6 +7,11 @@ superior-profile visits at 500 cells; hidden 256,128, embedding 128, batch
 64, 30 epochs, Adam with cosine decay), in seconds, and their ratio, the
 measure of how much the burst views cost over the flip views. An untimed
 one-epoch run of each at two batches pays first-call costs beforehand.
+``netfm_s`` times one ``train_netfm`` at the shapes of ``perfbench``'s
+``netfm`` workload (hidden 256,128, embedding 64, batch 32, mu 19, SGD
+with lr 1e-2 and momentum 0.9, p_flip 0.1, tau_f 0.95) for as many
+epochs, on the first 5 visits of each class, labeled, and every visit
+unlabeled; an untimed one-epoch run pays its first-call costs.
 It also times one Adam step of pre-training, in microseconds, at the
 criterion-7 shapes (198k parameters, first-layer gradient full width) and
 at the shapes of the CLI chain at 5,000 cells (1.33M parameters, embedding
@@ -43,6 +49,8 @@ EMBED = 128
 BATCH = 64
 SEED = 41  # corpus and training seed
 ADAM_STEPS = 200
+#: the netfm run: labeled visits per class, embedding width, batch, mu
+NETFM_LABELED, NETFM_EMBED, NETFM_BATCH, NETFM_MU = 5, 64, 32, 19
 #: figure name -> (trace length, embedding width, first-layer gradient columns)
 ADAM_SHAPES = {
     "adam_us_per_step_c7": (TRACE_LEN, EMBED, TRACE_LEN),
@@ -60,7 +68,13 @@ def measure(classes: int, per_class: int, epochs: int) -> dict:
     rng = RandomSource(SEED)
     templates = synth.make_templates(classes, rng.spawn(0))
     visits = synth.make_dataset(templates, [synth.SUPERIOR_PROFILE], per_class, rng.spawn(1))
-    corpus = training.strip_labels([traces.to_direction_trace(t, TRACE_LEN) for t in visits])
+    visit_rows = [traces.to_direction_trace(t, TRACE_LEN) for t in visits]
+    corpus = training.strip_labels(visit_rows)
+    labeled, taken = [], {}
+    for t in visit_rows:
+        taken[t.label] = taken.get(t.label, 0) + 1
+        if taken[t.label] <= NETFM_LABELED:
+            labeled.append(t)
     dist = distributions.build_distribution(corpus)
     dims = ModelDims(trace_len=TRACE_LEN, hidden=HIDDEN, embed_dim=EMBED)
     ssl = SslConfig(tau_s=0.1)
@@ -73,13 +87,24 @@ def measure(classes: int, per_class: int, epochs: int) -> dict:
                           ssl, dims=dims, augmenter=augmenter)
         return time.perf_counter() - start
 
+    def netfm(n_epochs):
+        cfg = training.TrainConfig(batch_size=NETFM_BATCH, epochs=n_epochs, learning_rate=1e-2,
+                                   optimizer="sgd", momentum=0.9, seed=SEED, mu=NETFM_MU)
+        netfm_dims = ModelDims(trace_len=TRACE_LEN, hidden=HIDDEN, embed_dim=NETFM_EMBED)
+        start = time.perf_counter()
+        training.train_netfm(labeled, corpus, cfg, SslConfig(tau_f=0.95, lambda_u=1.0),
+                             AugmentConfig(), 0.1, dist, netfm_dims)
+        return time.perf_counter() - start
+
     for augmenter in ("net", "flip"):
         run(augmenter, corpus[: 2 * BATCH], 1)
     net_s, flip_s = run("net", corpus, epochs), run("flip", corpus, epochs)
+    netfm(1)
     return {
         "net_pretrain_s": round(net_s, 4),
         "flip_pretrain_s": round(flip_s, 4),
         "net_over_flip": round(net_s / flip_s, 4),
+        "netfm_s": round(netfm(epochs), 4),
         **{name: round(adam_us_per_step(*shape), 2) for name, shape in ADAM_SHAPES.items()},
     }
 
@@ -109,8 +134,11 @@ def main(argv=None) -> int:
     ap.add_argument("--per-class", type=int, default=100, help="visits per class")
     ap.add_argument("--epochs", type=int, default=30, help="epochs of each timed run")
     args = ap.parse_args(argv)
-    if args.classes < 1 or args.epochs < 1 or args.classes * args.per_class < 2 * BATCH:
-        ap.error(f"need --classes and --epochs >= 1 and at least {2 * BATCH} visits")
+    # two pre-training batches, and mu unlabeled visits for each labeled one of a netfm batch
+    n_labeled = args.classes * min(args.per_class, NETFM_LABELED)
+    need = max(2 * BATCH, NETFM_MU * min(NETFM_BATCH, n_labeled))
+    if args.classes < 1 or args.epochs < 1 or args.classes * args.per_class < need:
+        ap.error(f"need --classes and --epochs >= 1 and at least {need} visits")
     setup = {
         "classes": args.classes,
         "per_class": args.per_class,
