@@ -43,9 +43,10 @@ The contract is draw for draw: the result, and the stream's counter
 afterwards, equal those of the per-trace engine frozen in
 ``tests/augment_reference.py``, run on the rows in order.
 
-``net_augment_batch`` run-length encodes the suffixes of all rows at once
-and takes the draws as one block. Each stage (``modify_incoming_burst_sizes``,
-``insert_outgoing_bursts``, ``merge_incoming_bursts``) runs once on the
+``net_augment_batch`` run-length encodes the suffixes of all rows at once,
+with ``bursts.run_lengths``, and takes the draws as one block. Each stage
+(``modify_incoming_burst_sizes``, ``insert_outgoing_bursts``,
+``merge_incoming_bursts``) runs once on the
 bursts of the rows that picked it, and a stable sort by row restores the
 row order. The cells are assembled from burst boundaries: each burst
 writes its change of sign at its first column into a marker matrix, each
@@ -59,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bursts import bursts_to_cells, extract_bursts, normalize_bursts  # noqa: F401  perfbench/tracing.py wraps these
+from .bursts import run_lengths
 from .rng import RandomSource, raw_to_uniforms
 from .traces import DirectionTrace
 
@@ -230,24 +232,6 @@ def check_net_inputs(nonzero_counts, cfg: AugmentConfig, dist) -> None:
         raise EmptyDistribution("need a nonempty outgoing-burst-size distribution")
 
 
-def _row_bursts(cells: np.ndarray, counts: np.ndarray):
-    """2-D signed run-length encoding: the bursts of every row, in row order,
-    and the row each burst belongs to. ``counts`` holds each row's nonzero
-    cell count. Zeros are skipped as in extract_bursts."""
-    values = cells[cells != 0]  # row-major: each row's nonzero cells in order
-    row_ptr = np.zeros(len(cells) + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    # a burst starts at a sign change and at each row's first nonzero cell
-    starts = np.empty(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    row_first = row_ptr[:-1]
-    starts[row_first[row_first < len(values)]] = True
-    starts = np.flatnonzero(starts)
-    lengths = np.diff(np.append(starts, len(values)))
-    rows = np.searchsorted(row_ptr, starts, side="right") - 1
-    return values[starts].astype(np.int64) * lengths, rows
-
-
 def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
@@ -271,8 +255,9 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng: RandomSource) -> np.
     if n == 0:
         return cells.copy()
 
+    suffix = cells[:, prefix_len:]
     suffix_counts = counts - np.count_nonzero(cells[:, :prefix_len], axis=1)
-    sizes, burst_row = _row_bursts(cells[:, prefix_len:], suffix_counts)
+    sizes, burst_row = run_lengths(suffix[suffix != 0], suffix_counts)
     burst_ptr = _row_pointers(burst_row, n)
     # row r's block is one header triple, then one triple per burst; the
     # blocks follow each other, so counted in triples row r starts at
@@ -346,7 +331,7 @@ def net_draw_counts(cells, cfg: AugmentConfig) -> np.ndarray:
     """The draws net_augment_batch takes for each row of an (n, L) int8
     cell matrix: 3 + 3 * the number of bursts after the preserved prefix."""
     suffix = np.asarray(cells, dtype=np.int8)[:, cfg.preserve_prefix :]
-    _, burst_row = _row_bursts(suffix, np.count_nonzero(suffix, axis=1))
+    _, burst_row = run_lengths(suffix[suffix != 0], np.count_nonzero(suffix, axis=1))
     return 3 + 3 * np.bincount(burst_row, minlength=len(suffix))
 
 

@@ -2,15 +2,19 @@
 
 Stored as an exact integer histogram (support, counts, cumulative counts)
 so sampling is a single inverse-CDF lookup and serialization round-trips
-without loss. Built from the positive bursts of a direction-trace corpus.
+without loss. Built from the positive bursts of a direction-trace corpus,
+whose traces may differ in length: their nonzero cells are concatenated
+and run-length encoded in one pass (``bursts.run_lengths``).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bursts import extract_bursts
+from .bursts import extract_bursts  # noqa: F401  perfbench/tracing.py wraps it
+from .bursts import run_lengths
 from .rng import RandomSource
+from .traces import DirectionTrace
 
 
 class NoOutgoingBursts(ValueError):
@@ -57,14 +61,15 @@ class BurstSizeDistribution:
 
 def build_distribution(traces) -> BurstSizeDistribution:
     """Histogram all outgoing burst sizes found in a corpus of traces."""
-    sizes: list[np.ndarray] = []
-    for t in traces:
-        b = extract_bursts(t)
-        sizes.append(b[b > 0])
-    merged = np.concatenate(sizes) if sizes else np.empty(0, dtype=np.int64)
-    if len(merged) == 0:
+    cells = [t.cells if isinstance(t, DirectionTrace) else np.asarray(t) for t in traces]
+    if not cells:
+        raise NoOutgoingBursts("no traces in corpus")
+    flat = np.concatenate(cells)
+    bursts, _ = run_lengths(flat[flat != 0], [np.count_nonzero(c) for c in cells])
+    outgoing = bursts[bursts > 0]
+    if not len(outgoing):
         raise NoOutgoingBursts("no outgoing bursts in corpus")
-    support, counts = np.unique(merged, return_counts=True)
+    support, counts = np.unique(outgoing, return_counts=True)
     return BurstSizeDistribution(support, counts)
 
 

@@ -111,6 +111,14 @@ class RandomSource:
             return np.empty(0, dtype=np.float64)
         return raw_to_uniforms(self._raw_block(n))
 
+    def spawned_uniforms(self, first: int, count: int, n: int) -> np.ndarray:
+        """A (count, n) float64 matrix whose row i holds the first n uniforms
+        of ``spawn(first + i)``; this source's counter does not move."""
+        index = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+        seeds = _mix64_inplace(index * np.uint64(_GOLDEN) + np.uint64(self._seed ^ _SPAWN_SALT))
+        draw = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        return raw_to_uniforms(_mix64_inplace(seeds[:, None] + draw))
+
     def rewind(self, n: int) -> None:
         """Give back the last n draws: the next n draws repeat them.
 

@@ -13,6 +13,14 @@ the burst augmenter (lognormal byte/time noise and fixed-size midpoint
 splits versus uniform cell-space scaling and empirically sized uniform-
 position splits), so training on augmented traces is never a trivially
 matched inverse of the generator.
+
+Every visit draws from its own spawned stream, and draw k of a stream is a
+pure function of its seed and k (``rng``). So ``make_dataset`` renders all
+visits of a (template, profile) pair in one pass: one (visits, block)
+uniform matrix from the spawned streams' seeds, the size noise, split
+decisions and durations as (visit, burst) arrays, and every visit's cells
+from one ``np.repeat``. Only a visit with a short burst, whose later draws
+shift, is walked again on its own. ``render_visit`` is the one-visit form.
 """
 
 from dataclasses import dataclass
@@ -90,7 +98,22 @@ def render_visit(
     lognormal size noise when ``noise_scale > 0``, then one for the split
     decision when ``control_rate > 0`` and the noisy size is at least 2. A
     jittered visit then takes two for its duration noise. All of them come
-    from one block, and the bursts are rendered as whole arrays.
+    from one block, and the stream is left after the last draw the visit
+    used. This is the one-visit form of the renderer ``make_dataset`` runs
+    on all visits of a (template, profile) pair.
+    """
+    [visit], unused = _render(tmpl, profile, lambda n: rng.uniforms(n)[None])
+    rng.rewind(int(unused[0]))
+    return visit
+
+
+def _render(tmpl: SiteTemplate, profile: ConditionProfile, draw):
+    """Visits of ``tmpl`` under ``profile``, rendered as whole arrays.
+
+    ``draw(block)`` returns a (visits, block) uniform matrix, one row of
+    draws per visit, ``block`` as many as a visit may take. Returns the
+    visits in row order and how many draws at the end of its block each
+    visit left unused.
     """
     base = np.array(tmpl.base_bursts, dtype=np.int64)
     incoming = (base < 0).nonzero()[0]
@@ -98,59 +121,66 @@ def render_visit(
     noise_draws = 2 if tmpl.noise_scale > 0 else 0
     jitter_draws = 2 if profile.jitter > 0 else 0
     block = (noise_draws + (profile.control_rate > 0)) * len(incoming) + jitter_draws
-    u = rng.uniforms(block)
+    u = draw(block)
 
-    # takes_split: whether a burst takes a split draw. With noise, first
-    # assume every burst does; a short burst found at the first
-    # disagreement shifts the draws of every later burst down by one.
-    takes_split = np.full(len(incoming), profile.control_rate > 0)
-    if noise_draws:
-        noisy = size.copy()
-    else:
-        noisy = size
+    def noisy_sizes(uniforms, offset, size):  # the bursts' noise draws start at offset
+        scale = np.exp(tmpl.noise_scale * box_muller(
+            np.take_along_axis(uniforms, offset, 1), np.take_along_axis(uniforms, offset + 1, 1)))
+        return np.maximum(1, np.rint(size * scale)).astype(np.int64)
+
+    # takes_split: whether a (visit, burst) takes a split draw. With noise,
+    # first assume every burst does; in a visit with a short burst, the
+    # first one found shifts the draws of every later burst down by one,
+    # so that visit is walked again from there.
+    takes_split = np.full((len(u), len(incoming)), profile.control_rate > 0)
+    if not noise_draws:
         takes_split &= size >= 2
-    start = 0
-    while True:
-        draws = noise_draws + takes_split
-        offset = draws.cumsum() - draws
-        if noise_draws:
-            at = offset[start:]
-            scale = np.exp(tmpl.noise_scale * box_muller(u[at], u[at + 1]))
-            noisy[start:] = np.maximum(1, np.rint(size[start:] * scale))
-        short = (takes_split[start:] & (noisy[start:] < 2)).nonzero()[0]
-        if not len(short):
-            break
-        start += int(short[0])
-        takes_split[start] = False
-        start += 1
-    used = int(draws.sum())
+    draws = noise_draws + takes_split
+    offset = draws.cumsum(axis=1) - draws
+    noisy = np.broadcast_to(size, takes_split.shape)
+    if noise_draws:
+        noisy = noisy_sizes(u, offset, size)
+        for v in (takes_split & (noisy < 2)).any(axis=1).nonzero()[0]:
+            start = 0
+            while True:
+                short = (takes_split[v, start:] & (noisy[v, start:] < 2)).nonzero()[0]
+                if not len(short):
+                    break
+                start += int(short[0])
+                takes_split[v, start] = False
+                start += 1
+                offset[v, start:] -= 1
+                noisy[v, start:] = noisy_sizes(u[[v]], offset[[v], start:], size[start:])
+    used = noise_draws * len(incoming) + takes_split.sum(axis=1)
     split = takes_split.copy()
-    split[takes_split] = u[offset[takes_split] + noise_draws] < profile.control_rate
+    rows, cols = takes_split.nonzero()
+    split[rows, cols] = u[rows, offset[rows, cols] + noise_draws] < profile.control_rate
 
-    # a split burst becomes [-half, 1, -(size - half)]: two incoming bursts
+    # each template burst is three runs of cells, most of them empty: a
+    # split burst becomes [-half, 1, -(size - half)], two incoming bursts
     # around one flow-control cell
-    base[incoming] = -noisy
-    where = incoming[split]
-    counts = np.ones(len(base), dtype=np.int64)
-    counts[where] = 3
-    bursts = np.repeat(base, counts)
-    first = (counts.cumsum() - counts)[where]
-    half = (noisy[split] + 1) // 2
-    bursts[first] = -half
-    bursts[first + 1] = 1
-    bursts[first + 2] = half - noisy[split]
-
-    directions = np.repeat(np.sign(bursts).astype(np.int8), np.abs(bursts))
+    half = np.where(split, (noisy + 1) // 2, noisy)
+    runs = np.zeros((len(u), len(base), 3), dtype=np.int64)
+    runs[:, :, 0] = base
+    runs[:, incoming, 0] = -half
+    runs[:, incoming, 1] = split
+    runs[:, incoming, 2] = half - noisy
+    runs = runs.reshape(len(u), -1)
+    directions = np.repeat(np.sign(runs).astype(np.int8).ravel(), np.abs(runs).ravel())
     sizes = np.full(len(directions), DEFAULT_CELL_SIZE, dtype=np.int64)
-    incoming_bytes = DEFAULT_CELL_SIZE * int(noisy.sum())
+    ends = np.abs(runs).sum(axis=1).cumsum()
+    starts = np.append(0, ends[:-1])
 
-    duration = incoming_bytes / (profile.bandwidth_factor * NOMINAL_RATE)
+    duration = DEFAULT_CELL_SIZE * noisy.sum(axis=1) / (profile.bandwidth_factor * NOMINAL_RATE)
     if jitter_draws:
-        z = box_muller(u[used : used + 1], u[used + 1 : used + 2])
-        duration *= float(np.exp(profile.jitter * z[0]))
-    rng.rewind(block - used - jitter_draws)
-    times = np.linspace(0.0, duration, num=len(directions))
-    return TimedTrace(times=times, directions=directions, sizes=sizes, label=tmpl.class_id)
+        rows = np.arange(len(u))
+        duration *= np.exp(profile.jitter * box_muller(u[rows, used], u[rows, used + 1]))
+    visits = [
+        TimedTrace(times=np.linspace(0.0, d, num=b - a), directions=directions[a:b],
+                   sizes=sizes[a:b], label=tmpl.class_id)
+        for a, b, d in zip(starts.tolist(), ends.tolist(), duration.tolist())
+    ]
+    return visits, block - used - jitter_draws
 
 
 def make_dataset(
@@ -163,7 +193,8 @@ def make_dataset(
 
     ``visits_per_class_per_profile`` is either a single count or one count
     per profile. Every visit renders from its own spawned stream, so the
-    corpus is stable under reordering or parallel generation.
+    corpus is stable under reordering or parallel generation; the visits
+    of each (template, profile) pair are rendered together.
     """
     if not templates or not profiles:
         raise ValueError("need at least one template and one profile")
@@ -180,8 +211,7 @@ def make_dataset(
     stream = 0
     for tmpl in templates:
         for profile, count in zip(profiles, visits):
-            for _ in range(count):
-                traces.append(render_visit(tmpl, profile, rng.spawn(stream)))
-                stream += 1
+            traces += _render(tmpl, profile, lambda n: rng.spawned_uniforms(stream, count, n))[0]
+            stream += count
     rng.shuffle(traces)
     return traces

@@ -240,7 +240,8 @@ class _ViewsAhead:
     hands the child a free slot, and the child hands it back filled. The
     ring's header holds the step in each slot. A block the parent returns
     is a view of its slot, valid until the next block is asked for, which
-    frees the slot.
+    frees the slot. The blocks of steps the parent made itself, step 0's
+    among them, are let go once a later step is asked for.
 
     The child only saves the parent work. The parent never waits for it:
     when the step it needs is not in the ring, it makes that step itself,
@@ -342,6 +343,9 @@ class _ViewsAhead:
             self.held = None
         if self.own_first <= k < self.own_first + len(self.own):
             return self.own[k - self.own_first]
+        # the steps made here are past: hold none of their bytes (an empty
+        # slice would still hold them all)
+        self.own = np.empty((0, *self.shape), dtype=np.int8)
         while self.pid is not None:
             try:
                 token = os.read(self.ready_r, 1)

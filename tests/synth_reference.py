@@ -6,8 +6,8 @@ unchanged: it walks the template's bursts one at a time, drawing each
 incoming burst's lognormal noise and split decision as it goes. Each
 normal takes the next two uniforms through ``box_muller``.
 ``tests/test_synth.py`` checks the array renderer against it trace for
-trace and counter for counter, so do not change its arithmetic or its
-draws.
+trace and counter for counter, and ``make_dataset`` against a per-visit
+loop of it, so do not change its arithmetic or its draws.
 """
 
 import numpy as np

@@ -42,8 +42,10 @@ def test_trace_data_timings_accumulate_per_label(tmp_path):
     assert doc["median"].keys() == {"parent", "change"}
     assert set(doc["runs"]["change"][0]) == {
         "make_dataset_us_per_visit_c7", "make_dataset_us_per_visit_cli",
+        "build_distribution_ns_per_cell_c7", "build_distribution_ns_per_cell_cli",
         "save_dtrace_ns_per_cell", "load_dtrace_ns_per_cell",
     }
+    assert all(value > 0 for value in doc["runs"]["change"][0].values())
     with pytest.raises(SystemExit):
         bench.main(["--classes", "3", "--repeats", "1", "--out", out])
 

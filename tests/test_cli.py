@@ -238,6 +238,15 @@ class TestStats:
         assert "error: line 2: label " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stats", "augment", "pretrain"])
+def test_empty_corpus_says_no_traces(command, tmp_path, capsys):
+    empty = tmp_path / "empty.dtrace"
+    empty.write_text("")
+    assert run(command, "--in", empty, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: no traces in corpus\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestHeapTrim:
     @pytest.mark.parametrize("outcome", [0, "raise"])
     def test_heap_is_trimmed_after_the_command(self, tmp_path, monkeypatch, outcome):

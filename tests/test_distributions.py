@@ -1,6 +1,11 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traceaug.bursts import extract_bursts
 from traceaug.distributions import (
     BurstSizeDistribution,
     NoOutgoingBursts,
@@ -44,6 +49,42 @@ def test_no_outgoing_rejected():
         build_distribution([trace_of([-5])])
     with pytest.raises(NoOutgoingBursts):
         BurstSizeDistribution(np.array([], dtype=int), np.array([], dtype=int))
+
+
+def test_no_traces_rejected():
+    with pytest.raises(NoOutgoingBursts, match="^no traces in corpus$"):
+        build_distribution([])
+
+
+@st.composite
+def mixed_corpus(draw):
+    """Traces of mixed lengths: each a run of leading zeros, its nonzero
+    cells, then trailing zeros; some rows all zero, some empty."""
+    corpus = []
+    for _ in range(draw(st.integers(1, 8))):
+        lead, tail = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        live = draw(st.lists(st.sampled_from([-1, 1]), max_size=30))
+        corpus.append(DirectionTrace(np.array([0] * lead + live + [0] * tail, dtype=np.int8)))
+    return corpus
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=mixed_corpus())
+def test_equals_per_trace_histogram(corpus):
+    """One encoding of the whole corpus counts what encoding each trace on
+    its own counts: no burst runs on across a trace boundary."""
+    sizes = np.concatenate([extract_bursts(t) for t in corpus])
+    sizes = sizes[sizes > 0]
+    runs = [len(list(g)) for t in corpus for k, g in groupby(t.cells[t.cells != 0]) if k > 0]
+    assert sorted(sizes.tolist()) == sorted(runs)
+    if not len(sizes):
+        with pytest.raises(NoOutgoingBursts, match="^no outgoing bursts in corpus$"):
+            build_distribution(corpus)
+        return
+    support, counts = np.unique(sizes, return_counts=True)
+    dist = build_distribution(corpus)
+    assert dist.support.tolist() == support.tolist()
+    assert dist.counts.tolist() == counts.tolist()
 
 
 def test_singleton_sampling():

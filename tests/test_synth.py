@@ -152,6 +152,72 @@ class TestRenderVisitReference:
             assert np.array_equal(visit.times, expected.times)
 
 
+def reference_dataset(templates, profiles, visits, rng):
+    """make_dataset as a per-visit loop of the reference renderer over the
+    same spawned streams, then the same shuffle."""
+    traces, stream = [], 0
+    for tmpl in templates:
+        for profile, count in zip(profiles, visits):
+            for _ in range(count):
+                traces.append(synth_reference.render_visit(tmpl, profile, rng.spawn(stream)))
+                stream += 1
+    rng.shuffle(traces)
+    return traces
+
+
+@st.composite
+def dataset_cases(draw):
+    """One to three templates with base sizes down to 1 (so draws shift),
+    the first of them possibly with no incoming burst; one or two profiles
+    whose noise, control rate and jitter each include 0; a visit count
+    per profile."""
+    templates = []
+    for class_id in range(draw(st.integers(1, 3))):
+        sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=16))
+        outgoing = class_id == 0 and draw(st.booleans())
+        bursts = tuple(b if outgoing or draw(st.booleans()) else -b for b in sizes)
+        noise = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+        templates.append(SiteTemplate(class_id, bursts, noise))
+    profiles = [
+        ConditionProfile(draw(st.sampled_from([0.4, 1.0, 2.0])),
+                         draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
+                         draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    visits = [draw(st.integers(1, 5)) for _ in profiles]
+    return templates, profiles, visits, draw(st.integers(0, 2**64 - 1))
+
+
+class TestMakeDatasetReference:
+    """The batched renderer against a per-visit loop of the reference one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=dataset_cases())
+    def test_same_corpus_as_the_per_visit_loop(self, case):
+        templates, profiles, visits, seed = case
+        rng, ref_rng = RandomSource(seed), RandomSource(seed)
+        corpus = make_dataset(templates, profiles, visits, rng)
+        expected = reference_dataset(templates, profiles, visits, ref_rng)
+        assert rng._count == ref_rng._count
+        assert len(corpus) == len(expected)
+        for visit, ref in zip(corpus, expected):
+            assert visit.times.tobytes() == ref.times.tobytes()
+            assert visit.directions.tobytes() == ref.directions.tobytes()
+            assert visit.sizes.tobytes() == ref.sizes.tobytes()
+            assert visit.label == ref.label
+
+    def test_short_bursts_and_no_incoming_burst(self):
+        templates = [SiteTemplate(0, (-1, 1, -2, -1, -2) * 8, noise_scale=2.0),
+                     SiteTemplate(1, (3, 1), noise_scale=0.5)]
+        profiles = [ConditionProfile(1.0, control_rate=0.5, jitter=0.3), CLEAN]
+        for seed in range(5):
+            corpus = make_dataset(templates, profiles, [6, 2], RandomSource(seed))
+            expected = reference_dataset(templates, profiles, [6, 2], RandomSource(seed))
+            for visit, ref in zip(corpus, expected):
+                assert np.array_equal(visit.directions, ref.directions)
+                assert visit.times.tobytes() == ref.times.tobytes()
+
+
 class TestMakeDataset:
     def test_cartesian_count(self):
         templates = make_templates(2, RandomSource(1))

@@ -475,6 +475,23 @@ class TestViewWorker:
         save_params(tmp_path / "ring-calls.ckpt", self.run("net").params)
         assert (tmp_path / "one-call.ckpt").read_bytes() == (tmp_path / "ring-calls.ckpt").read_bytes()
 
+    def test_step_zero_block_let_go_once_past(self):
+        """Step 0 is made here before the fork; once the child has made every
+        later step, taking them leaves the parent holding none of its bytes."""
+        def make(first, stop):  # each step a block of 8 rows of its number
+            return np.repeat(np.arange(first, stop, dtype=np.int8), 8 * 16).reshape(-1, 16)
+
+        with training._ViewsAhead(make, steps=4, call=4) as views:
+            assert views.pid is not None and views.own.nbytes == 8 * 16
+            deadline = time.monotonic() + 30
+            while not {1, 2, 3} <= set(views.made[1:].tolist()):
+                assert time.monotonic() < deadline, "the child made no steps"
+                time.sleep(0.01)
+            taken = [int(next(views)[0, 0]) for _ in range(4)]
+            assert views.own.nbytes == 0
+        assert taken == [0, 1, 2, 3]
+        assert_no_child_left()
+
     @pytest.mark.parametrize("phase", PHASES)
     def test_no_child_left_after_return(self, phase):
         self.run(phase)

@@ -3,10 +3,12 @@
 Times ``synth.make_dataset`` at the criterion-7 corpus size (135 superior
 and 30 inferior visits per class, as ``perfbench``'s ``c7-seed`` set-up
 builds) and at the CLI benchmark's (27 and 6 visits per class, as the
-``cli-5000`` chain's ``gen``), in microseconds per visit. Then it times
-``save_dtrace`` and ``load_dtrace`` of that CLI corpus's superior traces at
-5,000 cells (540 rows at 20 classes, as ``ncm-split`` writes them and
-``pretrain`` reads them), in nanoseconds per cell. Each figure is the
+``cli-5000`` chain's ``gen``), in microseconds per visit, and
+``distributions.build_distribution`` on each corpus's superior traces at
+5,000 cells, in nanoseconds per cell. Then it times ``save_dtrace`` and
+``load_dtrace`` of the CLI corpus's superior traces (540 rows at 20
+classes, as ``ncm-split`` writes them and ``pretrain`` reads them), in
+nanoseconds per cell. Each figure is the
 median of ``--repeats`` timed calls after one untimed call.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
@@ -48,7 +50,7 @@ def _median_s(call, repeats: int) -> float:
 
 
 def measure(classes: int, repeats: int) -> dict:
-    from traceaug import synth, traces
+    from traceaug import distributions, synth, traces
     from traceaug.rng import RandomSource
 
     templates = synth.make_templates(classes, RandomSource(SEED).spawn(0))
@@ -58,14 +60,19 @@ def measure(classes: int, repeats: int) -> dict:
         return synth.make_dataset(templates, profiles, VISITS[size],
                                   RandomSource(SEED).spawn(1))
 
-    result = {}
+    result, superior_rows = {}, {}
     for size, visits in VISITS.items():
         seconds = _median_s(lambda: corpus(size), repeats)
         result[f"make_dataset_us_per_visit_{size}"] = round(
             seconds / (classes * sum(visits)) * 1e6, 3
         )
-    superior, _ = traces.partition_by_ncm(corpus("cli"), NCM_THRESHOLD)
-    rows = [traces.to_direction_trace(t, TRACE_LEN) for t in superior]
+        superior, _ = traces.partition_by_ncm(corpus(size), NCM_THRESHOLD)
+        rows = superior_rows[size] = [traces.to_direction_trace(t, TRACE_LEN) for t in superior]
+        seconds = _median_s(lambda: distributions.build_distribution(rows), repeats)
+        result[f"build_distribution_ns_per_cell_{size}"] = round(
+            seconds / (len(rows) * TRACE_LEN) * 1e9, 3
+        )
+    rows = superior_rows["cli"]
     cells = len(rows) * TRACE_LEN
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "superior.dtrace"
