@@ -167,18 +167,26 @@ def _render(tmpl: SiteTemplate, profile: ConditionProfile, draw):
     runs[:, incoming, 2] = half - noisy
     runs = runs.reshape(len(u), -1)
     directions = np.repeat(np.sign(runs).astype(np.int8).ravel(), np.abs(runs).ravel())
-    sizes = np.full(len(directions), DEFAULT_CELL_SIZE, dtype=np.int64)
-    ends = np.abs(runs).sum(axis=1).cumsum()
-    starts = np.append(0, ends[:-1])
+    # every cell is DEFAULT_CELL_SIZE bytes: one read-only value for them all
+    sizes = np.broadcast_to(np.int64(DEFAULT_CELL_SIZE), directions.shape)
+    lengths = np.abs(runs).sum(axis=1)
+    ends = lengths.cumsum()
+    starts = ends - lengths
 
     duration = DEFAULT_CELL_SIZE * noisy.sum(axis=1) / (profile.bandwidth_factor * NOMINAL_RATE)
     if jitter_draws:
         rows = np.arange(len(u))
         duration *= np.exp(profile.jitter * box_muller(u[rows, used], u[rows, used + 1]))
+    # each visit's times are np.linspace(0, d, n), by its own float operations:
+    # i * (d / (n - 1)) + 0.0, the last of n > 1 set to d (n = 1 gives 0.0)
+    step = duration / np.maximum(lengths - 1, 1)
+    times = (np.arange(len(directions)) - np.repeat(starts, lengths)) * np.repeat(step, lengths)
+    times += 0.0
+    times[ends[lengths > 1] - 1] = duration[lengths > 1]
     visits = [
-        TimedTrace(times=np.linspace(0.0, d, num=b - a), directions=directions[a:b],
-                   sizes=sizes[a:b], label=tmpl.class_id)
-        for a, b, d in zip(starts.tolist(), ends.tolist(), duration.tolist())
+        TimedTrace(times=times[a:b], directions=directions[a:b], sizes=sizes[a:b],
+                   label=tmpl.class_id)
+        for a, b in zip(starts.tolist(), ends.tolist())
     ]
     return visits, block - used - jitter_draws
 

@@ -13,10 +13,27 @@ The network-condition metric (NCM) of a timed trace is the total number
 of downstream (incoming) bytes divided by the wall-clock span between its
 first and last cell. Traces at or above a bytes-per-second threshold are
 "superior", the rest "inferior".
+
+``save_ttrace`` and ``load_ttrace`` use two cores. Where ``os.fork`` exists
+and a corpus has at least ``_SPLIT_LINES`` lines, ``_in_two`` cuts it into
+``_CHUNKS`` runs of lines of about equal cell count (bytes, when reading).
+A forked helper encodes or parses chunks from the last one down while the
+caller does them from the first one up, so the two meet where their speeds
+put them; the helper pickles its lines, or its labels, row lengths and flat
+times, directions and sizes, through a pipe, and the caller writes or
+assembles every chunk in file order. The bytes and arrays are those of the
+one-process path. The helper only saves work: where the fork is refused, or
+the helper fails, dies or sends a short result, the caller does the chunks
+it lacks, so a bad line raises the same TraceFormatError with the same line
+number. The helper leaves through os._exit, flushing none of the caller's
+buffers, and is killed and reaped before the call returns or raises.
+``.dtrace`` files are read and written in one process: a split of their
+numpy codec measured slower than one process.
 """
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,19 +135,23 @@ class TimedTrace:
     def __post_init__(self):
         _check_label(self.label)
         self.times = np.asarray(self.times, dtype=np.float64)
-        self.directions = np.asarray(self.directions, dtype=np.int8)
+        directions = np.asarray(self.directions)
         self.sizes = np.asarray(self.sizes, dtype=np.int64)
+        if not self.times.ndim == directions.ndim == self.sizes.ndim == 1:
+            raise ValueError("times, directions and sizes must be one-dimensional")
         n = len(self.times)
         if n == 0:
             raise ValueError("a timed trace needs at least one cell")
-        if len(self.directions) != n or len(self.sizes) != n:
+        if len(directions) != n or len(self.sizes) != n:
             raise ValueError("times, directions and sizes must have equal length")
         if not np.isfinite(self.times).all():
             raise ValueError("timestamps must be finite")
         if (self.times[1:] < self.times[:-1]).any():
             raise ValueError("timestamps must be non-decreasing")
-        if not (np.abs(self.directions) == 1).all():
+        # checked before the cast to int8, which would wrap 257 to 1
+        if not (np.abs(directions) == 1).all():
             raise ValueError("timed-trace directions must be -1 or +1")
+        self.directions = directions.astype(np.int8, copy=False)
         if (self.sizes <= 0).any():
             raise ValueError("cell sizes must be positive")
 
@@ -256,6 +277,12 @@ def filter_traces(traces: list[DirectionTrace], policy: FilterPolicy) -> list[Di
 # {"label": L, "cells": [[time, direction, size], ...]}; float timestamps
 # round-trip exactly (shortest-repr float64 serialization).
 
+#: fewest lines a .ttrace file or corpus needs before load_ttrace and
+#: save_ttrace share it with a forked helper
+_SPLIT_LINES = 64
+#: runs of lines, of about equal cells or bytes, that the two share out
+_CHUNKS = 16
+
 # With "-1" written as "/", the byte below "0", every canonical token is one
 # byte, "0" + d for direction d, so a cell and the space after it form one
 # little-endian 16-bit word, _ZERO_SPACE + d. A row of L cells is L words,
@@ -364,26 +391,144 @@ def load_dtrace(path, trace_len: int | None = None) -> list[DirectionTrace]:
     return traces
 
 
+def _in_two(work, weights) -> list:
+    """The results of ``work(first, stop)`` over items [0, n), in item order:
+    one call's where os.fork is missing or n is below _SPLIT_LINES, else one
+    per chunk, made by two processes on two cores.
+
+    The chunks are _CHUNKS runs of items of about equal total ``weights``.
+    A forked helper makes chunks from the last one down while this process
+    makes them from the first one up, each claiming a chunk in a shared
+    byte before it starts it, so the two meet where their speeds put them.
+    The helper stops at a chunk this process claimed and sends what it made
+    pickled, behind its length, through a pipe; this process, once it
+    reaches a chunk the helper claimed, waits for that, and waits for
+    nothing when it made every chunk itself. The helper only
+    saves work: where the fork is refused, or the helper fails, dies or
+    sends a short result, this process makes the chunks it lacks, in order,
+    so an error in one is raised here as the one-call form would raise it.
+    The helper leaves through os._exit, flushing none of this process's
+    buffers, and is killed and reaped before this returns or raises.
+    """
+    import gc
+    import mmap
+    import pickle
+    import signal
+
+    n = len(weights)
+    if n < max(2, _SPLIT_LINES) or not hasattr(os, "fork"):
+        return [work(0, n)]
+    total = np.cumsum(weights)
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, _CHUNKS) / _CHUNKS) + 1
+    bounds = [0, *np.unique(cuts.clip(1, n - 1)).tolist(), n]
+    chunks = len(bounds) - 1
+    claims = mmap.mmap(-1, chunks)  # 0: unclaimed, 1: made here, 2: made by the helper
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no helper, as when the fork is refused
+        os.close(read_fd)
+        os.close(write_fd)
+        claims.close()
+        return [work(0, n)]
+    if pid == 0:
+        try:
+            gc.disable()  # run no finalizer of the caller's objects here
+            os.close(read_fd)
+            made = {}
+            for c in reversed(range(chunks)):
+                if claims[c]:
+                    break
+                claims[c] = 2
+                made[c] = work(bounds[c], bounds[c + 1])
+            data = pickle.dumps(made, protocol=pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+        finally:  # whatever ended the helper: the caller makes what is missing
+            os._exit(0)
+    os.close(write_fd)
+    # a collection here while the helper lives would write to every tracked
+    # object, copying each page of them that the two processes share
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        made = {}
+        for c in range(chunks):
+            if claims[c]:
+                break
+            claims[c] = 1
+            made[c] = work(bounds[c], bounds[c + 1])
+        if len(made) < chunks:  # else the helper, late to start, has nothing
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if len(data) > 8 and int.from_bytes(data[:8], "little") == len(data) - 8:
+                made = {**pickle.loads(memoryview(data)[8:]), **made}
+        return [made[c] if c in made else work(bounds[c], bounds[c + 1]) for c in range(chunks)]
+    finally:
+        if collecting:
+            gc.enable()
+        os.close(read_fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        claims.close()
+
+
 def save_ttrace(path, traces: list[TimedTrace]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for t in traces:
-            record = {
+    """Write traces as .ttrace lines, encoded on two cores (_in_two)."""
+
+    def encode(first: int, stop: int) -> bytes:
+        return "".join(
+            json.dumps({
                 "label": None if t.label is None else int(t.label),
-                "cells": list(
-                    zip(t.times.tolist(), t.directions.tolist(), t.sizes.tolist())
-                ),
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+                "cells": list(zip(t.times.tolist(), t.directions.tolist(), t.sizes.tolist())),
+            }, separators=(",", ":")) + "\n"
+            for t in traces[first:stop]
+        ).encode("ascii")
+
+    parts = _in_two(encode, [len(t) for t in traces])
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
+
+
+def _json_integers(cells: list, column: int, name: str, line: str) -> np.ndarray:
+    """Column ``column`` of a line's cells as int64, or ValueError naming the
+    first value that is not a JSON integer of at most 64 bits."""
+    values = [c[column] for c in cells]
+    array = np.array(values)
+    # numpy reads ints mixed with bools as int64; a bool comes only from a
+    # JSON true or false, so only a line with a "t" or "f" is searched for one
+    if values and (array.dtype != np.int64 or array.ndim != 1 or (
+            ("t" in line or "f" in line) and bool in map(type, values))):
+        bad = next(v for v in values if type(v) is not int or not -(2**63) <= v < 2**63)
+        raise ValueError(f"cell {name}s must be 64-bit integers, got {bad!r}")
+    return array
 
 
 def load_ttrace(path) -> list[TimedTrace]:
-    traces = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    """Read a .ttrace file; a line it rejects raises TraceFormatError naming
+    the line. It is parsed on two cores (_in_two), in chunks of lines whose
+    traces are views of one array per field."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if b"\r" in text:  # the line ends a text-mode read reads as "\n"
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # line k is text[starts[k - 1]:starts[k] - 1], as text.split(b"\n") would
+    # cut it, but left in place for the process that parses it
+    starts = [0]
+    while (end := text.find(b"\n", starts[-1])) >= 0:
+        starts.append(end + 1)
+    starts.append(len(text) + 1)
+
+    def parse(first: int, stop: int) -> tuple:
+        """The labels and cell counts of the traces on lines first + 1 to
+        stop, and their times, directions and sizes, each one array."""
+        labels, fields = [], []
+        for line_no in range(first + 1, stop + 1):
             try:
+                line = text[starts[line_no - 1] : starts[line_no] - 1].decode("ascii").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
                 cells = record["cells"]
                 label = record.get("label")
@@ -392,11 +537,25 @@ def load_ttrace(path) -> list[TimedTrace]:
                     raise ValueError(f"label must be an integer or null, got {label!r}")
                 trace = TimedTrace(
                     times=np.array([c[0] for c in cells], dtype=np.float64),
-                    directions=np.array([c[1] for c in cells], dtype=np.int8),
-                    sizes=np.array([c[2] for c in cells], dtype=np.int64),
+                    directions=_json_integers(cells, 1, "direction", line),
+                    sizes=_json_integers(cells, 2, "size", line),
                     label=label,
                 )
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise TraceFormatError(str(exc), line_no) from exc
+            labels.append(label)
+            fields.append((trace.times, trace.directions, trace.sizes))
+        return labels, [len(times) for times, _, _ in fields], *(
+            np.concatenate([np.zeros(0, dtype), *(field[k] for field in fields)])
+            for k, dtype in enumerate((np.float64, np.int8, np.int64)))
+
+    traces = []
+    for labels, lengths, times, directions, sizes in _in_two(parse, np.diff(starts)):
+        ends = np.cumsum(lengths).tolist()
+        for label, start, end in zip(labels, [0, *ends], ends):
+            # its arrays passed TimedTrace's checks as the line was parsed
+            trace = object.__new__(TimedTrace)
+            trace.times, trace.directions = times[start:end], directions[start:end]
+            trace.sizes, trace.label = sizes[start:end], label
             traces.append(trace)
     return traces

@@ -102,6 +102,23 @@ class TestRenderVisit:
         assert visit.times[-1] > 0.0
         assert np.all(np.diff(visit.times) >= 0.0)
 
+    def test_times_are_linspace_bit_for_bit(self):
+        """Visits of 1, 2, 3 and many cells, at jittered durations: each
+        visit's times equal np.linspace(0, d, n)'s bytes, and its sizes are
+        one read-only 512."""
+        templates = [SiteTemplate(0, (-1,), 0.0), SiteTemplate(1, (1, -1), 0.0),
+                     SiteTemplate(2, (-3,), 0.0), SiteTemplate(3, (2, -40, 1, -9), 0.5)]
+        profile = ConditionProfile(0.7, control_rate=0.0, jitter=0.8)
+        corpus = make_dataset(templates, [profile], 25, RandomSource(4))
+        lengths = set()
+        for visit in corpus:
+            n = len(visit)
+            lengths.add(n)
+            d = visit.times[-1] if n > 1 else 123.0  # one cell is at 0 whatever d is
+            assert visit.times.tobytes() == np.linspace(0.0, d, n).tobytes()
+            assert (visit.sizes == 512).all() and not visit.sizes.flags.writeable
+        assert {1, 2, 3} <= lengths and max(lengths) > 40
+
 
 @st.composite
 def visit_cases(draw):

@@ -1,9 +1,23 @@
+import errno
+import gc
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dtrace_reference
+from traceaug import traces
+from traceaug.rng import RandomSource
+from traceaug.synth import INFERIOR_PROFILE, SUPERIOR_PROFILE, make_dataset, make_templates
 from traceaug.traces import (
     DegenerateTrace,
     DirectionTrace,
@@ -533,3 +547,296 @@ class TestTtraceFormat:
         with pytest.raises(TraceFormatError) as info:
             load_ttrace(path)
         assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("cells, bad", [
+        ("[[0.0,-1,512],[1.0,1.5,512]]", "1.5"),     # a direction that is a float
+        ("[[0.0,-1,512],[1.0,-1,512.9]]", "512.9"),  # a size that is a float
+        ("[[0.0,-1,512],[1.0,true,512]]", "True"),   # a direction that is a bool
+        ("[[0.0,-1,512],[1.0,-1,true]]", "True"),    # a size that is a bool
+        ("[[0.0,-1,512],[1.0,-1.0,512]]", "-1.0"),   # a float that equals an integer
+        ("[[0.0,[-1],512],[1.0,[1],512]]", "[-1]"),  # lists
+    ])
+    def test_non_integer_direction_or_size_reports_line(self, tmp_path, cells, bad):
+        # json reads these as floats, bools or lists; numpy would cast them
+        path = tmp_path / "bad.ttrace"
+        path.write_text(
+            '{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}\n'
+            f'{{"label":1,"cells":{cells}}}\n'
+        )
+        with pytest.raises(TraceFormatError, match=f"64-bit integers, got {re.escape(bad)}") as info:
+            load_ttrace(path)
+        assert info.value.line_no == 2
+
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        path = tmp_path / "bad.ttrace"
+        path.write_bytes(b'{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}\n'
+                         b'{"label":1,"cells":[[0.0,-1,512]],"note":"\xe9"}\n')
+        with pytest.raises(TraceFormatError, match="ascii") as info:
+            load_ttrace(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("ends", [b"\r\n", b"\r"])
+    def test_cr_line_ends_count_lines_as_text_mode_does(self, tmp_path, ends):
+        path = tmp_path / "crlf.ttrace"
+        good = b'{"label":0,"cells":[[0.0,-1,512],[1.0,-1,512]]}'
+        path.write_bytes(ends.join([good, good, b"not json", b""]))
+        with pytest.raises(TraceFormatError) as info:
+            load_ttrace(path)
+        assert info.value.line_no == 3
+        path.write_bytes(ends.join([good, good, b""]))
+        assert [t.label for t in load_ttrace(path)] == [0, 0]
+
+    def test_nested_timestamps_report_line(self, tmp_path):
+        path = tmp_path / "bad.ttrace"
+        path.write_text('{"label":0,"cells":[[[0.0],-1,512],[[1.0],-1,512]]}\n')
+        with pytest.raises(TraceFormatError, match="one-dimensional") as info:
+            load_ttrace(path)
+        assert info.value.line_no == 1
+
+
+def refused_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def corpus_lines(count: int) -> list[str]:
+    """``count`` valid .ttrace lines of 1 to 40 cells, with labels, null
+    labels and timestamps that round-trip only at full precision."""
+    rng = np.random.default_rng(count)
+    lines = []
+    for k in range(count):
+        n = 1 + k * 7 % 40
+        times = np.cumsum(rng.exponential(0.01, n))
+        cells = [[float(t), int(d), int(s)] for t, d, s in
+                 zip(times, rng.choice([-1, 1], n), rng.integers(1, 2**40, n))]
+        label = None if k % 5 == 0 else k % 7 - 1
+        lines.append(json.dumps({"label": label, "cells": cells}, separators=(",", ":")))
+    return lines
+
+
+def corpus(count: int) -> list[TimedTrace]:
+    return [TimedTrace(*map(np.array, zip(*record["cells"])), label=record["label"])
+            for record in map(json.loads, corpus_lines(count))]
+
+
+def assert_same_traces(loaded, expected):
+    assert len(loaded) == len(expected)
+    for a, b in zip(loaded, expected):
+        assert a.label == b.label
+        for name in ("times", "directions", "sizes"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert x.flags.writeable
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestTtraceHelper:
+    """save_ttrace and load_ttrace share a file's chunks of lines with a
+    forked helper; the bytes and arrays are those of doing it all in one
+    process, and no helper outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def split_small_files(self, monkeypatch):
+        monkeypatch.setattr(traces, "_SPLIT_LINES", 2)
+
+    def forks(self, monkeypatch) -> list:
+        """The pids of the helpers forked from here on."""
+        pids, fork = [], os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return pids
+
+    def in_helper(self, monkeypatch, module, name, act):
+        """Call ``act()`` in place of ``module.name`` in a helper; returns the
+        number of calls made in this process."""
+        here, real, calls = os.getpid(), getattr(module, name), []
+
+        def fake(*args, **kwargs):
+            if os.getpid() != here:
+                act()
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, fake)
+        return calls
+
+    def test_split_from_split_lines_lines(self, monkeypatch, tmp_path):
+        forks = self.forks(monkeypatch)
+        monkeypatch.setattr(traces, "_SPLIT_LINES", 9)
+        save_ttrace(tmp_path / "eight.ttrace", corpus(8))
+        load_ttrace(tmp_path / "eight.ttrace")  # nine lines with the last, empty one
+        assert len(forks) == 1
+        save_ttrace(tmp_path / "nine.ttrace", corpus(9))
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("count", [2, 3, 17])
+    def test_bytes_and_arrays_equal_the_one_process_ones(self, count, monkeypatch, tmp_path):
+        forks = self.forks(monkeypatch)
+        traces_in = corpus(count)
+        save_ttrace(tmp_path / "forked.ttrace", traces_in)
+        loaded = load_ttrace(tmp_path / "forked.ttrace")
+        assert len(forks) == 2
+        monkeypatch.delattr(os, "fork")
+        save_ttrace(tmp_path / "one.ttrace", traces_in)
+        forked_bytes = (tmp_path / "forked.ttrace").read_bytes()
+        assert forked_bytes == (tmp_path / "one.ttrace").read_bytes()
+        assert forked_bytes == ("\n".join(corpus_lines(count)) + "\n").encode()
+        assert_same_traces(loaded, load_ttrace(tmp_path / "one.ttrace"))
+        assert_same_traces(loaded, traces_in)
+
+    def test_cli_corpus_equals_the_one_process_one(self, monkeypatch, tmp_path):
+        """The CLI benchmark's corpus (20 classes, 27 and 6 visits a class),
+        split where its own size says."""
+        monkeypatch.undo()
+        rng = RandomSource(7)
+        dataset = make_dataset(make_templates(20, rng.spawn(0)),
+                               [SUPERIOR_PROFILE, INFERIOR_PROFILE], [27, 6], rng.spawn(1))
+        forks = self.forks(monkeypatch)
+        save_ttrace(tmp_path / "forked.ttrace", dataset)
+        loaded = load_ttrace(tmp_path / "forked.ttrace")
+        assert len(forks) == 2
+        monkeypatch.delattr(os, "fork")
+        save_ttrace(tmp_path / "one.ttrace", dataset)
+        assert (tmp_path / "forked.ttrace").read_bytes() == (tmp_path / "one.ttrace").read_bytes()
+        assert_same_traces(loaded, load_ttrace(tmp_path / "one.ttrace"))
+
+    @pytest.mark.parametrize("end", ["raises", "is killed"])
+    def test_failed_helper_leaves_its_chunks_here(self, end, monkeypatch, tmp_path):
+        expected = corpus(17)
+        save_ttrace(tmp_path / "one.ttrace", expected)
+        act = {"raises": lambda: 1 / 0,
+               "is killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}[end]
+        encoded = self.in_helper(monkeypatch, json, "dumps", act)
+        save_ttrace(tmp_path / "forked.ttrace", expected)
+        assert len(encoded) == 17  # every line was encoded here
+        assert (tmp_path / "forked.ttrace").read_bytes() == (tmp_path / "one.ttrace").read_bytes()
+        parsed = self.in_helper(monkeypatch, json, "loads", act)
+        assert_same_traces(load_ttrace(tmp_path / "forked.ttrace"), expected)
+        assert len(parsed) == 17
+        assert_no_child_left()
+
+    def test_short_result_leaves_its_chunks_here(self):
+        """A helper killed while it writes its result, more than a pipe
+        holds, sends part of it; the caller makes the chunks it lacks."""
+        here, made = os.getpid(), []
+
+        def work(first, stop):  # four chunks of one item each
+            if first:  # the helper's chunks, or the caller's own making of them
+                made.append(os.getpid())
+                signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGKILL))
+                signal.setitimer(signal.ITIMER_REAL, 0.2 if made[0] != here else 0)
+            else:  # the caller's first chunk outlasts the helper
+                time.sleep(0.5)
+            return bytes([first]) * 100_000
+
+        previous = signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        try:
+            parts = traces._in_two(work, [1, 1, 1, 1])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert parts == [bytes([c]) * 100_000 for c in range(4)]
+        assert made == [here] * 3
+        assert_no_child_left()
+
+    def test_slow_helper_leaves_more_chunks_here(self):
+        """The two processes meet where their speeds put them: with a helper
+        that takes 0.3 s a chunk, this process makes most of the 16."""
+        here, made_here = os.getpid(), []
+
+        def work(first, stop):
+            if os.getpid() == here:
+                made_here.append(first)
+            else:
+                time.sleep(0.3)
+            return list(range(first, stop))
+
+        assert traces._in_two(work, [1] * 16) == [[k] for k in range(16)]
+        assert len(made_here) > 8
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad_lines", [[2], [16], [3, 15]])
+    def test_bad_line_raises_as_in_one_process(self, bad_lines, monkeypatch, tmp_path):
+        """Bad lines in the caller's half, the helper's half or both: the
+        first of them is named, as the one-process reader names it."""
+        lines = corpus_lines(17)
+        for line_no in bad_lines:  # a first cell whose direction is true
+            lines[line_no - 1] = lines[line_no - 1].replace(
+                '"cells":[', '"cells":[[0.0,true,512],', 1)
+        path = tmp_path / "bad.ttrace"
+        path.write_text("\n".join(lines) + "\n")
+        forks = self.forks(monkeypatch)
+        with pytest.raises(TraceFormatError) as forked:
+            load_ttrace(path)
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(TraceFormatError) as one:
+            load_ttrace(path)
+        assert forked.value.line_no == one.value.line_no == bad_lines[0]
+        assert str(forked.value) == str(one.value)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("end", ["return", "bad line here", "bad line in helper",
+                                     "killed helper", "refused fork"])
+    def test_no_child_or_descriptor_left(self, end, monkeypatch, tmp_path):
+        path = tmp_path / "corpus.ttrace"
+        lines = corpus_lines(17)
+        if end.startswith("bad line"):
+            line_no = 2 if end == "bad line here" else 16
+            lines[line_no - 1] = "not json"
+        path.write_text("\n".join(lines) + "\n")
+        if end == "killed helper":
+            self.in_helper(monkeypatch, json, "loads",
+                           lambda: os.kill(os.getpid(), signal.SIGKILL))
+        elif end == "refused fork":
+            monkeypatch.setattr(os, "fork", refused_fork)
+        before = open_fds()
+        if end.startswith("bad line"):
+            with pytest.raises(TraceFormatError):
+                load_ttrace(path)
+        else:
+            save_ttrace(tmp_path / "again.ttrace", load_ttrace(path))
+        assert open_fds() == before
+        assert_no_child_left()
+        assert gc.isenabled()
+
+    def test_helper_flushes_no_buffer_of_the_caller(self, tmp_path):
+        """stdout to a pipe is block-buffered: a helper that flushed it on
+        its way out would print the caller's pending text a second time."""
+        script = (
+            "import json, os, sys, time; sys.path[:0] = sys.argv[1:2]\n"
+            "from traceaug import traces\n"
+            "traces._SPLIT_LINES = 2\n"
+            "here, dumps, loads = os.getpid(), json.dumps, json.loads\n"
+            "def slow_here(real):  # so that the helper makes some of the chunks\n"
+            "    def call(*args, **kwargs):\n"
+            "        if os.getpid() == here:\n"
+            "            time.sleep(0.1)\n"
+            "        return real(*args, **kwargs)\n"
+            "    return call\n"
+            "json.dumps, json.loads = slow_here(dumps), slow_here(loads)\n"
+            "ts = [traces.TimedTrace([0.0, 1.0], [1, -1], [512, 512], k) for k in range(4)]\n"
+            "print('pending', end='')\n"
+            "traces.save_ttrace(sys.argv[2], ts)\n"
+            "assert len(traces.load_ttrace(sys.argv[2])) == 4\n"
+        )
+        src = str(Path(traces.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        out = subprocess.run([sys.executable, "-c", script, src, str(tmp_path / "x.ttrace")],
+                             capture_output=True, text=True, check=True, env=env)
+        assert out.stdout == "pending"

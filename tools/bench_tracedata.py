@@ -8,8 +8,15 @@ builds) and at the CLI benchmark's (27 and 6 visits per class, as the
 5,000 cells, in nanoseconds per cell. Then it times ``save_dtrace`` and
 ``load_dtrace`` of the CLI corpus's superior traces (540 rows at 20
 classes, as ``ncm-split`` writes them and ``pretrain`` reads them), in
-nanoseconds per cell. Each figure is the
-median of ``--repeats`` timed calls after one untimed call.
+nanoseconds per cell, and ``save_ttrace`` and ``load_ttrace`` of the whole
+CLI corpus (660 lines at 20 classes, as ``gen`` writes it and ``ncm-split``
+reads it), in nanoseconds per cell. Each figure is the median of
+``--repeats`` timed calls after one untimed call.
+
+Where the package splits .ttrace files between two processes (a checkout
+with ``traces._SPLIT_LINES``), it also times the first 16, 32 and 64 lines
+of the CLI corpus both ways, split and in one process, and records split
+time over one-process time, the figures the ``_SPLIT_LINES`` floor rests on.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
 file, as ``tools/benchfile.py`` describes; on a noisy machine, alternate a
@@ -36,6 +43,8 @@ import benchfile  # noqa: E402
 VISITS = {"c7": [135, 30], "cli": [27, 6]}
 TRACE_LEN = 5000
 NCM_THRESHOLD = 40000.0
+#: line counts of the small .ttrace files timed split and in one process
+SMALL_FILES = (16, 32, 64)
 SEED = 41  # template and stream seed
 
 
@@ -80,6 +89,37 @@ def measure(classes: int, repeats: int) -> dict:
         load_s = _median_s(lambda: traces.load_dtrace(path, TRACE_LEN), repeats)
     result["save_dtrace_ns_per_cell"] = round(save_s / cells * 1e9, 3)
     result["load_dtrace_ns_per_cell"] = round(load_s / cells * 1e9, 3)
+    result.update(_ttrace_figures(traces, corpus("cli"), repeats))
+    return result
+
+
+def _ttrace_figures(traces, dataset, repeats: int) -> dict:
+    """.ttrace save and load of ``dataset`` in ns per cell, then of its first
+    SMALL_FILES lines split over one process, where the package splits."""
+
+    def timings(rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.ttrace"
+            return (_median_s(lambda: traces.save_ttrace(path, rows), repeats),
+                    _median_s(lambda: traces.load_ttrace(path), repeats))
+
+    cells = sum(len(t) for t in dataset)
+    save_s, load_s = timings(dataset)
+    result = {"save_ttrace_ns_per_cell_cli": round(save_s / cells * 1e9, 3),
+              "load_ttrace_ns_per_cell_cli": round(load_s / cells * 1e9, 3)}
+    floor = getattr(traces, "_SPLIT_LINES", None)
+    if floor is None:  # a checkout that reads and writes in one process
+        return result
+    try:
+        for lines in SMALL_FILES:
+            traces._SPLIT_LINES = 2
+            split = timings(dataset[:lines])
+            traces._SPLIT_LINES = 10**9
+            one = timings(dataset[:lines])
+            for op, s, o in zip(("save", "load"), split, one):
+                result[f"{op}_ttrace_split_over_one_process_{lines}"] = round(s / o, 3)
+    finally:
+        traces._SPLIT_LINES = floor
     return result
 
 
