@@ -19,16 +19,17 @@ and a corpus has at least ``_SPLIT_LINES`` lines, ``_in_two`` cuts it into
 ``_CHUNKS`` runs of lines of about equal cell count (bytes, when reading).
 A forked helper encodes or parses chunks from the last one down while the
 caller does them from the first one up, so the two meet where their speeds
-put them; the helper pickles its lines, or its labels, row lengths and flat
-times, directions and sizes, through a pipe, and the caller writes or
-assembles every chunk in file order. The bytes and arrays are those of the
-one-process path. The helper only saves work: where the fork is refused, or
-the helper fails, dies or sends a short result, the caller does the chunks
-it lacks, so a bad line raises the same TraceFormatError with the same line
-number. The helper leaves through os._exit, flushing none of the caller's
-buffers, and is killed and reaped before the call returns or raises.
-``.dtrace`` files are read and written in one process: a split of their
-numpy codec measured slower than one process.
+put them; the helper pickles its lines, or its traces, through a pipe, and
+the caller writes or assembles every chunk in file order. The bytes and
+arrays are those of the one-process path. The helper only saves work: the
+caller waits for it no longer than it took over its own chunks, and where
+the fork is refused, or the helper fails, dies, stalls or sends a short
+result, the caller does the chunks it lacks, so a bad line raises the same
+TraceFormatError with the same line number. The helper leaves through
+os._exit, flushing none of the caller's buffers, and is killed and reaped
+before the call returns or raises. ``.dtrace`` files are read and written
+in one process: a split of their numpy codec measured slower than one
+process.
 """
 
 import itertools
@@ -278,9 +279,12 @@ def filter_traces(traces: list[DirectionTrace], policy: FilterPolicy) -> list[Di
 # round-trip exactly (shortest-repr float64 serialization).
 
 #: fewest lines a .ttrace file or corpus needs before load_ttrace and
-#: save_ttrace share it with a forked helper
-_SPLIT_LINES = 64
-#: runs of lines, of about equal cells or bytes, that the two share out
+#: save_ttrace share it with a forked helper: on the first 256 lines of the
+#: CLI corpus both gain, on its first 128 loading does not
+#: (tools/bench_tracedata.py)
+_SPLIT_LINES = 256
+#: runs of lines, of about equal cells or bytes, that the two share out: 4
+#: to 32 gain alike on the CLI corpus, 16 with the least spread in loading
 _CHUNKS = 16
 
 # With "-1" written as "/", the byte below "0", every canonical token is one
@@ -391,6 +395,36 @@ def load_dtrace(path, trace_len: int | None = None) -> list[DirectionTrace]:
     return traces
 
 
+def _send(fd: int, made: dict) -> None:
+    """The helper's result: ``made`` pickled, behind its length, on ``fd``."""
+    import pickle
+
+    data = pickle.dumps(made, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(fd, "wb") as pipe:
+        pipe.write(len(data).to_bytes(8, "little"))
+        pipe.write(data)
+
+
+def _received(fd: int, seconds: float) -> dict:
+    """What the helper sent on ``fd``, read until end of file; nothing when
+    that is short of its length or takes more than ``seconds``."""
+    import pickle
+    import select
+    import time
+
+    deadline = time.monotonic() + seconds
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    data = bytearray()
+    while (left := deadline - time.monotonic()) > 0 and poller.poll(left * 1000):
+        if not (part := os.read(fd, 1 << 20)):  # end of file: the helper is done
+            if len(data) > 8 and int.from_bytes(data[:8], "little") == len(data) - 8:
+                return pickle.loads(memoryview(data)[8:])
+            break
+        data += part
+    return {}
+
+
 def _in_two(work, weights) -> list:
     """The results of ``work(first, stop)`` over items [0, n), in item order:
     one call's where os.fork is missing or n is below _SPLIT_LINES, else one
@@ -401,19 +435,20 @@ def _in_two(work, weights) -> list:
     makes them from the first one up, each claiming a chunk in a shared
     byte before it starts it, so the two meet where their speeds put them.
     The helper stops at a chunk this process claimed and sends what it made
-    pickled, behind its length, through a pipe; this process, once it
-    reaches a chunk the helper claimed, waits for that, and waits for
-    nothing when it made every chunk itself. The helper only
-    saves work: where the fork is refused, or the helper fails, dies or
+    (_send). This process, once it reaches a chunk the helper claimed,
+    waits for that no longer than it took to make its own chunks, and waits
+    for nothing when it made every chunk itself. The helper only saves
+    work: where the fork is refused, or the helper fails, dies, stalls or
     sends a short result, this process makes the chunks it lacks, in order,
-    so an error in one is raised here as the one-call form would raise it.
-    The helper leaves through os._exit, flushing none of this process's
+    so an error in one is raised here as the one-call form would raise it,
+    and a stalled helper costs at most about the time of one call. The
+    helper leaves through os._exit, flushing none of this process's
     buffers, and is killed and reaped before this returns or raises.
     """
     import gc
     import mmap
-    import pickle
     import signal
+    import time
 
     n = len(weights)
     if n < max(2, _SPLIT_LINES) or not hasattr(os, "fork"):
@@ -441,13 +476,11 @@ def _in_two(work, weights) -> list:
                     break
                 claims[c] = 2
                 made[c] = work(bounds[c], bounds[c + 1])
-            data = pickle.dumps(made, protocol=pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(len(data).to_bytes(8, "little"))
-                pipe.write(data)
+            _send(write_fd, made)
         finally:  # whatever ended the helper: the caller makes what is missing
             os._exit(0)
     os.close(write_fd)
+    forked = time.monotonic()
     # a collection here while the helper lives would write to every tracked
     # object, copying each page of them that the two processes share
     collecting = gc.isenabled()
@@ -460,10 +493,7 @@ def _in_two(work, weights) -> list:
             claims[c] = 1
             made[c] = work(bounds[c], bounds[c + 1])
         if len(made) < chunks:  # else the helper, late to start, has nothing
-            with open(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if len(data) > 8 and int.from_bytes(data[:8], "little") == len(data) - 8:
-                made = {**pickle.loads(memoryview(data)[8:]), **made}
+            made = {**_received(read_fd, time.monotonic() - forked), **made}
         return [made[c] if c in made else work(bounds[c], bounds[c + 1]) for c in range(chunks)]
     finally:
         if collecting:
@@ -507,8 +537,7 @@ def _json_integers(cells: list, column: int, name: str, line: str) -> np.ndarray
 
 def load_ttrace(path) -> list[TimedTrace]:
     """Read a .ttrace file; a line it rejects raises TraceFormatError naming
-    the line. It is parsed on two cores (_in_two), in chunks of lines whose
-    traces are views of one array per field."""
+    the line. It is parsed on two cores (_in_two)."""
     with open(path, "rb") as fh:
         text = fh.read()
     if b"\r" in text:  # the line ends a text-mode read reads as "\n"
@@ -520,10 +549,9 @@ def load_ttrace(path) -> list[TimedTrace]:
         starts.append(end + 1)
     starts.append(len(text) + 1)
 
-    def parse(first: int, stop: int) -> tuple:
-        """The labels and cell counts of the traces on lines first + 1 to
-        stop, and their times, directions and sizes, each one array."""
-        labels, fields = [], []
+    def parse(first: int, stop: int) -> list[TimedTrace]:
+        """The traces on lines first + 1 to stop."""
+        parsed = []
         for line_no in range(first + 1, stop + 1):
             try:
                 line = text[starts[line_no - 1] : starts[line_no] - 1].decode("ascii").strip()
@@ -535,27 +563,14 @@ def load_ttrace(path) -> list[TimedTrace]:
                 # json gives bools, floats and strings too; none is a label
                 if label is not None and type(label) is not int:
                     raise ValueError(f"label must be an integer or null, got {label!r}")
-                trace = TimedTrace(
+                parsed.append(TimedTrace(
                     times=np.array([c[0] for c in cells], dtype=np.float64),
                     directions=_json_integers(cells, 1, "direction", line),
                     sizes=_json_integers(cells, 2, "size", line),
                     label=label,
-                )
+                ))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise TraceFormatError(str(exc), line_no) from exc
-            labels.append(label)
-            fields.append((trace.times, trace.directions, trace.sizes))
-        return labels, [len(times) for times, _, _ in fields], *(
-            np.concatenate([np.zeros(0, dtype), *(field[k] for field in fields)])
-            for k, dtype in enumerate((np.float64, np.int8, np.int64)))
+        return parsed
 
-    traces = []
-    for labels, lengths, times, directions, sizes in _in_two(parse, np.diff(starts)):
-        ends = np.cumsum(lengths).tolist()
-        for label, start, end in zip(labels, [0, *ends], ends):
-            # its arrays passed TimedTrace's checks as the line was parsed
-            trace = object.__new__(TimedTrace)
-            trace.times, trace.directions = times[start:end], directions[start:end]
-            trace.sizes, trace.label = sizes[start:end], label
-            traces.append(trace)
-    return traces
+    return list(itertools.chain.from_iterable(_in_two(parse, np.diff(starts))))

@@ -45,8 +45,9 @@ def test_trace_data_timings_accumulate_per_label(tmp_path):
         "build_distribution_ns_per_cell_c7", "build_distribution_ns_per_cell_cli",
         "save_dtrace_ns_per_cell", "load_dtrace_ns_per_cell",
         "save_ttrace_ns_per_cell_cli", "load_ttrace_ns_per_cell_cli",
-        *(f"{op}_ttrace_split_over_one_process_{lines}"
-          for op in ("save", "load") for lines in bench.SMALL_FILES),
+        *(f"{op}_ttrace_split_over_one_process_{key}"
+          for op in ("save", "load")
+          for key in (*bench.SMALL_FILES, *(f"{n}_chunks" for n in bench.CHUNK_COUNTS))),
     }
     assert all(value > 0 for value in doc["runs"]["change"][0].values())
     with pytest.raises(SystemExit):

@@ -2,7 +2,9 @@ import errno
 import gc
 import json
 import os
+import pickle
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -603,6 +605,25 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class within:
+    """Raises TimeoutError in the block after ``seconds``, so that a call
+    that would wait forever fails its test instead of holding the suite."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expired(*_):
+            raise TimeoutError(f"still waiting after {self.seconds} s")
+
+        self.previous = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, self.seconds)
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
 def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
@@ -714,43 +735,74 @@ class TestTtraceHelper:
         assert (tmp_path / "forked.ttrace").read_bytes() == (tmp_path / "one.ttrace").read_bytes()
         assert_same_traces(loaded, load_ttrace(tmp_path / "one.ttrace"))
 
-    @pytest.mark.parametrize("end", ["raises", "is killed"])
+    @pytest.mark.parametrize("end", ["raises", "is killed", "stalls"])
     def test_failed_helper_leaves_its_chunks_here(self, end, monkeypatch, tmp_path):
         expected = corpus(17)
         save_ttrace(tmp_path / "one.ttrace", expected)
         act = {"raises": lambda: 1 / 0,
-               "is killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}[end]
+               "is killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
+               "stalls": lambda: time.sleep(3600)}[end]
         encoded = self.in_helper(monkeypatch, json, "dumps", act)
-        save_ttrace(tmp_path / "forked.ttrace", expected)
+        with within(60):
+            save_ttrace(tmp_path / "forked.ttrace", expected)
         assert len(encoded) == 17  # every line was encoded here
         assert (tmp_path / "forked.ttrace").read_bytes() == (tmp_path / "one.ttrace").read_bytes()
         parsed = self.in_helper(monkeypatch, json, "loads", act)
-        assert_same_traces(load_ttrace(tmp_path / "forked.ttrace"), expected)
+        with within(60):
+            assert_same_traces(load_ttrace(tmp_path / "forked.ttrace"), expected)
         assert len(parsed) == 17
         assert_no_child_left()
 
-    def test_short_result_leaves_its_chunks_here(self):
-        """A helper killed while it writes its result, more than a pipe
-        holds, sends part of it; the caller makes the chunks it lacks."""
-        here, made = os.getpid(), []
+    def test_short_result_leaves_its_chunks_here(self, monkeypatch):
+        """A helper that dies as it sends its result sends part of it; the
+        caller, held in its first chunk until then, makes what it lacks."""
+        here = os.getpid()
+        sent_r, sent_w = os.pipe()
 
-        def work(first, stop):  # four chunks of one item each
-            if first:  # the helper's chunks, or the caller's own making of them
-                made.append(os.getpid())
-                signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGKILL))
-                signal.setitimer(signal.ITIMER_REAL, 0.2 if made[0] != here else 0)
-            else:  # the caller's first chunk outlasts the helper
-                time.sleep(0.5)
-            return bytes([first]) * 100_000
+        def dying_send(fd, made):  # the full length, then part of the result
+            data = pickle.dumps(made)
+            os.write(fd, len(data).to_bytes(8, "little") + data[: len(data) // 2])
+            os.write(sent_w, b"x")
+            os.kill(os.getpid(), signal.SIGKILL)
 
-        previous = signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        def work(first, stop):
+            if first == 0 and os.getpid() == here:
+                select.select([sent_r], [], [], 60)
+            return bytes([first]) * 1000
+
+        monkeypatch.setattr(traces, "_send", dying_send)
         try:
-            parts = traces._in_two(work, [1, 1, 1, 1])
+            with within(60):
+                parts = traces._in_two(work, [1, 1, 1, 1])
+            assert select.select([sent_r], [], [], 0)[0]  # the helper did send
         finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert parts == [bytes([c]) * 100_000 for c in range(4)]
-        assert made == [here] * 3
+            os.close(sent_r)
+            os.close(sent_w)
+        assert parts == [bytes([c]) * 1000 for c in range(4)]
+        assert_no_child_left()
+
+    def test_stalled_helper_is_not_waited_for(self):
+        """A helper that claims a chunk and never finishes it is waited for
+        no longer than this process took over its own chunks, then killed;
+        this process makes the chunk."""
+        here = os.getpid()
+        claimed_r, claimed_w = os.pipe()
+
+        def work(first, stop):
+            if os.getpid() != here:
+                os.write(claimed_w, b"x")
+                time.sleep(3600)
+            elif first == 0:  # until the helper has claimed its chunk
+                select.select([claimed_r], [], [], 60)
+            return [first]
+
+        try:
+            with within(60):
+                parts = traces._in_two(work, [1, 1, 1, 1])
+        finally:
+            os.close(claimed_r)
+            os.close(claimed_w)
+        assert parts == [[0], [1], [2], [3]]
         assert_no_child_left()
 
     def test_slow_helper_leaves_more_chunks_here(self):
@@ -792,7 +844,7 @@ class TestTtraceHelper:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("end", ["return", "bad line here", "bad line in helper",
-                                     "killed helper", "refused fork"])
+                                     "killed helper", "stalled helper", "refused fork"])
     def test_no_child_or_descriptor_left(self, end, monkeypatch, tmp_path):
         path = tmp_path / "corpus.ttrace"
         lines = corpus_lines(17)
@@ -803,6 +855,8 @@ class TestTtraceHelper:
         if end == "killed helper":
             self.in_helper(monkeypatch, json, "loads",
                            lambda: os.kill(os.getpid(), signal.SIGKILL))
+        elif end == "stalled helper":
+            self.in_helper(monkeypatch, json, "loads", lambda: time.sleep(3600))
         elif end == "refused fork":
             monkeypatch.setattr(os, "fork", refused_fork)
         before = open_fds()

@@ -14,9 +14,11 @@ reads it), in nanoseconds per cell. Each figure is the median of
 ``--repeats`` timed calls after one untimed call.
 
 Where the package splits .ttrace files between two processes (a checkout
-with ``traces._SPLIT_LINES``), it also times the first 16, 32 and 64 lines
-of the CLI corpus both ways, split and in one process, and records split
-time over one-process time, the figures the ``_SPLIT_LINES`` floor rests on.
+with ``traces._SPLIT_LINES``), it also records split time over one-process
+time, save and load, for the first SMALL_FILES lines of the CLI corpus,
+the figures the ``_SPLIT_LINES`` floor rests on, and for the whole corpus
+cut into each of CHUNK_COUNTS chunks, the figures ``traces._CHUNKS`` rests
+on.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
 file, as ``tools/benchfile.py`` describes; on a noisy machine, alternate a
@@ -44,7 +46,9 @@ VISITS = {"c7": [135, 30], "cli": [27, 6]}
 TRACE_LEN = 5000
 NCM_THRESHOLD = 40000.0
 #: line counts of the small .ttrace files timed split and in one process
-SMALL_FILES = (16, 32, 64)
+SMALL_FILES = (32, 64, 128, 256)
+#: chunk counts the whole CLI corpus is timed split into
+CHUNK_COUNTS = (4, 8, 16, 32)
 SEED = 41  # template and stream seed
 
 
@@ -94,14 +98,23 @@ def measure(classes: int, repeats: int) -> dict:
 
 
 def _ttrace_figures(traces, dataset, repeats: int) -> dict:
-    """.ttrace save and load of ``dataset`` in ns per cell, then of its first
-    SMALL_FILES lines split over one process, where the package splits."""
+    """.ttrace save and load of ``dataset`` in ns per cell, then, where the
+    package splits, split over one-process time of its first SMALL_FILES
+    lines and of the whole of it in CHUNK_COUNTS chunks."""
 
     def timings(rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.ttrace"
             return (_median_s(lambda: traces.save_ttrace(path, rows), repeats),
                     _median_s(lambda: traces.load_ttrace(path), repeats))
+
+    def split_over_one(rows, chunks, key):
+        traces._SPLIT_LINES, traces._CHUNKS = 2, chunks
+        split = timings(rows)
+        traces._SPLIT_LINES = 10**9
+        one = timings(rows)
+        for op, s, o in zip(("save", "load"), split, one):
+            result[f"{op}_ttrace_split_over_one_process_{key}"] = round(s / o, 3)
 
     cells = sum(len(t) for t in dataset)
     save_s, load_s = timings(dataset)
@@ -110,16 +123,14 @@ def _ttrace_figures(traces, dataset, repeats: int) -> dict:
     floor = getattr(traces, "_SPLIT_LINES", None)
     if floor is None:  # a checkout that reads and writes in one process
         return result
+    chunks = traces._CHUNKS
     try:
         for lines in SMALL_FILES:
-            traces._SPLIT_LINES = 2
-            split = timings(dataset[:lines])
-            traces._SPLIT_LINES = 10**9
-            one = timings(dataset[:lines])
-            for op, s, o in zip(("save", "load"), split, one):
-                result[f"{op}_ttrace_split_over_one_process_{lines}"] = round(s / o, 3)
+            split_over_one(dataset[:lines], chunks, lines)
+        for count in CHUNK_COUNTS:
+            split_over_one(dataset, count, f"{count}_chunks")
     finally:
-        traces._SPLIT_LINES = floor
+        traces._SPLIT_LINES, traces._CHUNKS = floor, chunks
     return result
 
 
