@@ -441,7 +441,7 @@ def _in_two(work, weights) -> list:
     work: where the fork is refused, or the helper fails, dies, stalls or
     sends a short result, this process makes the chunks it lacks, in order,
     so an error in one is raised here as the one-call form would raise it,
-    and a stalled helper costs at most about the time of one call. The
+    and a stalled helper adds at most about one call's time. The
     helper leaves through os._exit, flushing none of this process's
     buffers, and is killed and reaped before this returns or raises.
     """
