@@ -285,8 +285,10 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng: RandomSource) -> np.
     out_values, out_row = np.concatenate((resized, inserted, merged))[order], out_row[order]
 
     # cells from burst boundaries (see the module docstring). The marker
-    # matrix is wide enough for every row's end; the sum stops at the last
-    # column that holds a cell, so wide, sparse rows pay for their cells only.
+    # matrix reaches every row's end up to L, and one more column takes each
+    # marker at or past the sum's stop, which changes no cell; the sum stops
+    # at the last column that holds a cell, so wide, sparse rows pay for
+    # their cells only.
     shift = (header[:, 2] % np.uint64(cfg.shift_max + 1)).astype(np.int64)
     signs = np.sign(out_values).astype(np.int8)
     ptr = _row_pointers(out_row, n)
@@ -294,14 +296,15 @@ def net_augment_batch(cells, cfg: AugmentConfig, dist, rng: RandomSource) -> np.
     # column of each row's first burst; past L only that it is past L matters
     row_start = np.minimum(prefix_len + shift, length)
     row_end = row_start + ends[ptr[1:]] - ends[ptr[:-1]]
-    width = int(row_end.max()) + 1
-    stop = min(width - 1, length)
+    stop = min(int(row_end.max()), length)
+    width = stop + 1
     change = signs.copy()
     change[1:] -= np.where(out_row[1:] == out_row[:-1], signs[:-1], 0).astype(np.int8)
     marks = np.zeros((n, width), dtype=np.int8)
     row_base = np.arange(n) * width
-    marks.ravel()[ends[:-1] + (row_base + row_start - ends[ptr[:-1]])[out_row]] = change
-    marks.ravel()[row_base + row_end] = -signs[ptr[1:] - 1]
+    column = np.minimum(ends[:-1] + (row_start - ends[ptr[:-1]])[out_row], stop)
+    marks.ravel()[row_base[out_row] + column] = change
+    marks.ravel()[row_base + np.minimum(row_end, stop)] = -signs[ptr[1:] - 1]
     out = np.zeros((n, length), dtype=np.int8)
     np.cumsum(marks[:, :stop], axis=1, dtype=np.int8, out=out[:, :stop])
     prefix_col = shift[:, None] + np.arange(prefix_len)

@@ -92,9 +92,12 @@ def load_bdist(path) -> BurstSizeDistribution:
             if not line:
                 continue
             try:
-                s, c = line.split()
-                support.append(int(s))
-                counts.append(int(c))
+                size, count = map(int, line.split())
+                for name, value in (("size", size), ("count", count)):
+                    if not -(2**63) <= value < 2**63:  # both are held as int64
+                        raise ValueError(f"{name} {value} does not fit in a 64-bit integer")
+                support.append(size)
+                counts.append(count)
             except ValueError as exc:
                 raise EmptyDistributionFile(f"line {line_no}: {exc}") from exc
     if not support:

@@ -17,6 +17,7 @@ pseudo-labeled rows. ``gradcheck`` checks it and the contrastive loss
 against finite differences.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -305,6 +306,8 @@ def _read_exact(fh, n: int) -> bytes:
 
 
 def _read_values(fh, n: int) -> np.ndarray:
+    if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * n:  # a header may claim any size
+        raise ValueError("truncated checkpoint")
     out = np.empty(n, _DTYPE)
     for start in range(0, n, _BLOCK):
         k = min(_BLOCK, n - start)

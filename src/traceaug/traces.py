@@ -14,30 +14,27 @@ of downstream (incoming) bytes divided by the wall-clock span between its
 first and last cell. Traces at or above a bytes-per-second threshold are
 "superior", the rest "inferior".
 
-``save_ttrace`` and ``load_ttrace`` use two cores. Where ``os.fork`` exists
-and a corpus has at least ``_SPLIT_LINES`` lines, ``_in_two`` cuts it into
-``_CHUNKS`` runs of lines of about equal cell count (bytes, when reading).
-A forked helper encodes or parses chunks from the last one down while the
-caller does them from the first one up, so the two meet where their speeds
-put them; the helper pickles its lines, or its traces, through a pipe, and
-the caller writes or assembles every chunk in file order. The bytes and
-arrays are those of the one-process path. The helper only saves work: the
-caller waits for it no longer than it took over its own chunks, and where
-the fork is refused, or the helper fails, dies, stalls or sends a short
-result, the caller does the chunks it lacks, so a bad line raises the same
-TraceFormatError with the same line number. The helper leaves through
-os._exit, flushing none of the caller's buffers, and is killed and reaped
-before the call returns or raises. ``.dtrace`` files are read and written
-in one process: a split of their numpy codec measured slower than one
-process.
+``save_ttrace`` and ``load_ttrace`` use two cores: ``_in_two`` shares the
+runs of lines of a large corpus with a forked helper (``helper``), which
+pickles its lines, or its traces, back. The bytes and arrays are those of
+the one-process path, and a bad line raises the same TraceFormatError with
+the same line number. ``.dtrace`` files are read and written in one
+process: a split of their numpy codec measured slower than one process.
 """
 
+import gc
 import itertools
 import json
+import mmap
 import os
+import pickle
+import select
+import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import helper
 
 #: Label sentinel for traces of unmonitored websites.
 UNMONITORED = -1
@@ -397,8 +394,6 @@ def load_dtrace(path, trace_len: int | None = None) -> list[DirectionTrace]:
 
 def _send(fd: int, made: dict) -> None:
     """The helper's result: ``made`` pickled, behind its length, on ``fd``."""
-    import pickle
-
     data = pickle.dumps(made, protocol=pickle.HIGHEST_PROTOCOL)
     with open(fd, "wb") as pipe:
         pipe.write(len(data).to_bytes(8, "little"))
@@ -408,10 +403,6 @@ def _send(fd: int, made: dict) -> None:
 def _received(fd: int, seconds: float) -> dict:
     """What the helper sent on ``fd``, read until end of file; nothing when
     that is short of its length or takes more than ``seconds``."""
-    import pickle
-    import select
-    import time
-
     deadline = time.monotonic() + seconds
     poller = select.poll()
     poller.register(fd, select.POLLIN)
@@ -427,65 +418,48 @@ def _received(fd: int, seconds: float) -> dict:
 
 def _in_two(work, weights) -> list:
     """The results of ``work(first, stop)`` over items [0, n), in item order:
-    one call's where os.fork is missing or n is below _SPLIT_LINES, else one
-    per chunk, made by two processes on two cores.
+    one call's with no helper (``helper.start``, whose contract this keeps)
+    or where n is below _SPLIT_LINES, else one per chunk of _CHUNKS runs of
+    items of about equal total ``weights``, made on two cores.
 
-    The chunks are _CHUNKS runs of items of about equal total ``weights``.
-    A forked helper makes chunks from the last one down while this process
-    makes them from the first one up, each claiming a chunk in a shared
-    byte before it starts it, so the two meet where their speeds put them.
-    The helper stops at a chunk this process claimed and sends what it made
-    (_send). This process, once it reaches a chunk the helper claimed,
-    waits for that no longer than it took to make its own chunks, and waits
-    for nothing when it made every chunk itself. The helper only saves
-    work: where the fork is refused, or the helper fails, dies, stalls or
-    sends a short result, this process makes the chunks it lacks, in order,
-    so an error in one is raised here as the one-call form would raise it,
-    and a stalled helper adds at most about one call's time. The
-    helper leaves through os._exit, flushing none of this process's
-    buffers, and is killed and reaped before this returns or raises.
+    The helper makes chunks from the last one down while this process makes
+    them from the first one up, each claiming a chunk in a shared byte
+    before it starts it, so the two meet where their speeds put them. The
+    helper stops at a chunk this process claimed and sends what it made
+    (_send). This process waits for that no longer than it took over its own
+    chunks, and not at all when it made every chunk, then makes the chunks
+    it lacks, in order, so a stalled helper adds at most about one call's
+    time. While the helper lives, this process runs no garbage collection.
     """
-    import gc
-    import mmap
-    import signal
-    import time
-
     n = len(weights)
-    if n < max(2, _SPLIT_LINES) or not hasattr(os, "fork"):
+    if n < max(2, _SPLIT_LINES):
         return [work(0, n)]
     total = np.cumsum(weights)
     cuts = np.searchsorted(total, total[-1] * np.arange(1, _CHUNKS) / _CHUNKS) + 1
     bounds = [0, *np.unique(cuts.clip(1, n - 1)).tolist(), n]
     chunks = len(bounds) - 1
     claims = mmap.mmap(-1, chunks)  # 0: unclaimed, 1: made here, 2: made by the helper
+
+    def from_the_last(write_fd: int) -> None:
+        made = {}
+        for c in reversed(range(chunks)):
+            if claims[c]:
+                break
+            claims[c] = 2
+            made[c] = work(bounds[c], bounds[c + 1])
+        _send(write_fd, made)
+
     read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no helper, as when the fork is refused
-        os.close(read_fd)
-        os.close(write_fd)
-        claims.close()
-        return [work(0, n)]
-    if pid == 0:
-        try:
-            gc.disable()  # run no finalizer of the caller's objects here
-            os.close(read_fd)
-            made = {}
-            for c in reversed(range(chunks)):
-                if claims[c]:
-                    break
-                claims[c] = 2
-                made[c] = work(bounds[c], bounds[c + 1])
-            _send(write_fd, made)
-        finally:  # whatever ended the helper: the caller makes what is missing
-            os._exit(0)
-    os.close(write_fd)
+    pid = helper.start(from_the_last, (read_fd,), (write_fd,))
     forked = time.monotonic()
     # a collection here while the helper lives would write to every tracked
     # object, copying each page of them that the two processes share
-    collecting = gc.isenabled()
-    gc.disable()
+    collecting = pid is not None and gc.isenabled()
+    if collecting:
+        gc.disable()
     try:
+        if pid is None:
+            return [work(0, n)]
         made = {}
         for c in range(chunks):
             if claims[c]:
@@ -498,9 +472,7 @@ def _in_two(work, weights) -> list:
     finally:
         if collecting:
             gc.enable()
-        os.close(read_fd)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        helper.stop(pid, (read_fd,))
         claims.close()
 
 

@@ -11,12 +11,10 @@ Weights, gradients and optimizer state are float32. Each augmented phase
 its steps' views. Those depend only on the corpus, the row orders (and, for
 ``netfm``, the unlabeled rows, also drawn before the first step) and the
 augmentation streams, never on the weights, and every step's first draw is
-known ahead, so a forked child process makes them ahead of the steps
+known ahead, so a forked helper makes them ahead of the steps
 (``_ViewsAhead``), many steps to a burst pre-training call, and the parent
-makes any step the child has not made yet; the bytes are those of making
-them inline one step at a time. The child only saves work: where
-``os.fork`` is missing, and after the child fails or dies, the parent
-makes every step itself.
+makes any step the helper has not made yet (the contract in ``helper``);
+the bytes are those of making them inline one step at a time.
 All randomness comes from streams spawned off the run seed, so a (seed,
 data, config) triple reproduces the parameter trajectory bit for bit on
 the same numpy/BLAS build at the same BLAS thread count. Another thread
@@ -31,11 +29,14 @@ when the unlabeled weight is zero.
 
 import itertools
 import math
+import mmap
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import helper
 from .augment import (
     AugmentConfig,
     check_net_inputs,
@@ -233,31 +234,23 @@ class _ViewsAhead:
     _RING_BYTES holds, at least two and at most 256, so that a slot index is
     one byte. No call makes more steps than the ring has slots.
 
-    Entered as a context manager, it forks a child process that makes the
-    steps ahead of their use, in calls of up to ``call`` steps, and puts
-    them in order into the ring, in a shared anonymous mapping. Slot
-    indices go back and forth as single bytes over two pipes: the parent
-    hands the child a free slot, and the child hands it back filled. The
-    ring's header holds the step in each slot. A block the parent returns
-    is a view of its slot, valid until the next block is asked for, which
-    frees the slot. The blocks of steps the parent made itself, step 0's
-    among them, are let go once a later step is asked for.
+    Entered as a context manager, it starts a helper (``helper.start``, whose
+    contract this keeps) that makes the steps ahead of their use, in calls of
+    up to ``call`` steps, at the lowest priority, and puts them in order into
+    the ring, in a shared anonymous mapping. Slot indices go back and forth
+    as single bytes over two pipes: the parent hands the child a free slot,
+    and the child hands it back filled. The ring's header holds the step in
+    each slot. A block the parent returns is a view of its slot, valid until
+    the next block is asked for, which frees the slot. The blocks of steps
+    the parent made itself, step 0's among them, are let go once a later
+    step is asked for.
 
-    The child only saves the parent work. The parent never waits for it:
-    when the step it needs is not in the ring, it makes that step itself,
-    and more steps to a call while the child stays late, and records the
-    last of them in the header; the child skips the steps the parent has
-    made. The child runs at the lowest priority, so on a busy machine it
-    takes only idle CPU time, and the parent's speed is at worst that of
-    making every view itself. The child leaves through os._exit when its
-    steps are made, when the parent's pipe is closed, or when anything in it
-    raises. Any end of the child ends its help: once the ready pipe reads
-    end-of-file, after the last step the child made, the parent kills and
-    reaps it, closes the pipes and makes every step left itself, ``call``
-    at a time, as where os.fork is missing or fails (``pid`` is None). A
-    ``make`` that raises in the child thus raises again in the parent's own
-    call. On exit the parent kills and reaps the child, however the block
-    is left.
+    The parent never waits for the child: when the step it needs is not in
+    the ring, it makes that step itself, and more steps to a call while the
+    child stays late, and records the last of them in the header; the child
+    skips the steps the parent has made. Once the ready pipe reads end of
+    file, after the last step the child made, the parent stops the helper
+    and makes every step left itself, ``call`` at a time (``pid`` is None).
     """
 
     def __init__(self, make, steps: int, call: int):
@@ -272,11 +265,6 @@ class _ViewsAhead:
         self.fds = ()
 
     def __enter__(self):
-        import mmap
-        import os
-
-        if not hasattr(os, "fork"):
-            return self
         header = -(-8 * (self.slots + 1) // 64) * 64
         ring = mmap.mmap(-1, header + self.slots * math.prod(self.shape))
         # made[0] is the last step the parent has made, made[1 + s] the step in slot s
@@ -286,56 +274,36 @@ class _ViewsAhead:
         free_r, self.free_w = os.pipe()
         self.ready_r, ready_w = os.pipe()
         self.fds = (self.free_w, self.ready_r)
-        try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                self._serve(free_r, ready_w)
-            os.set_blocking(self.ready_r, False)
-            self._free(bytes(range(self.slots)))
-        except OSError:  # no child, as when the fork is refused: every step is made here
+        os.set_blocking(self.ready_r, False)
+        self._free(bytes(range(self.slots)))  # every slot is free
+        self.pid = helper.start(self._serve, self.fds, (free_r, ready_w))
+        if self.pid is None:  # every step is made here
             self.__exit__()
-        except BaseException:
-            self.__exit__()
-            raise
-        finally:
-            os.close(free_r)
-            os.close(ready_w)
         return self
 
     def _serve(self, free_r: int, ready_w: int):
         """The child: fill each slot the parent frees with the next step."""
-        import gc
-        import os
-
-        try:
-            gc.disable()  # run no finalizer of the parent's objects here
-            os.nice(19)
-            os.close(self.free_w)
-            os.close(self.ready_r)
-            # the first calls are short, so that the ring has steps in it soon
-            first, call = 0, 1
-            while (first := max(first, int(self.made[0]) + 1)) < self.steps:
-                stop = min(first + call, self.steps)
-                views = self.make(first, stop).reshape(stop - first, *self.shape)
-                for k in range(first, stop):
-                    if k <= self.made[0]:  # the parent has made it
-                        continue
-                    token = os.read(free_r, 1)
-                    if not token:  # the parent is done
-                        return
-                    self.made[1 + token[0]] = k
-                    self.blocks[token[0]] = views[k - first]
-                    os.write(ready_w, token)
-                first, call = stop, min(2 * call, self.call)
-        finally:  # whatever ended the child: the parent makes what is left
-            os._exit(0)
+        os.nice(19)
+        # the first calls are short, so that the ring has steps in it soon
+        first, call = 0, 1
+        while (first := max(first, int(self.made[0]) + 1)) < self.steps:
+            stop = min(first + call, self.steps)
+            views = self.make(first, stop).reshape(stop - first, *self.shape)
+            for k in range(first, stop):
+                if k <= self.made[0]:  # the parent has made it
+                    continue
+                token = os.read(free_r, 1)
+                if not token:  # the parent is done
+                    return
+                self.made[1 + token[0]] = k
+                self.blocks[token[0]] = views[k - first]
+                os.write(ready_w, token)
+            first, call = stop, min(2 * call, self.call)
 
     def __iter__(self):
         return self
 
     def __next__(self) -> np.ndarray:
-        import os
-
         k = self.step
         self.step += 1
         if self.held is not None:  # the caller is done with the last block
@@ -372,22 +340,13 @@ class _ViewsAhead:
         return self.own[0]
 
     def _free(self, tokens: bytes):
-        import os
-
         try:
             os.write(self.free_w, tokens)
         except BrokenPipeError:  # the child has left; what it made is still read
             pass
 
     def __exit__(self, *exc_info):
-        import os
-        import signal
-
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        for fd in self.fds:
-            os.close(fd)
+        helper.stop(self.pid, self.fds)
         self.pid, self.fds = None, ()
 
 

@@ -81,7 +81,9 @@ def net_cases(draw):
         low_cells=low,
         high_cells=draw(st.integers(low + 1, int(counts.max()) + 1)),
     )
-    support = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
+    # inserted sizes up to several times L, whose bursts run past the trace's end
+    sizes = st.one_of(st.integers(1, 8), st.integers(1, 4 * length))
+    support = sorted(draw(st.sets(sizes, min_size=1, max_size=4)))
     weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
     return cells, cfg, BurstSizeDistribution(np.array(support), np.array(weights))
 

@@ -2,8 +2,10 @@ import json
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,33 @@ class TestAugmentCommand:
         before = content_hash(src)
         assert run("augment", "--in", src, "--seed", 1, "--out", tmp_path / "x") == 0
         assert content_hash(src) == before
+
+    @pytest.mark.parametrize("row", ["99999999999999999999999 1", "3 99999999999999999999999"])
+    def test_dist_value_outside_int64_exits_1(self, corpus, tmp_path, capsys, row):
+        dist = tmp_path / "huge.bdist"
+        dist.write_text(f"bdist v1\n1 4\n{row}\n")
+        assert run("augment", "--in", corpus / "split" / "superior.dtrace", "--dist", dist,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: line 3: (size|count) \d+ does not fit in a 64-bit integer\n", err)
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_huge_inserted_size_stays_in_bounded_memory(self, corpus, tmp_path):
+        """Every inserted burst is 10^12 cells, far past the 120-cell trace:
+        the views are made within a few MB."""
+        dist = tmp_path / "huge.bdist"
+        dist.write_text("bdist v1\n1000000000000 1\n")
+        src = corpus / "split" / "superior.dtrace"
+        tracemalloc.start()
+        try:
+            assert run("augment", "--in", src, "--dist", dist, "--seed", 2,
+                       "--out", tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        augmented = load_dtrace(tmp_path / "out" / "augmented.dtrace")
+        assert len(augmented) == len(load_dtrace(src)) and {len(t) for t in augmented} == {120}
 
 
 def run_fresh(threads, *argv):
@@ -364,6 +393,17 @@ class TestTrainingCommands:
         assert capsys.readouterr().err == (
             f"error: label {label} has no class in {model}, which has 3 classes\n"
         )
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_eval_cw_refuses_a_corrupt_checkpoint_header(self, corpus, trained, tmp_path, capsys):
+        """The first matrix's header claims 200,000 x 200,000 weights, more
+        than the file holds: refused before they are allocated."""
+        data = (trained / "ft" / "model.ckpt").read_bytes()
+        model = tmp_path / "corrupt.ckpt"
+        model.write_bytes(data[:13] + struct.pack("<II", 200_000, 200_000) + data[21:])
+        assert run("eval-cw", "--model", model, "--in", corpus / "split" / "inferior.dtrace",
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: truncated checkpoint\n"
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_eval_ow_unsorted_thresholds_usage_error(self, corpus, trained, tmp_path):

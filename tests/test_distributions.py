@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from traceaug.bursts import extract_bursts
 from traceaug.distributions import (
     BurstSizeDistribution,
+    EmptyDistributionFile,
     NoOutgoingBursts,
     build_distribution,
     load_bdist,
@@ -134,3 +135,13 @@ def test_serialization_round_trip_exact(tmp_path):
     assert loaded.support.tolist() == dist.support.tolist()
     assert loaded.counts.tolist() == dist.counts.tolist()
     assert path.read_text().startswith("bdist v1\n")
+
+
+@pytest.mark.parametrize("row, name", [("99999999999999999999999 1", "size"),
+                                       ("3 -99999999999999999999999", "count"),
+                                       ("3 9223372036854775808", "count")])
+def test_value_outside_int64_names_its_line(tmp_path, row, name):
+    path = tmp_path / "huge.bdist"
+    path.write_text(f"bdist v1\n1 4\n{row}\n")
+    with pytest.raises(EmptyDistributionFile, match=f"^line 3: {name} .* 64-bit integer"):
+        load_bdist(path)

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -346,6 +347,21 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_corrupt_block_size_raises_before_allocating(self, tmp_path):
+        """A header claiming a 200,000 x 200,000 first matrix (149 GiB of
+        float32) in a file of a few bytes is refused without allocating it."""
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(models._CKPT_MAGIC + struct.pack("<IIBII", models._CKPT_VERSION, 1, 0,
+                                                          200_000, 200_000) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated checkpoint"):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_gradient_checks_tight():

@@ -1,4 +1,3 @@
-import errno
 import gc
 import json
 import os
@@ -17,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dtrace_reference
+from conftest import assert_no_child_left, open_fds, refused_fork
 from traceaug import traces
 from traceaug.rng import RandomSource
 from traceaug.synth import INFERIOR_PROFILE, SUPERIOR_PROFILE, make_dataset, make_templates
@@ -596,15 +596,6 @@ class TestTtraceFormat:
         assert info.value.line_no == 1
 
 
-def refused_fork():
-    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class within:
     """Raises TimeoutError in the block after ``seconds``, so that a call
     that would wait forever fails its test instead of holding the suite."""
@@ -622,10 +613,6 @@ class within:
     def __exit__(self, *exc):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, self.previous)
-
-
-def open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
 
 
 def corpus_lines(count: int) -> list[str]:

@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import errno
 import os
 import signal
 import time
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_left, open_fds, refused_fork
 from traceaug import training
 from traceaug.augment import AugmentConfig, EmptyDistribution, TraceTooShort
 from traceaug.distributions import build_distribution
@@ -384,15 +384,6 @@ class TestNonFiniteLoss:
             )
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def refused_fork():
-    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-
 def wait_for_exit(pid):
     """Return once child ``pid`` has ended, leaving it to be reaped; at once
     when it has been reaped already."""
@@ -578,7 +569,7 @@ class TestViewWorker:
     @pytest.mark.parametrize("end", ["return", "non-finite loss", "dead child", "refused fork"])
     @pytest.mark.parametrize("phase", PHASES)
     def test_no_descriptor_left_open(self, phase, end, monkeypatch):
-        before = len(os.listdir("/proc/self/fd"))
+        before = open_fds()
         if end == "dead child":
             forks = self.fork_recorded(monkeypatch)
             self.patch(monkeypatch, phase, lambda real: dying_child(forks, real))
@@ -589,7 +580,7 @@ class TestViewWorker:
                 self.run(phase, **TestNonFiniteLoss.HUGE)
         else:
             self.run(phase)
-        assert len(os.listdir("/proc/self/fd")) == before
+        assert open_fds() == before
 
 
 class TestNonFiniteGradient:
