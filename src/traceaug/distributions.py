@@ -43,6 +43,10 @@ class BurstSizeDistribution:
         if np.any(self.support <= 0) or np.any(self.counts <= 0):
             raise ValueError("support values and counts must be positive")
         self.cumulative = np.cumsum(self.counts)
+        # the counts are positive, so a sum that wraps past int64 stops
+        # increasing (a difference would wrap back)
+        if np.any(self.cumulative[1:] <= self.cumulative[:-1]):
+            raise ValueError("the counts' total does not fit in a 64-bit integer")
 
     @property
     def total(self) -> int:

@@ -1,5 +1,5 @@
 """One forked helper process on the second core, and the contract kept by the
-view worker (``training._ViewsAhead``) and the ``.ttrace`` split
+view worker (``training._views_ahead``) and the ``.ttrace`` split
 (``traces._in_two``): a helper only saves its caller work.
 
 * ``start`` reports no helper where ``os.fork`` is missing or raises

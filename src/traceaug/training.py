@@ -12,9 +12,9 @@ its steps' views. Those depend only on the corpus, the row orders (and, for
 ``netfm``, the unlabeled rows, also drawn before the first step) and the
 augmentation streams, never on the weights, and every step's first draw is
 known ahead, so a forked helper makes them ahead of the steps
-(``_ViewsAhead``), many steps to a burst pre-training call, and the parent
-makes any step the helper has not made yet (the contract in ``helper``);
-the bytes are those of making them inline one step at a time.
+(``_views_ahead``), many steps to a call, and the parent makes any step the
+helper has not made yet (the contract in ``helper``); the bytes are those of
+making them inline one step at a time.
 All randomness comes from streams spawned off the run seed, so a (seed,
 data, config) triple reproduces the parameter trajectory bit for bit on
 the same numpy/BLAS build at the same BLAS thread count. Another thread
@@ -31,7 +31,7 @@ import itertools
 import math
 import mmap
 import os
-from contextlib import nullcontext
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,129 +225,102 @@ _RING_BYTES = 1 << 20
 _OWN_CELLS = 1 << 18
 
 
-class _ViewsAhead:
-    """Iterator over a phase's views: one int8 block for each of ``steps``
+def _views_ahead(make, steps: int):
+    """Generator of a phase's views: one int8 block for each of ``steps``
     steps, where ``make(first, stop)`` makes the blocks of steps first to
     stop - 1, one after another as the rows of one array, from nothing but
-    those numbers. Step 0 is made on construction, before any fork, and its
-    block sets the shape of every block and the ring's slots: as many as
-    _RING_BYTES holds, at least two and at most 256, so that a slot index is
-    one byte. No call makes more steps than the ring has slots.
+    those numbers. Step 0 is made first, before any fork, and its block sets
+    the shape of every block and the ring's slots: as many as _RING_BYTES
+    holds, at least two and at most 256, so that a slot index is one byte.
+    No call makes more steps than the ring has slots.
 
-    Entered as a context manager, it starts a helper (``helper.start``, whose
-    contract this keeps) that makes the steps ahead of their use, in calls of
-    up to ``call`` steps, at the lowest priority, and puts them in order into
-    the ring, in a shared anonymous mapping. Slot indices go back and forth
-    as single bytes over two pipes: the parent hands the child a free slot,
-    and the child hands it back filled. The ring's header holds the step in
-    each slot. A block the parent returns is a view of its slot, valid until
-    the next block is asked for, which frees the slot. The blocks of steps
-    the parent made itself, step 0's among them, are let go once a later
-    step is asked for.
+    It starts a helper (``helper.start``, whose contract this keeps) that
+    makes the steps ahead of their use, in calls of 1, 2, 4, ... steps up to
+    the ring's slots, at the lowest priority, and puts them in order into the
+    ring, in a shared anonymous mapping. Slot indices go back and forth as
+    single bytes over two pipes: the parent hands the child a free slot, and
+    the child hands it back filled. The ring's header holds the step in each
+    slot. A block from a slot is a view of it, valid until the next block is
+    asked for, which frees the slot. The parent lets go of the blocks of
+    steps it made itself, step 0's among them, as it yields them.
 
     The parent never waits for the child: when the step it needs is not in
     the ring, it makes that step itself, and more steps to a call while the
     child stays late, and records the last of them in the header; the child
     skips the steps the parent has made. Once the ready pipe reads end of
     file, after the last step the child made, the parent stops the helper
-    and makes every step left itself, ``call`` at a time (``pid`` is None).
+    and makes every step left itself, a ring's worth at a time. Closing the
+    generator stops the helper.
     """
+    own = list(make(0, 1)[None])  # the blocks made here and not yet yielded
+    shape, size = own[0].shape, own[0].nbytes
+    slots = max(2, min(256, _RING_BYTES // size))
+    header = -(-8 * (slots + 1) // 64) * 64
+    ring = mmap.mmap(-1, header + slots * size)
+    # made[0] is the last step the parent has made, made[1 + s] the step in slot s
+    made = np.frombuffer(ring, np.int64, slots + 1)
+    blocks = np.frombuffer(ring, np.int8, offset=header).reshape(slots, *shape)
+    free_r, free_w = os.pipe()
+    ready_r, ready_w = os.pipe()
+    os.set_blocking(ready_r, False)
+    os.write(free_w, bytes(range(slots)))  # every slot is free
 
-    def __init__(self, make, steps: int, call: int):
-        self.make, self.steps = make, steps
-        self.step = 0  # the step asked for next
-        self.own, self.own_first = make(0, 1)[None], 0  # steps made here
-        self.shape = self.own.shape[1:]
-        self.slots = max(2, min(256, _RING_BYTES // self.own.nbytes))
-        self.call = min(call, self.slots)
-        self.own_call, self.own_max = 1, min(self.call, max(1, _OWN_CELLS // self.own.nbytes))
-        self.pid = self.held = None
-        self.fds = ()
-
-    def __enter__(self):
-        header = -(-8 * (self.slots + 1) // 64) * 64
-        ring = mmap.mmap(-1, header + self.slots * math.prod(self.shape))
-        # made[0] is the last step the parent has made, made[1 + s] the step in slot s
-        self.made = np.frombuffer(ring, np.int64, self.slots + 1)
-        self.made[0] = 0
-        self.blocks = np.frombuffer(ring, np.int8, offset=header).reshape(self.slots, *self.shape)
-        free_r, self.free_w = os.pipe()
-        self.ready_r, ready_w = os.pipe()
-        self.fds = (self.free_w, self.ready_r)
-        os.set_blocking(self.ready_r, False)
-        self._free(bytes(range(self.slots)))  # every slot is free
-        self.pid = helper.start(self._serve, self.fds, (free_r, ready_w))
-        if self.pid is None:  # every step is made here
-            self.__exit__()
-        return self
-
-    def _serve(self, free_r: int, ready_w: int):
+    def serve(free_r: int, ready_w: int):
         """The child: fill each slot the parent frees with the next step."""
         os.nice(19)
         # the first calls are short, so that the ring has steps in it soon
         first, call = 0, 1
-        while (first := max(first, int(self.made[0]) + 1)) < self.steps:
-            stop = min(first + call, self.steps)
-            views = self.make(first, stop).reshape(stop - first, *self.shape)
+        while (first := max(first, int(made[0]) + 1)) < steps:
+            stop = min(first + call, steps)
+            views = make(first, stop).reshape(stop - first, *shape)
             for k in range(first, stop):
-                if k <= self.made[0]:  # the parent has made it
+                if k <= made[0]:  # the parent has made it
                     continue
                 token = os.read(free_r, 1)
                 if not token:  # the parent is done
                     return
-                self.made[1 + token[0]] = k
-                self.blocks[token[0]] = views[k - first]
+                made[1 + token[0]] = k
+                blocks[token[0]] = views[k - first]
                 os.write(ready_w, token)
-            first, call = stop, min(2 * call, self.call)
+            first, call = stop, min(2 * call, slots)
 
-    def __iter__(self):
-        return self
+    def free(token: bytes):
+        with suppress(BrokenPipeError):  # the child has left; what it made is still read
+            os.write(free_w, token)
 
-    def __next__(self) -> np.ndarray:
-        k = self.step
-        self.step += 1
-        if self.held is not None:  # the caller is done with the last block
-            self._free(self.held)
-            self.held = None
-        if self.own_first <= k < self.own_first + len(self.own):
-            return self.own[k - self.own_first]
-        # the steps made here are past: hold none of their bytes (an empty
-        # slice would still hold them all)
-        self.own = np.empty((0, *self.shape), dtype=np.int8)
-        while self.pid is not None:
-            try:
-                token = os.read(self.ready_r, 1)
-            except BlockingIOError:  # the child has not made it yet
-                break
-            if not token:  # the child is gone, and every step it made was read
-                self.__exit__()
-            elif self.made[1 + token[0]] == k:
-                self.held, self.own_call = token, 1
-                return self.blocks[token[0]]
-            else:
-                self._free(token)  # a step made here
-        # the child is late, or there is none: the longer it stays late, the
-        # more steps the parent makes to a call, as a call of many steps is
-        # cheaper per step; with no child, ``call`` steps to a call
-        n = self.call
-        if self.pid is not None:
-            n, self.own_call = self.own_call, min(2 * self.own_call, self.own_max)
-        stop = min(k + n, self.steps)
-        self.own = self.make(k, stop).reshape(stop - k, *self.shape)
-        self.own_first = k
-        if self.pid is not None:
-            self.made[0] = stop - 1
-        return self.own[0]
-
-    def _free(self, tokens: bytes):
-        try:
-            os.write(self.free_w, tokens)
-        except BrokenPipeError:  # the child has left; what it made is still read
-            pass
-
-    def __exit__(self, *exc_info):
-        helper.stop(self.pid, self.fds)
-        self.pid, self.fds = None, ()
+    mine = (free_w, ready_r)
+    pid = helper.start(serve, mine, (free_r, ready_w))
+    own_call, own_max = 1, min(slots, max(1, _OWN_CELLS // size))
+    try:
+        for k in range(steps):
+            if not own:
+                token = b""
+                while pid is not None and not token:
+                    try:
+                        token = os.read(ready_r, 1)
+                    except BlockingIOError:  # the child has not made it yet
+                        break
+                    if not token:  # the child is gone, and every step it made was read
+                        helper.stop(pid, mine)
+                        pid, mine = None, ()
+                    elif made[1 + token[0]] != k:  # a step made here
+                        free(token)
+                        token = b""
+                if token:
+                    own_call = 1
+                    yield blocks[token[0]]
+                    free(token)  # the caller is done with the block
+                    continue
+                # the child is late, or there is none: the longer it stays late,
+                # the more steps the parent makes to a call, as a call of many
+                # steps is cheaper per step; with no child, a ring's worth a call
+                stop = min(k + (slots if pid is None else own_call), steps)
+                own_call = min(2 * own_call, own_max)
+                own = list(make(k, stop).reshape(stop - k, *shape))
+                made[0] = stop - 1
+            yield own.pop(0)
+    finally:
+        helper.stop(pid, mine)
 
 
 def strip_labels(traces: list[DirectionTrace]) -> list[DirectionTrace]:
@@ -435,24 +408,23 @@ def _pool_rows(n: int, sizes, rng: RandomSource):
         order = order[k:]
 
 
-def _fit(phase: str, params, head: str, cfg: TrainConfig, orders, step, make=None, call=1):
+def _fit(phase: str, params, head: str, cfg: TrainConfig, orders, step, make=None):
     """Train ``head`` and the encoder for one pass per epoch order (see
     _epoch_orders), in batches of B consecutive rows of the order.
 
     ``step(batch, views)`` maps an array of row indices and the step's
     views to (loss, gradients), the gradients in trainable_arrays order; a
     non-finite loss or gradient stops the run before the optimizer step.
-    With ``make``, each step's views are its block from a _ViewsAhead over
-    ``make`` that makes up to ``call`` steps to a call; without, they are
-    None. The cosine schedule spans exactly the steps taken. Records the
-    per-epoch mean loss.
+    With ``make``, each step's views are its block from _views_ahead over
+    ``make``; without, they are None. The cosine schedule spans exactly the
+    steps taken. Records the per-epoch mean loss.
     """
     B = cfg.batch_size
     steps = sum(-(-len(o) // B) for o in orders)
     opt = _Optimizer(trainable_arrays(params, head), cfg, steps)
     result = TrainResult(params=params)
-    ahead = nullcontext(itertools.repeat(None)) if make is None else _ViewsAhead(make, steps, call)
-    with ahead as views:
+    views = (None for _ in range(steps)) if make is None else _views_ahead(make, steps)
+    with closing(views):
         for epoch, order in enumerate(orders):
             epoch_losses = []
             for i, start in enumerate(range(0, len(order), B)):
@@ -519,9 +491,7 @@ def pretrain(
         loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(views, params, ssl.tau_s)
         return loss, _flat_grads(enc_grads, d_w1, d_w2)
 
-    # a net call of many steps costs less per step than many calls of one
-    return _fit("pretrain", params, "projection", cfg, orders, step, make,
-                call=len(batches) if augmenter == "net" else 1)
+    return _fit("pretrain", params, "projection", cfg, orders, step, make)
 
 
 def finetune(

@@ -128,6 +128,22 @@ class TestNcmSplit:
         assert run("ncm-split", "--in", bad, "--out", tmp_path / "out") == 1
         assert "error: line 2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc, message", ids=["numpy", "bare"], argvalues=[
+        (MemoryError("Unable to allocate 9.09 TiB for an array with shape (10000000000000,)"),
+         "Unable to allocate 9.09 TiB for an array with shape (10000000000000,)"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_out_of_memory_exits_1_with_one_error_line(self, corpus, tmp_path, capsys,
+                                                       monkeypatch, exc, message):
+        def allocate(*args):  # a --trace-len too large to allocate
+            raise exc
+
+        monkeypatch.setattr(cli.traces, "to_direction_trace", allocate)
+        assert run("ncm-split", "--in", corpus / "data" / "dataset.ttrace",
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_degenerate_traces_warned_and_skipped(self, tmp_path, capsys):
         path = tmp_path / "degen.ttrace"
         path.write_text(
@@ -193,6 +209,15 @@ class TestAugmentCommand:
                    "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: line 3: (size|count) \d+ does not fit in a 64-bit integer\n", err)
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_dist_counts_whose_total_passes_int64_exit_1(self, corpus, tmp_path, capsys):
+        dist = tmp_path / "overflow.bdist"
+        dist.write_text("bdist v1\n1 9223372036854775000\n2 9223372036854775000\n")
+        assert run("augment", "--in", corpus / "split" / "superior.dtrace", "--dist", dist,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == "error: the counts' total does not fit in a 64-bit integer\n"
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_huge_inserted_size_stays_in_bounded_memory(self, corpus, tmp_path):

@@ -145,3 +145,16 @@ def test_value_outside_int64_names_its_line(tmp_path, row, name):
     path.write_text(f"bdist v1\n1 4\n{row}\n")
     with pytest.raises(EmptyDistributionFile, match=f"^line 3: {name} .* 64-bit integer"):
         load_bdist(path)
+
+
+@pytest.mark.parametrize("counts", [[2**62, 2**62, 2**62], [2**63 - 1, 1], [9223372036854775000] * 2])
+def test_counts_whose_total_passes_int64_refused(counts):
+    """Each count fits in int64 but their total does not; the cumulative
+    sum would wrap and skew every draw."""
+    with pytest.raises(ValueError, match="counts' total does not fit in a 64-bit integer"):
+        BurstSizeDistribution(np.arange(1, len(counts) + 1), np.array(counts))
+
+
+def test_counts_whose_total_is_the_int64_maximum_accepted():
+    dist = BurstSizeDistribution(np.array([1, 2]), np.array([2**62, 2**62 - 1]))
+    assert dist.total == 2**63 - 1

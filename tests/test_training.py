@@ -1,8 +1,10 @@
 import contextlib
 import copy
 import os
+import select
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -411,11 +413,13 @@ def dying_child(forks, augment):
 
 #: each augmented phase -> (the augmentation patched in it, the rows that
 #: augmentation makes in a run, the most calls that make them all in the
-#: training process). A child-free net pre-training makes step 0, maybe
-#: step 1, then every step left in one call; the others make a step a call.
+#: training process). With the child gone, the training process makes step
+#: 0, maybe step 1, then every step left in one call, as the ring holds
+#: them all; pre-training calls the augmentation once a call, the supervised
+#: baseline and netfm once a step.
 PHASES = {
     "net": ("net_augment_batch", 240, 3),  # 3 epochs x 5 steps x 16 views
-    "flip": ("flip_augment_batch", 240, 15),
+    "flip": ("flip_augment_batch", 240, 3),
     "supervised": ("flip_augment_batch", 36, 6),  # 3 epochs x (8 + 4) labeled rows
     "netfm": ("net_augment_batch", 72, 6),  # mu = 2 unlabeled rows a labeled one
 }
@@ -460,26 +464,45 @@ class TestViewWorker:
         save_params(tmp_path / "inline.ckpt", self.run(phase).params)
         assert (tmp_path / "forked.ckpt").read_bytes() == (tmp_path / "inline.ckpt").read_bytes()
 
-    def test_ring_size_leaves_the_bytes(self, monkeypatch, tmp_path):
-        save_params(tmp_path / "one-call.ckpt", self.run("net").params)  # an epoch a call
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_ring_size_leaves_the_bytes(self, phase, monkeypatch, tmp_path):
+        save_params(tmp_path / "one-call.ckpt", self.run(phase).params)  # a ring of every step
         monkeypatch.setattr(training, "_RING_BYTES", 1)  # two slots: calls of at most 2 steps
-        save_params(tmp_path / "ring-calls.ckpt", self.run("net").params)
+        save_params(tmp_path / "ring-calls.ckpt", self.run(phase).params)
         assert (tmp_path / "one-call.ckpt").read_bytes() == (tmp_path / "ring-calls.ckpt").read_bytes()
 
     def test_step_zero_block_let_go_once_past(self):
-        """Step 0 is made here before the fork; once the child has made every
-        later step, taking them leaves the parent holding none of its bytes."""
-        def make(first, stop):  # each step a block of 8 rows of its number
-            return np.repeat(np.arange(first, stop, dtype=np.int8), 8 * 16).reshape(-1, 16)
+        """Step 0 is made here before the fork; once step 1 is taken from the
+        ring, the parent holds none of step 0's bytes."""
+        parent, made_here = os.getpid(), []
+        calls_r, calls_w = os.pipe()
 
-        with training._ViewsAhead(make, steps=4, call=4) as views:
-            assert views.pid is not None and views.own.nbytes == 8 * 16
-            deadline = time.monotonic() + 30
-            while not {1, 2, 3} <= set(views.made[1:].tolist()):
-                assert time.monotonic() < deadline, "the child made no steps"
-                time.sleep(0.01)
-            taken = [int(next(views)[0, 0]) for _ in range(4)]
-            assert views.own.nbytes == 0
+        def make(first, stop):  # each step a block of 8 rows of its number
+            if os.getpid() != parent:  # the child's calls: step 1, then steps 2 and 3
+                os.write(calls_w, bytes([first]))
+            # an array that owns its bytes: a weakref to a view would die at once
+            blocks = np.arange(first, stop, dtype=np.int8).repeat(8)[:, None].repeat(16, axis=1)
+            made_here.append(weakref.ref(blocks))
+            return blocks
+
+        views = training._views_ahead(make, steps=4)
+        try:
+            with contextlib.closing(views):
+                block = next(views)
+                step_zero = made_here[0]
+                assert block.base is step_zero()
+                taken = [int(block[0, 0])]
+                del block
+                calls = b""
+                while 2 not in calls:  # step 1 is in the ring once the child makes step 2
+                    assert select.select([calls_r], [], [], 30)[0], "the child made no steps"
+                    calls += os.read(calls_r, 8)
+                taken.append(int(next(views)[0, 0]))
+                assert len(made_here) == 1 and step_zero() is None
+                taken += [int(block[0, 0]) for block in views]
+        finally:
+            os.close(calls_r)
+            os.close(calls_w)
         assert taken == [0, 1, 2, 3]
         assert_no_child_left()
 
@@ -531,7 +554,7 @@ class TestViewWorker:
         _, made_here = self.patch(monkeypatch, phase, lambda real: dying_child(forks, real))
         save_params(tmp_path / "dead-child.ckpt", self.run(phase).params)
         # every row was made here, and once the parent has found the child
-        # gone, it makes the steps left ``call`` at a time
+        # gone, it makes the steps left a ring's worth at a time
         _, rows, calls = PHASES[phase]
         assert sum(made_here) == rows and len(made_here) <= calls
         forked, dead = (tmp_path / f"{n}.ckpt" for n in ("forked", "dead-child"))
