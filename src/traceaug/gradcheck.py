@@ -119,13 +119,12 @@ def check_projection(rng: RandomSource, dims: ModelDims | None = None, rows: int
     return max_rel_error(analytic, finite_difference(f, flat0, step))
 
 
-def _pack_padded(enc_grads, heads, trace_len: int) -> np.ndarray:
+def _pack_padded(grads, trace_len: int) -> np.ndarray:
     """pack_params of the gradients, the first-layer weight gradient
     zero-padded to its weight's full width."""
-    (w0, b0), *rest = enc_grads
-    full = np.zeros((w0.shape[0], trace_len))
-    full[:, : w0.shape[1]] = w0
-    return pack_params([full, b0] + [g for pair in rest for g in pair] + heads)
+    full = np.zeros((grads[0].shape[0], trace_len))
+    full[:, : grads[0].shape[1]] = grads[0]
+    return pack_params([full, *grads[1:]])
 
 
 def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None,
@@ -146,8 +145,7 @@ def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None
     arrays = trainable_arrays(params, head)
 
     if head == "projection":
-        _, enc_grads, d_w1, d_w2 = contrastive_forward_backward(x, params, tau)
-        analytic = _pack_padded(enc_grads, [d_w1, d_w2], dims.trace_len)
+        _, grads = contrastive_forward_backward(x, params, tau)
 
         def f(flat):
             unpack_params(flat, arrays)
@@ -162,8 +160,7 @@ def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None
             keep[rng.randbelow(rows)] = True
             denom = rows + 1 + rng.randbelow(4 * rows)
             mask = (keep, denom)
-        _, enc_grads, d_w, d_b = supervised_forward_backward(x, labels, params, *mask)
-        analytic = _pack_padded(enc_grads, [d_w, d_b], dims.trace_len)
+        _, grads = supervised_forward_backward(x, labels, params, *mask)
 
         def f(flat):
             unpack_params(flat, arrays)
@@ -174,10 +171,9 @@ def check_full_model(rng: RandomSource, head: str, dims: ModelDims | None = None
     flat0 = pack_params(arrays)
     numeric = finite_difference(f, flat0, step)
     unpack_params(flat0, arrays)
-    live_w = enc_grads[0][0].shape[1]
-    if numeric[: arrays[0].size].reshape(arrays[0].shape)[:, live_w:].any():
+    if numeric[: arrays[0].size].reshape(arrays[0].shape)[:, grads[0].shape[1] :].any():
         return float("inf")  # a weight the forward pass skips moved the loss
-    return max_rel_error(analytic, numeric)
+    return max_rel_error(_pack_padded(grads, dims.trace_len), numeric)
 
 
 def run_gradient_checks(seed: int = 0, instances: int = 20, step: float = 1e-5,

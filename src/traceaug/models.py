@@ -160,20 +160,21 @@ def encode_batch(x: np.ndarray, params: ModelParams):
     return act, caches
 
 
-def encode_backward(d_embed: np.ndarray, caches, params: ModelParams):
-    """Gradients of all encoder weights given d(loss)/d(embeddings).
+def encode_backward(d_embed: np.ndarray, caches, params: ModelParams) -> list[np.ndarray]:
+    """Gradients of all encoder weights given d(loss)/d(embeddings), one
+    flat list in trainable_arrays order: each layer's weight, then its bias.
 
     The first-layer weight gradient covers only the live prefix that
     encode_batch used, shape (hidden, k); the columns it leaves out are
     exact zeros. Every other gradient has its array's full shape.
     """
-    grads = [None] * len(params.encoder)
+    grads = [None] * (2 * len(params.encoder))
     d_act = d_embed
     last = len(params.encoder) - 1
     for i in range(last, -1, -1):
         act_in, pre = caches[i]
         d_pre = d_act if i == last else d_act * (pre > 0.0)
-        grads[i] = (d_pre.T @ act_in, d_pre.sum(axis=0))
+        grads[2 * i : 2 * i + 2] = d_pre.T @ act_in, d_pre.sum(axis=0)
         if i > 0:
             d_act = d_pre @ params.encoder[i][0]
     return grads
@@ -198,7 +199,8 @@ def predict_batch(params: ModelParams, traces: list[DirectionTrace]) -> np.ndarr
 def contrastive_forward_backward(x: np.ndarray, params: ModelParams, tau_s: float):
     """Loss and gradients of NT-Xent through projection head and encoder.
 
-    Returns (loss, encoder grads, d_proj_w1, d_proj_w2).
+    Returns (loss, grads), the gradients in trainable_arrays order for the
+    projection head: the encoder's, then d_proj_w1 and d_proj_w2.
     """
     from .losses import nt_xent_loss
 
@@ -206,8 +208,7 @@ def contrastive_forward_backward(x: np.ndarray, params: ModelParams, tau_s: floa
     z, pre = project_batch(embed, params.proj_w1, params.proj_w2)
     loss, d_z = nt_xent_loss(z, tau_s)
     d_embed, d_w1, d_w2 = project_backward(d_z, embed, pre, params.proj_w1, params.proj_w2)
-    enc_grads = encode_backward(d_embed, caches, params)
-    return loss, enc_grads, d_w1, d_w2
+    return loss, encode_backward(d_embed, caches, params) + [d_w1, d_w2]
 
 
 def supervised_forward_backward(x: np.ndarray, labels: np.ndarray, params: ModelParams,
@@ -219,7 +220,8 @@ def supervised_forward_backward(x: np.ndarray, labels: np.ndarray, params: Model
     ``denom``; a true-class probability below 1e-300 counts as 1e-300, in
     float32 too, since the floor applies to the log-probability. By
     default every row is kept and ``denom`` is the row count, which gives
-    the mean. Returns (loss, encoder grads, d_clf_w, d_clf_b).
+    the mean. Returns (loss, grads), the gradients in trainable_arrays order
+    for the classifier: the encoder's, then d_clf_w and d_clf_b.
     """
     n = len(labels)
     keep = np.ones(n, dtype=bool) if keep is None else keep
@@ -233,8 +235,7 @@ def supervised_forward_backward(x: np.ndarray, labels: np.ndarray, params: Model
     d_clf_w = d_logits.T @ embed
     d_clf_b = d_logits.sum(axis=0)
     d_embed = d_logits @ params.clf_w
-    enc_grads = encode_backward(d_embed, caches, params)
-    return loss, enc_grads, d_clf_w, d_clf_b
+    return loss, encode_backward(d_embed, caches, params) + [d_clf_w, d_clf_b]
 
 
 # -- flat parameter views (finite-difference checks) -------------------------
@@ -325,7 +326,22 @@ def _read_vector(fh) -> np.ndarray:
     return _read_values(fh, n)
 
 
+def _read_weight(fh, name: str, cols: int | None, bias: bool = False):
+    """A weight block, then its bias block when ``bias``, checked to fit: no
+    empty side, ``cols`` columns unless None, and one bias a row."""
+    w = _read_matrix(fh)
+    if not w.size or w.shape[1] != (cols or w.shape[1]):
+        raise ValueError(f"checkpoint {name} weight is {w.shape[0]} x {w.shape[1]}"
+                         + (f" after a layer of {cols} outputs" if cols else ""))
+    if not bias:
+        return w
+    if len(b := _read_vector(fh)) != len(w):
+        raise ValueError(f"checkpoint {name} bias has {len(b)} values for {len(w)} rows")
+    return w, b
+
+
 def load_params(path) -> ModelParams:
+    """A checkpoint's parameters; ValueError names a block that does not fit."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != _CKPT_MAGIC:
             raise ValueError("not a model checkpoint")
@@ -333,11 +349,15 @@ def load_params(path) -> ModelParams:
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         n_layers, has_clf = struct.unpack("<IB", _read_exact(fh, 5))
-        encoder = [(_read_matrix(fh), _read_vector(fh)) for _ in range(n_layers)]
-        proj_w1 = _read_matrix(fh)
-        proj_w2 = _read_matrix(fh)
+        if not n_layers:
+            raise ValueError("checkpoint has no encoder layer")
+        encoder, width = [], None
+        for i in range(n_layers):
+            encoder.append(_read_weight(fh, f"encoder layer {i + 1}", width, bias=True))
+            width = len(encoder[-1][0])
+        proj_w1 = _read_weight(fh, "projection layer 1", width)
+        proj_w2 = _read_weight(fh, "projection layer 2", len(proj_w1))
         clf_w = clf_b = None
         if has_clf:
-            clf_w = _read_matrix(fh)
-            clf_b = _read_vector(fh)
+            clf_w, clf_b = _read_weight(fh, "classifier", width, bias=True)
     return ModelParams(encoder=encoder, proj_w1=proj_w1, proj_w2=proj_w2, clf_w=clf_w, clf_b=clf_b)

@@ -199,7 +199,7 @@ def compute_ncm(t: TimedTrace) -> float:
     duration = float(t.times[-1] - t.times[0])
     if duration <= 0.0:
         raise DegenerateTrace("NCM undefined for zero-duration traces")
-    downstream = int(t.sizes[t.directions == -1].sum())
+    downstream = float(t.sizes[t.directions == -1].sum(dtype=np.float64))  # exact below 2**53
     return downstream / duration
 
 

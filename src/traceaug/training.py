@@ -1,20 +1,20 @@
-"""Training phases: contrastive pre-training, fine-tuning, supervised
-baseline, and the pseudo-labeling semi-supervised loop.
+"""Training phases: contrastive pre-training, and fine-tuning, the supervised
+baseline and the pseudo-labeling loop, all three run by ``_semi_supervised``.
 
 Every phase runs on one driver, ``_fit`` (optimizer, epoch loop,
 non-finite loss and gradient guard, per-epoch mean loss, and the view
 path), and supplies its step: a closure from a batch of row indices and
 the step's views to (loss, gradients), which only runs the model. Every
-epoch's row order is drawn before the first step (``_epoch_orders``).
-Weights, gradients and optimizer state are float32. Each augmented phase
-(pre-training, the supervised baseline, ``netfm``) also supplies a maker of
-its steps' views. Those depend only on the corpus, the row orders (and, for
-``netfm``, the unlabeled rows, also drawn before the first step) and the
-augmentation streams, never on the weights, and every step's first draw is
-known ahead, so a forked helper makes them ahead of the steps
-(``_views_ahead``), many steps to a call, and the parent makes any step the
-helper has not made yet (the contract in ``helper``); the bytes are those of
-making them inline one step at a time.
+step's rows are drawn before the first step (``_step_rows``).
+Weights, gradients and optimizer state are float32. A phase with views to
+make (pre-training, ``netfm``, the baseline with weak flips) also supplies
+a maker of them; a phase without forks nothing. The views depend only on
+the corpus, the step rows (and, for ``netfm``, the unlabeled rows, also
+drawn before the first step) and the augmentation streams, never on the
+weights, and every step's first draw is known ahead, so a forked helper
+makes them ahead of the steps (``_views_ahead``), many steps to a call, and
+the parent makes any step the helper has not made yet (the contract in
+``helper``); the bytes are those of making them inline one step at a time.
 All randomness comes from streams spawned off the run seed, so a (seed,
 data, config) triple reproduces the parameter trajectory bit for bit on
 the same numpy/BLAS build at the same BLAS thread count. Another thread
@@ -328,10 +328,6 @@ def strip_labels(traces: list[DirectionTrace]) -> list[DirectionTrace]:
     return [DirectionTrace(t.cells.copy(), label=None) for t in traces]
 
 
-def _flat_grads(enc_grads, *heads) -> list[np.ndarray]:
-    return [g for pair in enc_grads for g in pair] + list(heads)
-
-
 def _add_scaled(g: np.ndarray, gu: np.ndarray, scale: float) -> np.ndarray:
     """g + scale * gu over the wider of the two; a narrow first-layer
     gradient's missing columns are zeros. Writes into g when it is the wider."""
@@ -353,19 +349,19 @@ def _check_finite(loss: float, grads, phase: str, epoch: int, step: int) -> None
             raise NonFiniteLoss(f"{phase}: gradient of array {i} is not finite {where}")
 
 
-def _epoch_orders(n: int, cfg: TrainConfig, drop_last: bool) -> list[np.ndarray]:
-    """Every epoch's row order, drawn before the first step from the
-    shuffling stream and cut to the rows its batches take: the first
-    n - n % B when partial batches are dropped. Batch i of an epoch is rows
-    i*B to (i+1)*B of its order."""
+def _step_rows(n: int, cfg: TrainConfig, drop_last: bool) -> list[np.ndarray]:
+    """Every step's rows, drawn before the first step: each epoch's row
+    order from the shuffling stream, cut into batches of B consecutive rows,
+    its partial last batch dropped or kept."""
     rng = RandomSource(cfg.seed).spawn(_S_SHUFFLE)
-    stop = n - n % cfg.batch_size if drop_last else n
-    orders = []
+    B = cfg.batch_size
+    stop = n - n % B if drop_last else n
+    steps = []
     for _ in range(cfg.epochs):
         order = list(range(n))
         rng.shuffle(order)
-        orders.append(np.array(order[:stop]))
-    return orders
+        steps += [np.array(order[i : i + B]) for i in range(0, stop, B)]
+    return steps
 
 
 def _labeled_arrays(traces: list[DirectionTrace]):
@@ -408,32 +404,29 @@ def _pool_rows(n: int, sizes, rng: RandomSource):
         order = order[k:]
 
 
-def _fit(phase: str, params, head: str, cfg: TrainConfig, orders, step, make=None):
-    """Train ``head`` and the encoder for one pass per epoch order (see
-    _epoch_orders), in batches of B consecutive rows of the order.
+def _fit(phase: str, params, head: str, cfg: TrainConfig, steps, step, make=None):
+    """Train ``head`` and the encoder for one step per row array in
+    ``steps`` (see _step_rows), cfg.epochs epochs of equally many steps.
 
-    ``step(batch, views)`` maps an array of row indices and the step's
-    views to (loss, gradients), the gradients in trainable_arrays order; a
-    non-finite loss or gradient stops the run before the optimizer step.
-    With ``make``, each step's views are its block from _views_ahead over
-    ``make``; without, they are None. The cosine schedule spans exactly the
-    steps taken. Records the per-epoch mean loss.
+    ``step(rows, views)`` maps a step's row indices and views to (loss,
+    gradients), the gradients in trainable_arrays order; a non-finite loss
+    or gradient stops the run before the optimizer step. With ``make``,
+    each step's views are its block from _views_ahead over ``make``;
+    without, they are None. The cosine schedule spans exactly the steps
+    taken. Records the per-epoch mean loss.
     """
-    B = cfg.batch_size
-    steps = sum(-(-len(o) // B) for o in orders)
-    opt = _Optimizer(trainable_arrays(params, head), cfg, steps)
-    result = TrainResult(params=params)
-    views = (None for _ in range(steps)) if make is None else _views_ahead(make, steps)
+    per_epoch = len(steps) // cfg.epochs
+    opt = _Optimizer(trainable_arrays(params, head), cfg, len(steps))
+    views = (None for _ in steps) if make is None else _views_ahead(make, len(steps))
+    losses = []
     with closing(views):
-        for epoch, order in enumerate(orders):
-            epoch_losses = []
-            for i, start in enumerate(range(0, len(order), B)):
-                loss, grads = step(order[start : start + B], next(views))
-                _check_finite(loss, grads, phase, epoch, i)
-                opt.step(grads)
-                epoch_losses.append(loss)
-            result.loss_history.append(float(np.mean(epoch_losses)))
-    return result
+        for k, rows in enumerate(steps):
+            loss, grads = step(rows, next(views))
+            _check_finite(loss, grads, phase, *divmod(k, per_epoch))
+            opt.step(grads)
+            losses.append(loss)
+    history = [float(np.mean(losses[k : k + per_epoch])) for k in range(0, len(losses), per_epoch)]
+    return TrainResult(params=params, loss_history=history)
 
 
 def pretrain(
@@ -470,28 +463,25 @@ def pretrain(
     root = RandomSource(cfg.seed)
     params = init_params(dims, root.spawn(_S_INIT))
     rng_aug = root.spawn(_S_AUG)
-    orders = _epoch_orders(len(unlabeled), cfg, drop_last=True)
-    # every step's traces; each takes two consecutive views, as rows 2i and
-    # 2i+1. A row's augmentation draws depend on its cells alone, so every
-    # step's first draw is known ahead, and any run of steps can be made on
-    # its own in one call, with the bytes of making every step in order.
-    batches = np.concatenate(orders).reshape(-1, cfg.batch_size)
+    # each step's traces take two consecutive views, as rows 2i and 2i+1. A
+    # row's augmentation draws depend on its cells alone, so every step's
+    # first draw is known ahead, and any run of steps can be made on its own
+    # in one call, with the bytes of making every step in order.
+    steps = _step_rows(len(unlabeled), cfg, drop_last=True)
     draws = net_draw_counts(corpus, aug) if augmenter == "net" else flip_draw_counts(corpus)
-    first_draw = _first_draws(2 * draws, batches)
+    first_draw = _first_draws(2 * draws, steps)
 
     def make(first, stop):
-        cells = corpus[np.repeat(batches[first:stop].ravel(), 2)]
+        cells = corpus[np.repeat(np.concatenate(steps[first:stop]), 2)]
         rng = rng_aug.at(first_draw[first])
         if augmenter == "net":
             return net_augment_batch(cells, aug, dist, rng)
         return flip_augment_batch(cells, aug.p_flip, rng)
 
-    def step(batch, views):
-        # views are made from the same orders as the batches, in order
-        loss, enc_grads, d_w1, d_w2 = contrastive_forward_backward(views, params, ssl.tau_s)
-        return loss, _flat_grads(enc_grads, d_w1, d_w2)
+    def step(rows, views):
+        return contrastive_forward_backward(views, params, ssl.tau_s)
 
-    return _fit("pretrain", params, "projection", cfg, orders, step, make)
+    return _fit("pretrain", params, "projection", cfg, steps, step, make)
 
 
 def finetune(
@@ -503,16 +493,7 @@ def finetune(
     classifier is attached when none of the right width is present;
     partial batches are kept.
     """
-    cells, y, n_classes = _labeled_arrays(labeled)
-    if params.n_classes != n_classes:
-        attach_classifier(params, n_classes, RandomSource(cfg.seed).spawn(_S_CLF))
-
-    def step(batch, views):
-        loss, enc_grads, d_w, d_b = supervised_forward_backward(cells[batch], y[batch], params)
-        return loss, _flat_grads(enc_grads, d_w, d_b)
-
-    orders = _epoch_orders(len(labeled), cfg, False)
-    return _fit("finetune", params, "classifier", cfg, orders, step)
+    return _semi_supervised(labeled, None, cfg, None, None, 0.0, None, None, params)
 
 
 def train_supervised(
@@ -556,17 +537,19 @@ def train_netfm(
     return _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims)
 
 
-def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims):
+def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist, dims,
+                     params=None):
     """Weakly flipped cross-entropy on labeled batches, plus the pseudo-label
-    term when ``unlabeled`` is given; ``unlabeled=None`` is the supervised
-    baseline.
+    term when ``unlabeled`` is given: fine-tuning of ``params``, or, on a
+    fresh encoder, the supervised baseline or ``netfm``.
 
     A step's views are one block: its labeled rows flipped, then its
     unlabeled rows flipped and burst-augmented, zero-padded to the rows of
     step 0, which has the most. The labeled flips draw from their stream in
     step order, the unlabeled views from theirs, flips then bursts; no view
     depends on the weights, so every step's rows and first draws are known
-    before the first step.
+    before the first step. With neither unlabeled rows nor weak flips, no
+    views are made and a step scores its labeled cells.
     """
     labeled_cells, y, n_classes = _labeled_arrays(labeled)
     if unlabeled is not None:
@@ -574,18 +557,19 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         if unlabeled_cells.shape[1] != labeled_cells.shape[1]:
             raise ValueError(f"unlabeled traces are {unlabeled_cells.shape[1]} cells long, labeled"
                              f" traces {labeled_cells.shape[1]}; both must have the same length")
-    dims = dims or ModelDims(trace_len=len(labeled[0]))
+    phase = "netfm" if unlabeled is not None else "supervised" if params is None else "finetune"
     root = RandomSource(cfg.seed)
-    params = init_params(dims, root.spawn(_S_INIT))
-    attach_classifier(params, n_classes, root.spawn(_S_CLF))
-    orders = _epoch_orders(len(labeled), cfg, False)
-    batches = [o[i : i + cfg.batch_size] for o in orders for i in range(0, len(o), cfg.batch_size)]
+    if params is None:
+        params = init_params(dims or ModelDims(trace_len=len(labeled[0])), root.spawn(_S_INIT))
+    if params.n_classes != n_classes:
+        attach_classifier(params, n_classes, root.spawn(_S_CLF))
+    steps = _step_rows(len(labeled), cfg, drop_last=False)
     rng_weak = root.spawn(_S_AUG)
-    weak_first = _first_draws(flip_draw_counts(labeled_cells), batches)
+    weak_first = _first_draws(flip_draw_counts(labeled_cells), steps)
     # step 0 has the most rows
-    rows = len(batches[0]) * (1 if unlabeled is None else 1 + 2 * cfg.mu)
+    rows = len(steps[0]) * (1 if unlabeled is None else 1 + 2 * cfg.mu)
     if unlabeled is not None:
-        pool = list(_pool_rows(len(unlabeled), [cfg.mu * len(b) for b in batches],
+        pool = list(_pool_rows(len(unlabeled), [cfg.mu * len(b) for b in steps],
                                root.spawn(_S_UNLAB_SHUFFLE)))
         rng_uaug = root.spawn(_S_UNLAB_AUG)
         draws = flip_draw_counts(unlabeled_cells) + net_draw_counts(unlabeled_cells, aug_strong)
@@ -594,7 +578,7 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
     def make(first, stop):
         out = np.zeros((stop - first, rows, labeled_cells.shape[1]), np.int8)
         for k in range(first, stop):
-            views = [flip_augment_batch(labeled_cells[batches[k]], p_flip_weak,
+            views = [flip_augment_batch(labeled_cells[steps[k]], p_flip_weak,
                                         rng_weak.at(weak_first[k]))]
             if unlabeled is not None:
                 cells, rng = unlabeled_cells[pool[k]], rng_uaug.at(pool_first[k])
@@ -607,8 +591,8 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
 
     def step(batch, views):
         n, m = len(batch), cfg.mu * len(batch)
-        loss_s, enc_grads, d_w, d_b = supervised_forward_backward(views[:n], y[batch], params)
-        grads = _flat_grads(enc_grads, d_w, d_b)
+        x = labeled_cells[batch] if views is None else views[:n]
+        loss_s, grads = supervised_forward_backward(x, y[batch], params)
         if unlabeled is None:
             return loss_s, grads
 
@@ -619,15 +603,14 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         loss_u = 0.0
         if keep.any():
             # retained rows summed, divided by the whole unlabeled batch
-            loss_u, u_enc, u_w, u_b = supervised_forward_backward(
+            loss_u, grads_u = supervised_forward_backward(
                 views[n + m : n + 2 * m], pseudo, params, keep, m
             )
             if ssl.lambda_u != 0.0:
-                grads = [_add_scaled(g, gu, ssl.lambda_u)
-                         for g, gu in zip(grads, _flat_grads(u_enc, u_w, u_b))]
+                grads = [_add_scaled(g, gu, ssl.lambda_u) for g, gu in zip(grads, grads_u)]
         return loss_s + ssl.lambda_u * loss_u, grads
 
-    phase = "supervised" if unlabeled is None else "netfm"
-    result = _fit(phase, params, "classifier", cfg, orders, step, make)
+    augmented = unlabeled is not None or p_flip_weak != 0
+    result = _fit(phase, params, "classifier", cfg, steps, step, make if augmented else None)
     result.retained_history = retained
     return result

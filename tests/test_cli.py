@@ -431,6 +431,19 @@ class TestTrainingCommands:
         assert capsys.readouterr().err == "error: truncated checkpoint\n"
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["eval-cw", "eval-ow", "finetune"])
+    def test_a_checkpoint_without_encoder_layers_is_refused(
+        self, corpus, trained, tmp_path, capsys, command
+    ):
+        """A v1 checkpoint whose header says 0 encoder layers."""
+        data = (trained / "ft" / "model.ckpt").read_bytes()
+        model = tmp_path / "no-layers.ckpt"
+        model.write_bytes(data[:8] + struct.pack("<I", 0) + data[12:])
+        assert run(command, "--model", model, "--in", corpus / "split" / "inferior.dtrace",
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: checkpoint has no encoder layer\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_eval_ow_unsorted_thresholds_usage_error(self, corpus, trained, tmp_path):
         assert run(
             "eval-ow", "--model", trained / "ft" / "model.ckpt",

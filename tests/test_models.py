@@ -107,11 +107,11 @@ class TestLivePrefix:
         embed, caches = encode_batch(x, params)
         grads = encode_backward(d_embed, caches, params)
         want_embed, want_grads = self.full_width(x, params, d_embed)
-        assert caches[0][0].shape == (5, 19) and grads[0][0].shape == (16, 19)
+        assert caches[0][0].shape == (5, 19) and grads[0].shape == (16, 19)
         np.testing.assert_allclose(embed, want_embed, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grads[0][0], want_grads[0][0][:, :19], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[0], want_grads[0][0][:, :19], rtol=0, atol=1e-12)
         assert not want_grads[0][0][:, 19:].any()
-        for got, want in zip(pack_pairs(grads)[1:], pack_pairs(want_grads)[1:]):
+        for got, want in zip(grads[1:], pack_pairs(want_grads)[1:]):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -122,7 +122,7 @@ class TestLivePrefix:
         assert caches[0][0].shape == (2, 0)
         assert np.array_equal(caches[0][1], np.tile(params.encoder[0][1], (2, 1)))
         grads = encode_backward(np.ones((2, 8)), caches, params)
-        assert grads[0][0].shape == (16, 0)
+        assert grads[0].shape == (16, 0)
         assert np.array_equal(embed, self.full_width(np.zeros((2, 32)), params,
                                                      np.ones((2, 8)))[0])
 
@@ -183,10 +183,9 @@ class TestFloat32:
 
     @staticmethod
     def results(params, x, labels):
-        loss_c, enc_c, d_w1, d_w2 = contrastive_forward_backward(x, params, 0.5)
-        loss_s, enc_s, d_w, d_b = supervised_forward_backward(x, labels, params)
-        grads = pack_pairs(enc_c) + [d_w1, d_w2] + pack_pairs(enc_s) + [d_w, d_b]
-        return [loss_c, loss_s], grads
+        loss_c, grads_c = contrastive_forward_backward(x, params, 0.5)
+        loss_s, grads_s = supervised_forward_backward(x, labels, params)
+        return [loss_c, loss_s], grads_c + grads_s
 
     def test_float32_agrees_with_float64_on_the_same_weights(self):
         rng = np.random.default_rng(12)
@@ -322,6 +321,35 @@ class TestCheckpoint:
         loaded_arrays += [loaded.proj_w1, loaded.proj_w2, loaded.clf_w, loaded.clf_b]
         assert all(a.dtype == np.float32 for a in loaded_arrays)
         assert np.array_equal(loaded.encoder[0][0], params.encoder[0][0])
+
+    @pytest.mark.parametrize("block, shape, message", [
+        ("encoder", None, "checkpoint has no encoder layer"),
+        ("w1", (16, 0), "checkpoint encoder layer 1 weight is 16 x 0"),
+        ("w2", (8, 15), "checkpoint encoder layer 2 weight is 8 x 15 after a layer of 16 outputs"),
+        ("b1", (15,), "checkpoint encoder layer 1 bias has 15 values for 16 rows"),
+        ("proj_w1", (8, 7), "checkpoint projection layer 1 weight is 8 x 7 after a layer of 8"
+                            " outputs"),
+        ("proj_w2", (2, 4), "checkpoint projection layer 2 weight is 2 x 4 after a layer of 8"
+                            " outputs"),
+        ("clf_w", (3, 9), "checkpoint classifier weight is 3 x 9 after a layer of 8 outputs"),
+        ("clf_b", (4,), "checkpoint classifier bias has 4 values for 3 rows"),
+    ])
+    def test_blocks_that_do_not_fit_are_named(self, tmp_path, block, shape, message):
+        """TINY's blocks are 16 x 32 and 8 x 16 in the encoder, 8 x 8 and 2 x 8
+        in the projection head, 3 x 8 in the classifier; one is replaced."""
+        params = tiny_params(15)
+        if block == "encoder":
+            params.encoder = []
+        elif block[0] in "wb" and block[1].isdigit():
+            layer = list(params.encoder[int(block[1]) - 1])
+            layer["wb".index(block[0])] = np.zeros(shape, np.float32)
+            params.encoder[int(block[1]) - 1] = tuple(layer)
+        else:
+            setattr(params, block, np.zeros(shape, np.float32))
+        save_params(tmp_path / "bad.ckpt", params)
+        with pytest.raises(ValueError) as info:
+            load_params(tmp_path / "bad.ckpt")
+        assert info.type is ValueError and str(info.value) == message
 
     def test_float64_checkpoint_loads_rounded_to_float32(self, tmp_path):
         # checkpoints written by float64 training (0.2.0 and earlier)

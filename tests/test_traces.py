@@ -124,6 +124,11 @@ class TestNcm:
         shifted = timed([100.0, 100.5, 102.0], [-1, 1, -1])
         assert compute_ncm(base) == compute_ncm(shifted)
 
+    def test_sizes_whose_sum_wraps_int64_give_a_positive_ncm(self):
+        """2**62 + 2**62 + 1 bytes over 2 s; an int64 sum wraps to -2**63 + 1."""
+        t = timed([0, 1, 2], [-1, -1, -1], [2**62, 2**62, 1])
+        assert compute_ncm(t) == pytest.approx(2**62)
+
     def test_degenerate_single_cell(self):
         with pytest.raises(DegenerateTrace):
             compute_ncm(timed([1.0], [-1]))

@@ -233,6 +233,26 @@ class TestFinetune:
         b = finetune(copy.deepcopy(self.params), self.labeled, fast_cfg(seed=4))
         assert np.array_equal(weights(a.params), weights(b.params))
 
+    def test_unaugmented_baseline_is_finetune_of_a_fresh_encoder_and_forks_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cfg = fast_cfg(seed=6)
+        baseline = train_supervised(self.labeled, cfg, p_flip_weak=0.0, dims=DIMS)
+        # stream 0 of the seed draws the fresh encoder
+        tuned = finetune(init_params(DIMS, RandomSource(6).spawn(0)), self.labeled, cfg)
+        assert forks == []
+        save_params(tmp_path / "baseline.ckpt", baseline.params)
+        save_params(tmp_path / "tuned.ckpt", tuned.params)
+        assert (tmp_path / "baseline.ckpt").read_bytes() == (tmp_path / "tuned.ckpt").read_bytes()
+        assert baseline.loss_history == tuned.loss_history
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_baseline_refuses_a_weak_flip_rate_outside_0_1(self, rate):
+        with pytest.raises(ValueError, match="^p_flip must be in"):
+            train_supervised(self.labeled, fast_cfg(), p_flip_weak=rate, dims=DIMS)
+
     def test_separable_toy_reaches_full_training_accuracy(self):
         rng = np.random.default_rng(11)
         labeled = separable_corpus(1, 5, rng)  # N=1 per class
@@ -299,12 +319,11 @@ class TestNetFm:
             widths = []
 
             def step(x, *args):
-                loss, enc_grads, d_w, d_b = real(x, *args)
-                w0, b0 = enc_grads[0]
-                widths.append(w0.shape[1])
+                loss, grads = real(x, *args)
+                widths.append(grads[0].shape[1])
                 if pad:
-                    w0 = np.pad(w0, ((0, 0), (0, 64 - w0.shape[1])))
-                return loss, [(w0, b0), *enc_grads[1:]], d_w, d_b
+                    grads[0] = np.pad(grads[0], ((0, 0), (0, 64 - grads[0].shape[1])))
+                return loss, grads
 
             monkeypatch.setattr(training, "supervised_forward_backward", step)
             cfg = fast_cfg(optimizer="sgd", learning_rate=1e-2, momentum=0.9,
@@ -371,6 +390,19 @@ class TestNonFiniteLoss:
             NonFiniteLoss, match=r"^finetune: loss is nan at epoch 1, step 2;"
         ):
             finetune(params, labeled, fast_cfg(**self.HUGE))
+
+    def test_first_step_of_the_second_epoch_is_named(self, monkeypatch):
+        real, calls = training.supervised_forward_backward, []
+
+        def step(*args):
+            loss, grads = real(*args)
+            calls.append(loss)
+            return (float("nan") if len(calls) == 4 else loss), grads
+
+        monkeypatch.setattr(training, "supervised_forward_backward", step)
+        labeled = separable_corpus(6, 3, np.random.default_rng(3))  # 3 steps of B = 8 an epoch
+        with pytest.raises(NonFiniteLoss, match=r"^finetune: loss is nan at epoch 2, step 1;"):
+            finetune(init_params(DIMS, RandomSource(9)), labeled, fast_cfg())
 
     def test_semi_supervised_loop(self):
         rng = np.random.default_rng(5)
@@ -634,7 +666,7 @@ class TestNonFiniteGradient:
             match=r"^pretrain: gradient of array 3 is not finite at epoch 1, step 2;",
         ):
             training._fit("pretrain", params, "projection", cfg,
-                          training._epoch_orders(16, cfg, True), step)
+                          training._step_rows(16, cfg, True), step)
         # one Adam step ran; the failing step left the weights as it found them
         assert len(steps) == 1
         assert np.array_equal(weights(params), seen[1])

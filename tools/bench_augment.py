@@ -5,7 +5,9 @@ at the criterion-7 shape (128 rows x 500 cells) and at the CLI's shape
 (128 rows x 5,000 cells), and ``RandomSource.shuffle`` of one criterion-7
 pre-training epoch's order (2,000 indices). The rows are superior-profile
 visits from ``synth``, as the experiments use. Each figure is the median
-of ``--repeats`` timed calls after one untimed call.
+of ``--repeats`` timed calls after one untimed call; at each shape the two
+kernels' timed calls alternate, net then flip, so that neither runs only
+after the other's allocations.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
 file, as ``tools/benchfile.py`` describes; on a noisy machine, alternate a
@@ -34,14 +36,18 @@ SHUFFLE_LEN = 2000
 SEED = 41  # corpus and stream seed
 
 
-def _median_ms(call, repeats: int) -> float:
-    call()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
+def _median_ms(calls: dict, repeats: int) -> dict:
+    """The median ms of each of ``calls`` over ``repeats`` rounds of one
+    timed call each, in turn, after one untimed call each."""
+    times = {name: [] for name in calls}
+    for call in calls.values():
         call()
-        times.append(time.perf_counter() - start)
-    return round(statistics.median(times) * 1e3, 4)
+    for _ in range(repeats):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            times[name].append(time.perf_counter() - start)
+    return {name: round(statistics.median(t) * 1e3, 4) for name, t in times.items()}
 
 
 def measure(rows: int, repeats: int) -> dict:
@@ -61,14 +67,12 @@ def measure(rows: int, repeats: int) -> dict:
         dist = distributions.build_distribution(corpus)
         cells = np.stack([t.cells for t in corpus])
         stream = RandomSource(SEED + 1)
-        result[f"net_ms_{shape}"] = _median_ms(
-            lambda: net_augment_batch(cells, cfg, dist, stream), repeats
-        )
-        result[f"flip_ms_{shape}"] = _median_ms(
-            lambda: flip_augment_batch(cells, cfg.p_flip, stream), repeats
-        )
+        result.update(_median_ms({
+            f"net_ms_{shape}": lambda: net_augment_batch(cells, cfg, dist, stream),
+            f"flip_ms_{shape}": lambda: flip_augment_batch(cells, cfg.p_flip, stream),
+        }, repeats))
     order = list(range(SHUFFLE_LEN))
-    result[f"shuffle_ms_{SHUFFLE_LEN}"] = _median_ms(lambda: stream.shuffle(order), repeats)
+    result.update(_median_ms({f"shuffle_ms_{SHUFFLE_LEN}": lambda: stream.shuffle(order)}, repeats))
     return result
 
 
@@ -84,7 +88,7 @@ def main(argv=None) -> int:
         "cells": SHAPES,
         "repeats": args.repeats,
         "seed": SEED,
-        "statistic": "median ms per call after one warm-up call",
+        "statistic": "median ms per call after one warm-up call, net and flip calls alternating",
     }
     benchfile.record(ap, args, setup, lambda: measure(args.rows, args.repeats))
     return 0

@@ -16,7 +16,12 @@ It also times one Adam step of pre-training, in microseconds, at the
 criterion-7 shapes (198k parameters, first-layer gradient full width) and
 at the shapes of the CLI chain at 5,000 cells (1.33M parameters, embedding
 64, first-layer gradient 570 columns wide, about a batch's live prefix):
-the mean over ``ADAM_STEPS`` steps after one untimed step.
+the mean over ``ADAM_STEPS`` steps after one untimed step. The learner rows
+time one contrastive and one supervised forward+backward, in microseconds
+per row, at the criterion-7 shapes (128 view rows and a fine-tuning batch of
+32, embedding 128) and at the CLI chain's (the same rows at 5,000 cells,
+embedding 64): the mean over ``LEARNER_CALLS`` calls on the corpus's first
+visits after one untimed call.
 BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
@@ -49,6 +54,7 @@ EMBED = 128
 BATCH = 64
 SEED = 41  # corpus and training seed
 ADAM_STEPS = 200
+LEARNER_CALLS = 50
 #: the netfm run: labeled visits per class, embedding width, batch, mu
 NETFM_LABELED, NETFM_EMBED, NETFM_BATCH, NETFM_MU = 5, 64, 32, 19
 #: figure name -> (trace length, embedding width, first-layer gradient columns)
@@ -56,6 +62,10 @@ ADAM_SHAPES = {
     "adam_us_per_step_c7": (TRACE_LEN, EMBED, TRACE_LEN),
     "adam_us_per_step_cli": (5000, 64, 570),
 }
+#: shape name -> (trace length, embedding width) of the learner rows
+LEARNER_SHAPES = {"c7": (TRACE_LEN, EMBED), "cli": (5000, 64)}
+#: rows of a contrastive call (two views of a pre-training batch) and of a supervised one
+CONTRASTIVE_ROWS, SUPERVISED_ROWS = 2 * BATCH, 32
 
 
 def measure(classes: int, per_class: int, epochs: int) -> dict:
@@ -106,6 +116,7 @@ def measure(classes: int, per_class: int, epochs: int) -> dict:
         "net_over_flip": round(net_s / flip_s, 4),
         "netfm_s": round(netfm(epochs), 4),
         **{name: round(adam_us_per_step(*shape), 2) for name, shape in ADAM_SHAPES.items()},
+        **learner_us_per_row(visits, classes),
     }
 
 
@@ -126,6 +137,35 @@ def adam_us_per_step(trace_len: int, embed: int, live: int) -> float:
     for _ in range(ADAM_STEPS):
         opt.step(grads)
     return (time.perf_counter() - start) / ADAM_STEPS * 1e6
+
+
+def learner_us_per_row(visits, classes: int) -> dict:
+    import numpy as np
+
+    from traceaug import models, traces
+    from traceaug.rng import RandomSource
+
+    result = {}
+    for shape, (trace_len, embed) in LEARNER_SHAPES.items():
+        dims = models.ModelDims(trace_len=trace_len, hidden=HIDDEN, embed_dim=embed)
+        params = models.init_params(dims, RandomSource(SEED))
+        models.attach_classifier(params, max(classes, 2), RandomSource(SEED).spawn(0))
+        rows = [traces.to_direction_trace(t, trace_len) for t in visits[:CONTRASTIVE_ROWS]]
+        x = np.stack([t.cells for t in rows])
+        labels = np.array([t.label for t in rows[:SUPERVISED_ROWS]])
+        calls = {
+            "contrastive": (lambda: models.contrastive_forward_backward(x, params, 0.1), len(x)),
+            "supervised": (lambda: models.supervised_forward_backward(
+                x[:SUPERVISED_ROWS], labels, params), len(labels)),
+        }
+        for name, (call, n) in calls.items():
+            call()
+            start = time.perf_counter()
+            for _ in range(LEARNER_CALLS):
+                call()
+            per_row = (time.perf_counter() - start) / LEARNER_CALLS / n * 1e6
+            result[f"{name}_us_per_row_{shape}"] = round(per_row, 3)
+    return result
 
 
 def main(argv=None) -> int:
