@@ -106,6 +106,14 @@ class DirectionTrace:
         if not nonzero[first : first + count].all():
             raise ValueError("zeros may only lead or trail, not interrupt the trace")
 
+    @classmethod
+    def _valid(cls, cells: np.ndarray, label: int | None = None) -> "DirectionTrace":
+        """A trace of one-dimensional int8 ``cells`` and a ``label`` known to
+        pass the checks, built without them; it shares ``cells``."""
+        trace = cls.__new__(cls)
+        trace.cells, trace.label = cells, label
+        return trace
+
     def __len__(self) -> int:
         return len(self.cells)
 
@@ -185,7 +193,9 @@ def to_direction_trace(t: TimedTrace, length: int = DEFAULT_TRACE_LEN) -> Direct
     The first min(len(t), length) directions are copied in order; shorter
     traces are padded with zeros. The label carries over.
     """
-    return DirectionTrace(fit_length(t.directions, length), label=t.label)
+    # TimedTrace checked the label and that every direction is -1 or +1, so
+    # the cells are one run of nonzeros, then zeros
+    return DirectionTrace._valid(fit_length(t.directions, length), t.label)
 
 
 def compute_ncm(t: TimedTrace) -> float:

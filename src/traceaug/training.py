@@ -135,6 +135,9 @@ class _Optimizer:
     prefix. Columns right of it have only ever seen zero gradients, so
     their state would be +0 and they would move by exactly +0. Inside the
     prefix, columns right of this step's gradient only decay their state.
+    Adam's two scratch buffers are sized by what a step touches, the largest
+    array state (the first layer's live prefix, or a full-width array), and
+    grow when ``_widened`` grows that state, never to the full first layer.
     """
 
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig, total_steps: int):
@@ -148,9 +151,7 @@ class _Optimizer:
             self.m, self.v = list(narrow), list(narrow)
             # two scratch buffers shared by all arrays keep the step free of
             # per-operation temporaries
-            largest = max(a.size for a in arrays)
-            dtype = np.result_type(*arrays)
-            self._scratch = (np.empty(largest, dtype), np.empty(largest, dtype))
+            self._scratch = (np.empty(0, np.result_type(*arrays)),) * 2
         elif cfg.momentum > 0:
             self.vel = narrow
 
@@ -174,6 +175,8 @@ class _Optimizer:
                 w = g.shape[-1]
                 m = self.m[i] = _widened(self.m[i], w)
                 v = self.v[i] = _widened(self.v[i], w)
+                if m.size > len(self._scratch[0]):
+                    self._scratch = tuple(np.empty(m.size, buf.dtype) for buf in self._scratch)
                 a = a[..., : m.shape[-1]]
                 sg = self._scratch[0][: g.size].reshape(g.shape)
                 m *= _BETA1
@@ -324,8 +327,31 @@ def _views_ahead(make, steps: int):
 
 
 def strip_labels(traces: list[DirectionTrace]) -> list[DirectionTrace]:
-    """Label-free copies for the pre-training phase."""
-    return [DirectionTrace(t.cells.copy(), label=None) for t in traces]
+    """Label-free traces for the pre-training phase. They share the given
+    traces' cell arrays, which no training phase writes, rather than copy
+    them."""
+    return [DirectionTrace._valid(t.cells) for t in traces]
+
+
+def _live_stack(traces: list[DirectionTrace]) -> tuple[np.ndarray, int]:
+    """(cells, L): the traces' cells as one int8 matrix only W columns wide,
+    W one past the last column that holds a nonzero cell of any trace, and
+    the traces' length L. The columns cut off are zeros, so ``_padded``
+    gives back the L-wide rows."""
+    cells = np.stack([t.cells for t in traces])
+    live = np.flatnonzero(cells.any(axis=0))
+    width = int(live[-1]) + 1 if live.size else 0
+    return (cells if width == cells.shape[1] else cells[:, :width].copy()), cells.shape[1]
+
+
+def _padded(cells: np.ndarray, length: int) -> np.ndarray:
+    """The rows of an int8 matrix zero-padded on the right to ``length``
+    columns; the matrix itself when it is that wide."""
+    if cells.shape[1] == length:
+        return cells
+    out = np.zeros((len(cells), length), np.int8)
+    out[:, : cells.shape[1]] = cells
+    return out
 
 
 def _add_scaled(g: np.ndarray, gu: np.ndarray, scale: float) -> np.ndarray:
@@ -365,13 +391,14 @@ def _step_rows(n: int, cfg: TrainConfig, drop_last: bool) -> list[np.ndarray]:
 
 
 def _labeled_arrays(traces: list[DirectionTrace]):
-    """(int8 cell matrix, int64 labels, class count) of a fully labeled corpus."""
+    """(int8 cell matrix and trace length as _live_stack gives them, int64
+    labels, class count) of a fully labeled corpus."""
     if not traces:
         raise InsufficientData("no labeled traces")
     for t in traces:
         if t.label is None or t.label < 0:
             raise MissingLabel("training requires non-negative labels on every trace")
-    cells = np.stack([t.cells for t in traces])
+    cells, length = _live_stack(traces)
     y = np.array([t.label for t in traces], dtype=np.int64)
     present = np.unique(y)
     n_classes = int(present[-1]) + 1
@@ -382,7 +409,7 @@ def _labeled_arrays(traces: list[DirectionTrace]):
             f"no labeled sample for {n_classes - len(present)} of classes 0..{n_classes - 1},"
             f" starting with {first.tolist()}"
         )
-    return cells, y, n_classes
+    return cells, length, y, n_classes
 
 
 def _first_draws(draws, steps) -> list[int]:
@@ -455,11 +482,14 @@ def pretrain(
         )
     if augmenter not in ("net", "flip"):
         raise ValueError(f"unknown augmenter {augmenter!r}")
-    corpus = np.stack([t.cells for t in unlabeled])
+    # the corpus is held W wide (_live_stack). Net views are made from rows
+    # padded back to L, as a net view may reach further right; a flip never
+    # moves a cell, so flip views are made W wide and padded after
+    corpus, length = _live_stack(unlabeled)
     if augmenter == "net":
         check_net_inputs(np.count_nonzero(corpus, axis=1), aug, dist)
 
-    dims = dims or ModelDims(trace_len=len(unlabeled[0]))
+    dims = dims or ModelDims(trace_len=length)
     root = RandomSource(cfg.seed)
     params = init_params(dims, root.spawn(_S_INIT))
     rng_aug = root.spawn(_S_AUG)
@@ -475,8 +505,8 @@ def pretrain(
         cells = corpus[np.repeat(np.concatenate(steps[first:stop]), 2)]
         rng = rng_aug.at(first_draw[first])
         if augmenter == "net":
-            return net_augment_batch(cells, aug, dist, rng)
-        return flip_augment_batch(cells, aug.p_flip, rng)
+            return net_augment_batch(_padded(cells, length), aug, dist, rng)
+        return _padded(flip_augment_batch(cells, aug.p_flip, rng), length)
 
     def step(rows, views):
         return contrastive_forward_backward(views, params, ssl.tau_s)
@@ -549,23 +579,27 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
     step order, the unlabeled views from theirs, flips then bursts; no view
     depends on the weights, so every step's rows and first draws are known
     before the first step. With neither unlabeled rows nor weak flips, no
-    views are made and a step scores its labeled cells.
+    views are made and a step scores its labeled cells. Each corpus is held
+    W wide (_live_stack); flips are made W wide and net views from rows
+    padded to L, and every block and scored row is L wide.
     """
-    labeled_cells, y, n_classes = _labeled_arrays(labeled)
+    labeled_cells, length, y, n_classes = _labeled_arrays(labeled)
     if unlabeled is not None:
-        unlabeled_cells = np.stack([t.cells for t in unlabeled])
-        if unlabeled_cells.shape[1] != labeled_cells.shape[1]:
-            raise ValueError(f"unlabeled traces are {unlabeled_cells.shape[1]} cells long, labeled"
-                             f" traces {labeled_cells.shape[1]}; both must have the same length")
+        unlabeled_cells, unlabeled_length = _live_stack(unlabeled)
+        if unlabeled_length != length:
+            raise ValueError(f"unlabeled traces are {unlabeled_length} cells long, labeled"
+                             f" traces {length}; both must have the same length")
     phase = "netfm" if unlabeled is not None else "supervised" if params is None else "finetune"
     root = RandomSource(cfg.seed)
     if params is None:
-        params = init_params(dims or ModelDims(trace_len=len(labeled[0])), root.spawn(_S_INIT))
+        params = init_params(dims or ModelDims(trace_len=length), root.spawn(_S_INIT))
     if params.n_classes != n_classes:
         attach_classifier(params, n_classes, root.spawn(_S_CLF))
     steps = _step_rows(len(labeled), cfg, drop_last=False)
-    rng_weak = root.spawn(_S_AUG)
-    weak_first = _first_draws(flip_draw_counts(labeled_cells), steps)
+    augmented = unlabeled is not None or p_flip_weak != 0
+    if augmented:
+        rng_weak = root.spawn(_S_AUG)
+        weak_first = _first_draws(flip_draw_counts(labeled_cells), steps)
     # step 0 has the most rows
     rows = len(steps[0]) * (1 if unlabeled is None else 1 + 2 * cfg.mu)
     if unlabeled is not None:
@@ -576,22 +610,25 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
         pool_first = _first_draws(draws, pool)
 
     def make(first, stop):
-        out = np.zeros((stop - first, rows, labeled_cells.shape[1]), np.int8)
+        out = np.zeros((stop - first, rows, length), np.int8)
         for k in range(first, stop):
             views = [flip_augment_batch(labeled_cells[steps[k]], p_flip_weak,
                                         rng_weak.at(weak_first[k]))]
             if unlabeled is not None:
                 cells, rng = unlabeled_cells[pool[k]], rng_uaug.at(pool_first[k])
                 views += [flip_augment_batch(cells, p_flip_weak, rng),
-                          net_augment_batch(cells, aug_strong, dist, rng)]
-            np.concatenate(views, out=out[k - first, : sum(map(len, views))])
-        return out.reshape(-1, out.shape[-1])
+                          net_augment_batch(_padded(cells, length), aug_strong, dist, rng)]
+            row = 0
+            for v in views:
+                out[k - first, row : row + len(v), : v.shape[1]] = v
+                row += len(v)
+        return out.reshape(-1, length)
 
     retained: list[int] = []
 
     def step(batch, views):
         n, m = len(batch), cfg.mu * len(batch)
-        x = labeled_cells[batch] if views is None else views[:n]
+        x = _padded(labeled_cells[batch], length) if views is None else views[:n]
         loss_s, grads = supervised_forward_backward(x, y[batch], params)
         if unlabeled is None:
             return loss_s, grads
@@ -610,7 +647,6 @@ def _semi_supervised(labeled, unlabeled, cfg, ssl, aug_strong, p_flip_weak, dist
                 grads = [_add_scaled(g, gu, ssl.lambda_u) for g, gu in zip(grads, grads_u)]
         return loss_s + ssl.lambda_u * loss_u, grads
 
-    augmented = unlabeled is not None or p_flip_weak != 0
     result = _fit(phase, params, "classifier", cfg, steps, step, make if augmented else None)
     result.retained_history = retained
     return result

@@ -64,9 +64,10 @@ def test_pretraining_timings_accumulate_per_label(tmp_path):
     assert doc["median"].keys() == {"parent", "change"}
     [run] = doc["runs"]["change"]
     assert set(run) == {"net_pretrain_s", "flip_pretrain_s", "net_over_flip", "netfm_s",
-                        "adam_us_per_step_c7", "adam_us_per_step_cli",
+                        "adam_us_per_step_c7", "adam_us_per_step_cli", "pretrain_peak_mb_cli",
                         *(f"{learner}_us_per_row_{shape}"
                           for learner in ("contrastive", "supervised") for shape in ("c7", "cli"))}
+    assert run["pretrain_peak_mb_cli"] > 0
     assert run["netfm_s"] > 0 and all(run[f"{learner}_us_per_row_cli"] > 0
                                       for learner in ("contrastive", "supervised"))
     assert run["net_over_flip"] == pytest.approx(run["net_pretrain_s"] / run["flip_pretrain_s"],

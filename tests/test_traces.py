@@ -102,6 +102,17 @@ class TestToDirectionTrace:
         assert once == again
         assert once.label == 9
 
+    def test_directions_checked_by_the_timed_trace_are_not_checked_again(self, monkeypatch):
+        t = timed([0.0, 0.1, 0.2], [1, -1, -1], label=2)
+
+        def check(self):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(DirectionTrace, "__post_init__", check)
+        got = to_direction_trace(t, 5)
+        assert got.cells.dtype == np.int8 and got.label == 2
+        assert np.array_equal(got.cells, [1, -1, -1, 0, 0])
+
 
 class TestNcm:
     def test_forty_kbps_boundary_example(self):

@@ -4,6 +4,7 @@ import os
 import select
 import signal
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -123,6 +124,34 @@ class TestPretrain:
             self.dist, SslConfig(), dims=DIMS,
         )
         assert len(result.loss_history) == 1
+
+    def test_strip_labels_shares_the_cells(self):
+        labeled = make_corpus(8, np.random.default_rng(1), label=0)
+        stripped = strip_labels(labeled)
+        assert [t.label for t in stripped] == [None] * 8
+        assert all(s.cells is t.cells for s, t in zip(stripped, labeled))
+
+    @pytest.mark.parametrize("augmenter", ["net", "flip"])
+    def test_padded_corpus_is_held_once_at_its_live_width(self, augmenter):
+        """512 traces of 4,000 cells with at most 200 live: beyond its
+        4.1 MB first layer, pre-training holds under 3 MiB, of which drawing
+        the weights takes about 2 MB. Another full-width copy of the corpus
+        (2 MB), or Adam scratch as large as the first layer (8.2 MB), would
+        break it."""
+        length, dims = 4000, ModelDims(trace_len=4000, hidden=(256,), embed_dim=16)
+        rng = np.random.default_rng(3)
+        corpus = [DirectionTrace(fit_length(np.where(rng.random(int(n)) < 0.6, -1, 1), length),
+                                 label=0) for n in rng.integers(60, 200, 512)]
+        dist = build_distribution(corpus) if augmenter == "net" else None
+        tracemalloc.start()
+        try:
+            pretrain(strip_labels(corpus), fast_cfg(batch_size=32, epochs=1), AugmentConfig(),
+                     dist, SslConfig(), dims=dims, augmenter=augmenter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        first_layer = 256 * length * np.dtype(np.float32).itemsize
+        assert peak < first_layer + 3 * 2**20
 
     def test_lr_zero_leaves_params_at_init(self):
         result = pretrain(
@@ -248,6 +277,21 @@ class TestFinetune:
         assert (tmp_path / "baseline.ckpt").read_bytes() == (tmp_path / "tuned.ckpt").read_bytes()
         assert baseline.loss_history == tuned.loss_history
 
+    @pytest.mark.parametrize("train", ["finetune", "baseline"])
+    def test_no_view_maker_draws_no_weak_flip_stream(self, train, monkeypatch):
+        def refuse(cells):
+            raise AssertionError("weak-flip draws counted")
+
+        spawned, spawn = [], RandomSource.spawn
+        monkeypatch.setattr(RandomSource, "spawn",
+                            lambda rng, i: spawned.append(i) or spawn(rng, i))
+        monkeypatch.setattr(training, "flip_draw_counts", refuse)
+        if train == "finetune":
+            finetune(copy.deepcopy(self.params), self.labeled, fast_cfg())
+        else:
+            train_supervised(self.labeled, fast_cfg(), p_flip_weak=0.0, dims=DIMS)
+        assert training._S_AUG not in spawned
+
     @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
     def test_baseline_refuses_a_weak_flip_rate_outside_0_1(self, rate):
         with pytest.raises(ValueError, match="^p_flip must be in"):
@@ -367,6 +411,41 @@ class TestNetFm:
                         p_flip_weak=0.1, dist=self.dist, dims=DIMS)
         assert np.array_equal(weights(a.params), weights(b.params))
         assert a.retained_history == b.retained_history
+
+
+def frozen(traces):
+    """The traces, with their cell arrays made read-only."""
+    for t in traces:
+        t.cells.flags.writeable = False
+    return traces
+
+
+class TestReadOnlyCells:
+    """Every phase runs on traces whose cell arrays are read-only, so none
+    writes the cells that strip_labels shares."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.labeled = frozen(separable_corpus(4, 3, rng))
+        self.unlabeled = frozen(make_corpus(60, rng))
+        self.dist = build_distribution(self.unlabeled)
+
+    @pytest.mark.parametrize("phase", ["pretrain-net", "pretrain-flip", "finetune",
+                                       "supervised", "supervised-weak", "netfm"])
+    def test_phase_runs(self, phase):
+        cfg = fast_cfg(batch_size=4, epochs=2, mu=2)
+        if phase.startswith("pretrain"):
+            augmenter = phase.split("-")[1]
+            pretrain(strip_labels(self.labeled) + self.unlabeled, cfg, AugmentConfig(),
+                     self.dist, SslConfig(), dims=DIMS, augmenter=augmenter)
+        elif phase == "finetune":
+            finetune(init_params(DIMS, RandomSource(1)), self.labeled, cfg)
+        elif phase == "netfm":
+            train_netfm(self.labeled, self.unlabeled, cfg, SslConfig(tau_f=0.2),
+                        AugmentConfig(), 0.1, self.dist, dims=DIMS)
+        else:
+            train_supervised(self.labeled, cfg, p_flip_weak=0.1 * (phase == "supervised-weak"),
+                             dims=DIMS)
 
 
 class TestNonFiniteLoss:
@@ -799,6 +878,8 @@ class TestOptimizers:
             opt.step([rng.standard_normal((256, cols), np.float32), np.ones(256, np.float32)])
         states = opt.m + opt.v if optimizer == "adam" else opt.vel
         assert [s.shape for s in states] == [(256, 570), (256,)] * (len(states) // 2)
+        if optimizer == "adam":
+            assert [len(buf) for buf in opt._scratch] == [256 * 570] * 2
 
 
 class TestTrainConfigValidation:

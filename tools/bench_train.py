@@ -22,6 +22,10 @@ per row, at the criterion-7 shapes (128 view rows and a fine-tuning batch of
 32, embedding 128) and at the CLI chain's (the same rows at 5,000 cells,
 embedding 64): the mean over ``LEARNER_CALLS`` calls on the corpus's first
 visits after one untimed call.
+``pretrain_peak_mb_cli`` is the ``tracemalloc`` peak, in MB, of one
+1-epoch net ``pretrain`` on the corpus at 5,000 cells (embedding 64), a
+call of its own after the timed runs; the peak RSS of ``traceaug pretrain``
+at that length follows it.
 BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 
 Each invocation appends its figures to the runs of ``--label`` in a JSON
@@ -43,6 +47,7 @@ if __name__ == "__main__":  # before numpy is imported
 
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -117,7 +122,26 @@ def measure(classes: int, per_class: int, epochs: int) -> dict:
         "netfm_s": round(netfm(epochs), 4),
         **{name: round(adam_us_per_step(*shape), 2) for name, shape in ADAM_SHAPES.items()},
         **learner_us_per_row(visits, classes),
+        "pretrain_peak_mb_cli": round(pretrain_peak_mb(visits, dist, ssl), 3),
     }
+
+
+def pretrain_peak_mb(visits, dist, ssl) -> float:
+    from traceaug import traces, training
+    from traceaug.augment import AugmentConfig
+    from traceaug.models import ModelDims
+
+    trace_len, embed = LEARNER_SHAPES["cli"]
+    corpus = training.strip_labels([traces.to_direction_trace(t, trace_len) for t in visits])
+    cfg = training.TrainConfig(batch_size=BATCH, epochs=1, learning_rate=1e-3,
+                               cosine_decay=True, seed=SEED)
+    dims = ModelDims(trace_len=trace_len, hidden=HIDDEN, embed_dim=embed)
+    tracemalloc.start()
+    try:
+        training.pretrain(corpus, cfg, AugmentConfig(), dist, ssl, dims=dims)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def adam_us_per_step(trace_len: int, embed: int, live: int) -> float:
